@@ -150,21 +150,12 @@ def _cmd_distance(args, out) -> int:
 
 def _cmd_area(args, out) -> int:
     alphas = [float(a) for a in args.alphas.split(",") if a]
-    out.write(
-        "# config: area alphas={} truncation={} cellsize={} samples={} parallel={}\n".format(
-            args.alphas, _fmt(args.truncation), _fmt(args.cellsize), args.samples,
-            args.parallel,
-        )
-    )
+    # compute every row first, so a rejected input leaves stdout empty
+    areas = [hilbert.triangle_area_experiment(a, args.truncation, args.cellsize) for a in alphas]
+    out.write(f"# config: area alphas={args.alphas} truncation={_fmt(args.truncation)} "
+              f"cellsize={_fmt(args.cellsize)}\n")
     out.write("alpha,truncation,cellsize,area\n")
-    for alpha in alphas:
-        area = hilbert.triangle_area_experiment(
-            alpha,
-            args.truncation,
-            args.cellsize,
-            samples=args.samples,
-            parallel=args.parallel,
-        )
+    for alpha, area in zip(alphas, areas):
         out.write(
             f"{_fmt(alpha)},{_fmt(args.truncation)},{_fmt(args.cellsize)},{_fmt(area)}\n"
         )
@@ -356,8 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.5,0.25,0.1,0.05,0.01")
     p.add_argument("--truncation", type=float, default=5.0)
     p.add_argument("--cellsize", type=float, default=0.002)
-    p.add_argument("--samples", type=int, default=hilbert.DEFAULT_BALL_SAMPLES)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("convert", help="Goldman record -> Bonahon-Dreyer coordinates")

@@ -3,34 +3,44 @@
 Domains are given either as strictly convex polygons or as conic ovals
 (ellipses cut out by a quadratic form).  Chords are solved exactly: per-edge
 linear solves for polygons, one quadratic per direction for conics.  The
-Hilbert distance is the half-log cross ratio of a chord; the area density at
-a point is pi over the Euclidean area of the unit ball of the infinitesimal
-(Finsler) norm, which reproduces the hyperbolic area element when the
-boundary is a conic.
+Hilbert distance is the half-log cross ratio of a chord.
 
-Grid integration is vectorized over cells x directions and reduced in a
-fixed chunk order, so repeated runs at the same cellsize agree bit for bit,
-with or without the parallel flag.
+The area density is pi over the Euclidean area of the unit ball of the Finsler
+norm, in closed form for both domain types (Alvarez Paiva & Thompson, "Volumes
+on normed and Finsler spaces", 2004).  Areas are integrated in polar
+coordinates: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
+distance along each ray, in which the integrand stays smooth up to the boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoincidentPoints,
-    PointOutsideDomain,
-    RegionNotContained,
-)
+from .errors import CoincidentPoints, PointOutsideDomain, RegionNotContained
 
-# directions sampled on the Finsler unit ball when measuring its area
-DEFAULT_BALL_SAMPLES = 256
+# Gauss-Kronrod (7, 15) rule on [-1, 1] (QUADPACK, Piessens et al. 1983): the
+# nonnegative Kronrod nodes, their weights, and the weights of the Gauss nodes
+_K15 = np.array([
+    [0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
+     0.586087235467691130, 0.405845151377397167, 0.207784955007898468, 0.0],
+    [0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+     0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828],
+    [0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+     0.0, 0.381830050505118945, 0.0, 0.417959183673469388],
+])
+_GK_X = np.concatenate([-_K15[0], _K15[0, -2::-1]])
+_GK_W, _G7_W = np.concatenate([_K15[1:], _K15[1:, -2::-1]], axis=1)
 
-_CHUNK = 4096
+# adaptive refinement limits: the narrowest panel (radians; its nodes stay far
+# enough from a break that a ray never meets a boundary point by rounding), the
+# panels split per round, and the panel count that ends refinement
+_MIN_PANEL = 1e-8
+_MAX_SPLITS = 64
+_MAX_PANELS = 2048
 
 
 class ConvexDomain:
@@ -45,15 +55,12 @@ class ConvexDomain:
         """
         raise NotImplementedError
 
-    def bbox(self):
-        raise NotImplementedError
-
     def extreme_points(self, samples: int):
         """Points whose containment certifies containment of the region."""
         raise NotImplementedError
 
-    def _exits_outer(self, x, dirs):
-        """Forward/backward boundary parameters from each of ``x`` along each direction."""
+    def _density(self, pts):
+        """Busemann density pi / area(unit Finsler ball) at each of the (n, 2) points."""
         raise NotImplementedError
 
     def _exits_paired(self, x, u):
@@ -97,25 +104,22 @@ class Polygon(ConvexDomain):
         result = np.min(self._slack(pts), axis=1) > tol * max(1.0, self.scale)
         return bool(result[0]) if single else result
 
-    def bbox(self):
-        return (
-            float(self.vertices[:, 0].min()),
-            float(self.vertices[:, 0].max()),
-            float(self.vertices[:, 1].min()),
-            float(self.vertices[:, 1].max()),
-        )
-
     def extreme_points(self, samples: int):
         return self.vertices
 
-    def _exits_outer(self, x, dirs):
-        slack = self._slack(x)  # (n, E)
-        den = dirs @ self.normals.T  # (K, E)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = slack[:, None, :] / den[None, :, :]
-            t_fwd = np.min(np.where(den[None, :, :] > 0.0, ratio, np.inf), axis=2)
-            t_bwd = np.min(np.where(den[None, :, :] < 0.0, -ratio, np.inf), axis=2)
-        return t_fwd, t_bwd
+    def _density(self, pts):
+        # F(w) = (g(w) + g(-w)) / 2 with the gauge g(w) = max_e n_e.w / slack_e is
+        # linear between the rays +-(v_i - x), so the unit ball is the polygon
+        # with vertices +-(v_i - x) / F(v_i - x)
+        rays = self.vertices[None, :, :] - pts[:, None, :]  # (n, E, 2)
+        # ratio[e, k, i] = n_e.(v_i - x_k) / slack_e(x_k), edges first for the reductions
+        ratio = (self.normals @ rays.reshape(-1, 2).T).reshape(-1, *rays.shape[:2])
+        ratio /= self._slack(pts).T[:, :, None]
+        ball = (rays @ [1.0, 1j]) * (2.0 / (ratio.max(axis=0) - ratio.min(axis=0)))
+        ball = np.concatenate([ball, -ball], axis=1)
+        ball = np.take_along_axis(ball, np.argsort(np.angle(ball), axis=1), axis=1)
+        # twice the shoelace area of the ball
+        return 2.0 * math.pi / np.sum((ball.conj() * np.roll(ball, -1, axis=1)).imag, axis=1)
 
     def _exits_paired(self, x, u):
         slack = self._slack(x)  # (n, E)
@@ -183,15 +187,6 @@ class ConicOval(ConvexDomain):
         result = self._q(np.atleast_2d(pts)) < -tol * abs(self._qmin)
         return bool(result[0]) if single else result
 
-    def bbox(self):
-        half = np.sqrt(-self._qmin * np.diag(np.linalg.inv(self._quad)))
-        return (
-            float(self.center[0] - half[0]),
-            float(self.center[0] + half[0]),
-            float(self.center[1] - half[1]),
-            float(self.center[1] + half[1]),
-        )
-
     def extreme_points(self, samples: int):
         w, vecs = np.linalg.eigh(self._quad)
         radii = np.sqrt(-self._qmin / w)
@@ -199,12 +194,12 @@ class ConicOval(ConvexDomain):
         circle = np.stack([radii[0] * np.cos(phi), radii[1] * np.sin(phi)], axis=1)
         return self.center[None, :] + circle @ vecs.T
 
-    def _exits_outer(self, x, dirs):
-        aa = self._quad_form(dirs)  # (K,), positive
-        bb = self._grad(x) @ dirs.T  # (n, K)
-        cc = self._q(x)  # (n,), negative inside
-        sq = np.sqrt(bb * bb - 4.0 * aa[None, :] * cc[:, None])
-        return (sq - bb) / (2.0 * aa[None, :]), (sq + bb) / (2.0 * aa[None, :])
+    def _density(self, pts):
+        # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
+        # taking the unit disk onto {q < 0}, q = (x - c)^T A (x - c) + q_min
+        d = pts - self.center[None, :]
+        depth = 1.0 + np.einsum("ni,ij,nj->n", d, self._quad, d) / self._qmin  # q / q_min
+        return math.sqrt(np.linalg.det(self._quad)) / -self._qmin * depth ** -1.5
 
     def _exits_paired(self, x, u):
         u = np.atleast_2d(u)
@@ -277,124 +272,140 @@ def finsler_norm(dom: ConvexDomain, x, direction) -> float:
     return 0.5 * (1.0 / float(t_fwd[0]) + 1.0 / float(t_bwd[0]))
 
 
-def _ball_densities(dom: ConvexDomain, pts: np.ndarray, samples: int) -> np.ndarray:
-    """Busemann density pi / area(unit Finsler ball) at each point."""
-    theta = 2.0 * math.pi * np.arange(samples) / samples
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    t_fwd, t_bwd = dom._exits_outer(pts, dirs)
-    radii = 2.0 / (1.0 / t_fwd + 1.0 / t_bwd)
-    # inscribed-polygon area of the unit ball from the sampled boundary fan
-    areas = 0.5 * math.sin(2.0 * math.pi / samples) * np.sum(
-        radii * np.roll(radii, -1, axis=1), axis=1
-    )
-    return math.pi / areas
+@functools.cache
+def _radial_rule():
+    """Gauss-Legendre rule in the Hilbert distance along a ray, loaded on first
+    use so that importing projkit does not pay for importing numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(24)
 
 
-def _sum_densities(
-    dom: ConvexDomain, pts: np.ndarray, samples: int, parallel: bool
-) -> float:
-    # cells x directions x edges intermediates; cap their footprint while
-    # keeping the chunking (and so the reduction order) deterministic
-    edges = len(dom.vertices) if isinstance(dom, Polygon) else 4
-    chunk = max(256, min(_CHUNK, 8_000_000 // (samples * edges)))
-    chunks = [pts[i : i + chunk] for i in range(0, len(pts), chunk)]
-    if not chunks:
-        return 0.0
-
-    def chunk_sum(block):
-        return float(np.sum(_ball_densities(dom, block, samples)))
-
-    if parallel and len(chunks) > 1:
-        with ThreadPoolExecutor() as pool:
-            partials = list(pool.map(chunk_sum, chunks))
-    else:
-        partials = [chunk_sum(block) for block in chunks]
-    # fixed left-to-right reduction keeps the result identical across runs
-    total = 0.0
-    for p in partials:
-        total += p
-    return total
+def _smoothstep(t):
+    return t * t * (3.0 - 2.0 * t)
 
 
-def _grid_centers(bbox, cellsize: float) -> np.ndarray:
-    xmin, xmax, ymin, ymax = bbox
-    nx = max(1, math.ceil((xmax - xmin) / cellsize))
-    ny = max(1, math.ceil((ymax - ymin) / cellsize))
-    xs = xmin + (np.arange(nx) + 0.5) * cellsize
-    ys = ymin + (np.arange(ny) + 0.5) * cellsize
-    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 2)
+def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> float:
+    """Busemann area of the points of region within Hilbert distance radius of base.
+
+    The region must be star-shaped about the interior point base.  Along the
+    ray base + rho u the Hilbert distance from base is s, with
+    rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s}) for the chord exits t+-, so
+    the radial integral of density * rho drho is taken in s, where the
+    integrand stays smooth up to the boundary.  In the angle, Gauss-Kronrod
+    panels break where the integrand has kinks: at the directions of the
+    region's and the domain's vertices and their opposites (kinks of the exits
+    t+ and t-), and where the region exit and the radius trade places.
+    """
+
+    def exits(theta):
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        x = np.broadcast_to(base, u.shape)
+        t_fwd, t_bwd = dom._exits_paired(x, u)
+        # the region may touch the boundary: never leave the domain
+        rho = np.minimum(region._exits_paired(x, u)[0], t_fwd)
+        with np.errstate(divide="ignore"):
+            s = 0.5 * np.log((t_bwd + rho) * t_fwd / (t_bwd * (t_fwd - rho)))
+        return u, t_fwd[:, None], t_bwd[:, None], np.minimum(s, radius)
+
+    radial_x, radial_w = _radial_rule()
+
+    def radial_integral(theta):
+        u, tf, tb, s_max = exits(theta)
+        finite = np.isfinite(s_max)
+        half = 0.5 * np.where(finite, s_max, 0.0)[:, None]
+        grow = np.exp(2.0 * half * (1.0 + radial_x))  # e^{2s}, (m, N)
+        den = tf + tb * grow
+        rho = tb * tf * (grow - 1.0) / den
+        drho = 2.0 * grow * tb * tf * (tb + tf) / (den * den)
+        density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
+        radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
+        return np.where(finite, half[:, 0] * radial, np.inf)
+
+    def evaluate(rows):
+        # row (start, length, lo, hi, estimate, error): t in [lo, hi] of the break panel
+        # theta = start + length * smoothstep(t), flat at t = 0 and 1, so the growth towards
+        # a vertex touching the boundary (1/sqrt on a conic) becomes smooth in t
+        start, length, lo, hi = rows.T[:4, :, None]
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_X
+        vals = radial_integral((start + length * _smoothstep(t)).ravel()).reshape(t.shape)
+        vals *= 0.5 * (hi - lo) * length * 6.0 * t * (1.0 - t)
+        with np.errstate(invalid="ignore"):
+            rows[:, 4], rows[:, 5] = vals @ _GK_W, np.abs(vals @ (_GK_W - _G7_W))
+        return rows
+
+    # break at the directions +-(v - base) of all vertices, and at the axes so
+    # that no break panel is wider than a quarter turn
+    rays = [shape.vertices - base for shape in (dom, region) if isinstance(shape, Polygon)]
+    rays = np.concatenate(rays + [np.eye(2)])
+    rays = np.concatenate([rays, -rays])
+    angles = np.arctan2(rays[:, 1], rays[:, 0]) % (2.0 * math.pi)
+    edges = np.unique(np.append(angles, 2.0 * math.pi))
+    edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
+    if math.isfinite(radius):
+        # bisect each sign change of (region exit - radius) between breaks to rounding
+        inside = exits(edges)[3] < radius
+        idx = np.nonzero(inside[:-1] != inside[1:])[0]
+        lo, hi = edges[idx], edges[idx + 1]
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            same = (exits(mid)[3] < radius) == inside[idx]
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        edges = np.sort(np.concatenate([edges, 0.5 * (lo + hi)]))
+
+    ends = np.ones(len(edges) - 1)
+    rows = evaluate(np.stack([edges[:-1], np.diff(edges), 0.0 * ends, ends, ends, ends], axis=1))
+    while math.isfinite(total := math.fsum(rows[:, 4])) and np.sum(rows[:, 5]) > rtol * total:
+        # split panels over their share of the error budget, unless at rounding level or
+        # the width floor; the caps bound the work where rounding noise exceeds the tolerance
+        start, length, lo, hi, est, err = rows.T
+        share = np.maximum(rtol * total * length * (hi - lo) / (2.0 * math.pi), 1e-14 * est)
+        wide = length * (_smoothstep(hi) - _smoothstep(lo)) > _MIN_PANEL
+        over = np.nonzero((err > share) & wide)[0]
+        if len(over) == 0 or len(rows) >= _MAX_PANELS:
+            break
+        split = np.zeros(len(rows), dtype=bool)
+        split[over[np.argsort(err[over])[-_MAX_SPLITS:]]] = True
+        left, right = rows[split], rows[split]
+        left[:, 3] = right[:, 2] = 0.5 * (left[:, 2] + left[:, 3])
+        rows = np.concatenate([rows[~split], evaluate(np.concatenate([left, right]))])
+    return total if math.isfinite(total) else math.inf
 
 
-def busemann_area(
-    dom: ConvexDomain,
-    region: ConvexDomain,
-    cellsize: float,
-    samples: int = DEFAULT_BALL_SAMPLES,
-    parallel: bool = False,
-) -> float:
+def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> float:
     """Busemann (Hilbert) area of a convex region inside the domain.
 
-    Midpoint-rule grid sum of the density pi / EuclideanArea(unit Finsler
-    ball) over the cells of size ``cellsize`` whose centers lie in the
-    region.  Deterministic for a fixed cellsize and sample count.
+    Integrates the exact density pi / EuclideanArea(unit Finsler ball) over
+    the region by polar quadrature about an interior point of the region.
+    ``cellsize`` sets the accuracy: the relative tolerance is ``cellsize**2``,
+    the error a midpoint grid of that cell size has on a smooth integrand.
+    The region may touch the domain boundary; it has finite area when it
+    touches it only at points, and the result is ``math.inf`` when it shares
+    a boundary arc.
     """
-    if cellsize <= 0.0:
-        raise ValueError("cellsize must be positive")
+    if not 0.0 < cellsize < math.inf:
+        raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
     probes = region.extreme_points(256)
-    inside = dom.contains(probes, tol=-1e-9)
-    if not np.all(inside):
+    if not np.all(dom.contains(probes, tol=-1e-9)):
         raise RegionNotContained("integration region is not contained in the domain")
-    centers = _grid_centers(region.bbox(), cellsize)
-    mask = region.contains(centers)
-    if not np.any(mask):
-        return 0.0
-    return _sum_densities(dom, centers[mask], samples, parallel) * cellsize * cellsize
+    return _polar_area(dom, region, probes.mean(axis=0), math.inf, cellsize * cellsize)
 
 
-def _distances_from(dom: ConvexDomain, base: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Hilbert distances from one interior base point to many interior points."""
-    u = pts - base[None, :]
-    norms = np.linalg.norm(u, axis=1)
-    out = np.zeros(len(pts))
-    moving = norms > 0.0
-    if np.any(moving):
-        x = np.broadcast_to(base, pts[moving].shape)
-        t_fwd, t_bwd = dom._exits_paired(x, u[moving])
-        out[moving] = 0.5 * np.log(
-            (t_bwd + 1.0) * t_fwd / (t_bwd * (t_fwd - 1.0))
-        )
-    return out
-
-
-def triangle_area_experiment(
-    alpha: float,
-    truncation: float,
-    cellsize: float,
-    samples: int = DEFAULT_BALL_SAMPLES,
-    parallel: bool = False,
-) -> float:
+def triangle_area_experiment(alpha: float, truncation: float, cellsize: float) -> float:
     """Busemann area of a truncated ideal triangle in the standard triangle.
 
     The ambient domain is the triangle with vertices (0,0), (1,0), (0,1); the
     inscribed triangle has vertices (0, 1/2), (alpha, 0), (1/2, 1/2), all on
-    the boundary of the domain, so its full area diverges.  Truncating to the
-    Hilbert ball of the given radius around the inscribed triangle's
-    barycenter makes the divergence observable as monotone growth when alpha
-    decreases toward 0.
+    the boundary of the domain.  Its area is finite but grows without bound
+    as alpha decreases toward 0 and the vertex (alpha, 0) nears the corner
+    (0, 0).  Truncating to the Hilbert ball of the given radius around the
+    inscribed triangle's barycenter makes the growth observable as a monotone
+    sequence of finite areas.  ``cellsize`` sets the relative tolerance
+    ``cellsize**2`` as in busemann_area.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
-    if truncation <= 0.0 or cellsize <= 0.0:
-        raise ValueError("truncation and cellsize must be positive")
+    if not (0.0 < truncation < math.inf and 0.0 < cellsize < math.inf):
+        raise ValueError("truncation and cellsize must be positive and finite")
     dom = Polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     region = Polygon([[0.0, 0.5], [alpha, 0.0], [0.5, 0.5]])
     barycenter = np.array([(0.5 + alpha) / 3.0, 1.0 / 3.0])
-    centers = _grid_centers(region.bbox(), cellsize)
-    pts = centers[region.contains(centers)]
-    if len(pts) == 0:
-        return 0.0
-    pts = pts[_distances_from(dom, barycenter, pts) <= truncation]
-    if len(pts) == 0:
-        return 0.0
-    return _sum_densities(dom, pts, samples, parallel) * cellsize * cellsize
+    return _polar_area(dom, region, barycenter, truncation, cellsize * cellsize)

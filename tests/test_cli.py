@@ -215,10 +215,30 @@ class TestSweepAreaBulge:
             "area", "--alphas", "0.5,0.25", "--truncation", "2", "--cellsize", "0.02"
         )
         lines = result.stdout.strip().splitlines()
+        assert lines[0] == "# config: area alphas=0.5,0.25 truncation=2 cellsize=0.02"
         assert lines[1] == "alpha,truncation,cellsize,area"
         rows = [line.split(",") for line in lines[2:]]
         assert len(rows) == 2
         assert float(rows[1][3]) > float(rows[0][3])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--truncation", "nan"),
+            ("--truncation", "inf"),
+            ("--truncation", "0"),
+            ("--cellsize", "inf"),
+            ("--cellsize", "-0.01"),
+            ("--alphas", "0.5,nan"),
+            ("--samples", "0"),
+            ("--parallel",),
+        ],
+    )
+    def test_area_bad_input_exit_2(self, args):
+        result = run_cli("area", "--alphas", "0.5", *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
 
     def test_bulge_scalar(self):
         result = run_cli(

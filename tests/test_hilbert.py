@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import projkit as pk
-from projkit.hilbert import _distances_from, _grid_centers, _sum_densities
 
 
 def unit_circle():
@@ -19,6 +18,48 @@ def unit_square():
 
 def standard_triangle():
     return pk.Polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def affine_disk(m, shift, center, radius):
+    """The conic m . disk(center, radius) + shift."""
+    inv = np.linalg.inv(m)
+    q = inv.T @ inv
+    c = m @ np.asarray(center, dtype=float) + shift
+    qc = q @ c
+    return pk.ConicOval(
+        [q[0, 0], 2.0 * q[0, 1], q[1, 1], -2.0 * qc[0], -2.0 * qc[1], c @ qc - radius**2]
+    )
+
+
+def clip(poly, f):
+    """Sutherland-Hodgman: the part of a convex polygon where the affine f is >= 0."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        fp, fq = f(p), f(q)
+        if fp >= 0.0:
+            out.append(p)
+        if (fp >= 0.0) != (fq >= 0.0):
+            out.append(p + fp / (fp - fq) * (q - p))
+    return out
+
+
+def truncated_region(vertices, base, radius):
+    """A polygon inside the standard triangle cut to the Hilbert ball about base.
+
+    In barycentric coordinates p = (x, y, 1 - x - y) the ball is the hexagon
+    p_i <= e^{2R} (b_i / b_j) p_j.
+    """
+    def bary(p):
+        return np.array([p[0], p[1], 1.0 - p[0] - p[1]])
+
+    b = bary(base)
+    poly = [np.asarray(v, dtype=float) for v in vertices]
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                k = math.exp(2.0 * radius) * b[i] / b[j]
+                poly = clip(poly, lambda p, i=i, j=j, k=k: k * bary(p)[j] - bary(p)[i])
+    return np.array(poly)
 
 
 class TestDomains:
@@ -185,6 +226,24 @@ class TestFinslerNorm:
             pk.finsler_norm(unit_circle(), [0.0, 0.0], [0.0, 0.0])
 
 
+class TestDensity:
+    def test_triangle_closed_form(self):
+        """The standard triangle's density is pi / (12 x y z), also next to an edge."""
+        pts = np.array([
+            [1.0 / 3.0, 1.0 / 3.0], [0.1, 0.7], [0.6, 0.2],
+            [1e-5, 0.5], [0.3, 1e-5], [0.5, 0.5 - 1e-5],
+        ])
+        x, y = pts[:, 0], pts[:, 1]
+        exact = math.pi / (12.0 * x * y * (1.0 - x - y))
+        # 1e-5 from an edge, either formula loses ~eps / 1e-5 to the slack
+        assert standard_triangle()._density(pts) == pytest.approx(exact, rel=1e-10)
+
+    def test_klein_disk(self):
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, -0.6], [0.0, 0.99]])
+        exact = (1.0 - np.sum(pts**2, axis=1)) ** -1.5
+        assert unit_circle()._density(pts) == pytest.approx(exact, rel=1e-12)
+
+
 class TestBusemannArea:
     ORACLE = 2.0 * math.pi * (1.0 / math.sqrt(0.75) - 1.0)
 
@@ -192,14 +251,30 @@ class TestBusemannArea:
         area = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.01)
         assert area == pytest.approx(self.ORACLE, rel=0.02)
 
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_klein_disk_exact(self, r):
+        area = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), r), 0.001)
+        assert area == pytest.approx(2.0 * math.pi * (math.cosh(math.atanh(r)) - 1.0), rel=1e-9)
+
+    def test_ellipse_matches_disk(self):
+        """Areas are invariant under an affine map applied to domain and region."""
+        m, shift = np.array([[1.0, 0.5], [-0.3, 1.2]]), np.array([0.3, -0.2])
+        base = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0.2, 0.1), 0.5), 1e-4)
+        moved = pk.busemann_area(
+            affine_disk(m, shift, (0.0, 0.0), 1.0), affine_disk(m, shift, (0.2, 0.1), 0.5), 1e-4
+        )
+        assert moved == pytest.approx(base, rel=1e-9)
+
     def test_grid_convergence(self):
         coarse = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.02)
         fine = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.01)
         assert abs(fine - coarse) / fine < 0.01
 
-    def test_empty_region(self):
-        tiny = pk.ConicOval.disk((0.2, 0.2), 1e-6)
-        assert pk.busemann_area(unit_circle(), tiny, 0.01) == 0.0
+    def test_tiny_region(self):
+        r, c = 1e-6, np.array([0.2, 0.2])
+        tiny = pk.ConicOval.disk(c, r)
+        exact = math.pi * r * r * (1.0 - c @ c) ** -1.5
+        assert pk.busemann_area(unit_circle(), tiny, 0.01) == pytest.approx(exact, rel=1e-5)
 
     def test_monotone_under_inclusion(self):
         small = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.3), 0.01)
@@ -215,16 +290,38 @@ class TestBusemannArea:
         with pytest.raises(pk.RegionNotContained):
             pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 2.0), 0.05)
 
-    def test_deterministic_and_parallel_match(self):
-        region = pk.ConicOval.disk((0, 0), 0.4)
+    def test_deterministic(self):
+        region = pk.ConicOval.disk((0.1, 0), 0.4)
         a1 = pk.busemann_area(unit_circle(), region, 0.01)
         a2 = pk.busemann_area(unit_circle(), region, 0.01)
-        a3 = pk.busemann_area(unit_circle(), region, 0.01, parallel=True)
-        assert a1 == a2 == a3
+        assert a1 == a2
 
     def test_bad_cellsize(self):
         with pytest.raises(ValueError):
             pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.0)
+
+    @pytest.mark.parametrize("cellsize", [math.nan, math.inf, -math.inf, -0.01])
+    def test_non_finite_cellsize_rejected(self, cellsize):
+        with pytest.raises(ValueError):
+            pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), cellsize)
+
+    def test_klein_ideal_triangle(self):
+        """An ideal triangle touches the boundary at three points; its area is pi."""
+        angles = math.pi / 2.0 + 2.0 * math.pi / 3.0 * np.arange(3)
+        ideal = pk.Polygon(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        assert pk.busemann_area(unit_circle(), ideal, 0.001) == pytest.approx(math.pi, rel=1e-6)
+
+    def test_ideal_triangle_in_triangle_is_limit_of_truncations(self):
+        ideal = pk.Polygon([[0.0, 0.5], [0.25, 0.0], [0.5, 0.5]])
+        area = pk.busemann_area(standard_triangle(), ideal, 0.001)
+        # the truncation at Hilbert radius 12 leaves out less than 1e-9 of it
+        truncated = pk.triangle_area_experiment(0.25, 12.0, 0.001)
+        assert area == pytest.approx(truncated, rel=1e-6)
+
+    def test_shared_boundary_arc_is_infinite(self):
+        tri = standard_triangle()
+        assert pk.busemann_area(tri, tri, 0.01) == math.inf
+        assert pk.busemann_area(unit_circle(), unit_circle(), 0.01) == math.inf
 
 
 class TestTriangleExperiment:
@@ -240,27 +337,31 @@ class TestTriangleExperiment:
         assert small <= large
 
     def test_symmetric_alpha_half_under_axis_swap(self):
-        """At alpha = 1/2 the configuration is mirror symmetric in x <-> y.
+        """The truncated region is the polygon region ∩ Hilbert hexagon.
 
-        Recomputing with every grid center visited as (y, x) instead of
-        (x, y) covers the same symmetric cell lattice in a different order,
-        so the two sums agree up to summation roundoff.  The cellsize is
-        chosen so no lattice point lands exactly on the region boundary
-        (0.5/h must not be an integer), keeping the masks path-independent.
+        Integrating that polygon about its vertex mean, and its x <-> y mirror
+        (a symmetry of the standard triangle), gives the same area as the
+        experiment's integration about the barycenter with the truncation
+        radius as a bound.
         """
-        h = 0.0047
+        h = 1e-5
         direct = pk.triangle_area_experiment(0.5, 3.0, h)
+        region = [[0.0, 0.5], [0.5, 0.0], [0.5, 0.5]]
+        clipped = truncated_region(region, [1.0 / 3.0, 1.0 / 3.0], 3.0)
         dom = standard_triangle()
-        region = pk.Polygon([[0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
-        barycenter = np.array([1.0 / 3.0, 1.0 / 3.0])
-        centers = _grid_centers(region.bbox(), h)[:, ::-1]
-        pts = centers[region.contains(centers)]
-        pts = pts[_distances_from(dom, barycenter, pts) <= 3.0]
-        swapped = _sum_densities(dom, pts, 256, False) * h * h
-        assert swapped == pytest.approx(direct, rel=1e-9)
+        assert pk.busemann_area(dom, pk.Polygon(clipped), h) == pytest.approx(direct, rel=1e-9)
+        mirrored = pk.Polygon(clipped[::-1, ::-1])
+        assert pk.busemann_area(dom, mirrored, h) == pytest.approx(direct, rel=1e-9)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             pk.triangle_area_experiment(0.6, 5.0, 0.01)
         with pytest.raises(ValueError):
             pk.triangle_area_experiment(0.25, -1.0, 0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_truncation_and_cellsize_rejected(self, bad):
+        with pytest.raises(ValueError):
+            pk.triangle_area_experiment(0.25, bad, 0.01)
+        with pytest.raises(ValueError):
+            pk.triangle_area_experiment(0.25, 5.0, bad)
