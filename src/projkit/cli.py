@@ -19,7 +19,7 @@ import numpy as np
 
 from . import coords, hilbert, invariants, isometry
 from .errors import ProjKitError
-from .rp2 import Flag
+from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _check_tol
 
 _ENV_TOL = "PROJKIT_TOL"
 
@@ -74,8 +74,7 @@ def _default_tol(args, fallback: float) -> float:
     if tol is None:
         env = os.environ.get(_ENV_TOL)
         tol = float(env) if env else fallback
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     return tol
 
 
@@ -92,14 +91,13 @@ def _parse_boundary(data: dict) -> coords.BoundaryData:
     if kind == coords.PARABOLIC:
         return coords.BoundaryData.parabolic()
     lam = float(data["lambda"])
-    if kind == coords.QUASI_HYPERBOLIC:
-        tau = float(data["tau"]) if "tau" in data else 2.0 / math.sqrt(lam)
-        return coords.BoundaryData(lam, tau, kind)
+    if kind == coords.QUASI_HYPERBOLIC and "tau" not in data:
+        return coords.BoundaryData.quasi_hyperbolic(lam)
     return coords.BoundaryData(lam, float(data["tau"]), kind)
 
 
 def _cmd_invariants(args, out) -> int:
-    tol = _default_tol(args, 1e-12)
+    tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
     flags = [Flag.from_json(item) for item in _load_input(args.input)]
     if len(flags) == 3:
         t = invariants.triple_ratio(*flags, tol=tol).value
@@ -295,7 +293,7 @@ def _cmd_bulge(args, out) -> int:
         flags = [Flag.from_json(item) for item in data["flags"]]
         if len(flags) != 4:
             raise ValueError("bulge needs exactly 4 flags")
-        tol = _default_tol(args, 1e-12)
+        tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
         before = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
         flags[3] = flags[3].transform(isometry.bulging_matrix(v))
         after = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]

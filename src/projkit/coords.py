@@ -15,7 +15,9 @@ and the two triangle invariants as
     tau111(T+) = log[ (e^{-sigma2(B2)}+1)(e^{-sigma2(B3)}+1) / (t (e^{sigma1(B3)}+1)) ]
     tau111(T-) = log[ t mu1 mu2 mu3 (e^{sigma1(B3)}+1) / ((e^{-sigma2(B2)}+1)(e^{-sigma2(B3)}+1)) ]
 
-so tau111(T+) + tau111(T-) = log(mu1 mu2 mu3) identically.  A punctured torus
+so tau111(T+) + tau111(T-) = log(mu1 mu2 mu3) identically.  Both are
+evaluated as sums of logs and softplus terms log(1 + e^x), so no finite
+positive input overflows.  A punctured torus
 is one pair of pants with A2 = A3 = C glued along the meridian C, plus two
 gluing parameters (u, v) entering only through sigma1(C) = u - 3v and
 sigma2(C) = u + 3v (normalized so the base point is (u, v) = (0, 0)).
@@ -32,10 +34,7 @@ from .errors import (
     InconsistentStratum,
     NonPositiveParameter,
 )
-
-HYPERBOLIC = "hyperbolic"
-QUASI_HYPERBOLIC = "quasi_hyperbolic"
-PARABOLIC = "parabolic"
+from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC
 
 _CODIMENSION = {HYPERBOLIC: 0, QUASI_HYPERBOLIC: 1, PARABOLIC: 2}
 
@@ -85,6 +84,8 @@ class BoundaryData:
 
     @classmethod
     def quasi_hyperbolic(cls, lam: float) -> "BoundaryData":
+        if not lam > 0.0:
+            raise ValueError("quasi-hyperbolic boundary needs lambda > 0")
         return cls(lam, 2.0 / math.sqrt(lam), QUASI_HYPERBOLIC)
 
     @classmethod
@@ -180,31 +181,37 @@ def middle_eigenvalue(b: BoundaryData) -> float:
     return (b.tau - math.sqrt(disc)) / 2.0
 
 
-def pants_goldman_to_bd(g: PantsGoldman) -> PantsBD:
-    """Convert Goldman pants parameters to Bonahon-Dreyer coordinates."""
-    lam = [b.lam for b in g.boundaries]
-    mu = [middle_eigenvalue(b) for b in g.boundaries]
-    sigma1 = []
-    sigma2 = []
+def _softplus(x: float) -> float:
+    """log(1 + e^x), finite for every finite x."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _shears(log_lam, log_mu, log_s: float) -> tuple:
+    """(sigma1(B1..B3), sigma2(B1..B3)) as sums of the logs of lambda_i, mu_i and s."""
+    sigma1, sigma2 = [], []
     for i in range(3):
         prv, nxt = (i - 1) % 3, (i + 1) % 3
-        root = math.sqrt(lam[prv] * lam[nxt] / lam[i])
-        sigma1.append(math.log(g.s * mu[prv] * root))
-        sigma2.append(math.log(mu[nxt] / g.s * root))
-    tplus = math.log(
-        (math.exp(-sigma2[1]) + 1.0)
-        * (math.exp(-sigma2[2]) + 1.0)
-        / (g.t * (math.exp(sigma1[2]) + 1.0))
-    )
-    tminus = math.log(
-        g.t
-        * mu[0]
-        * mu[1]
-        * mu[2]
-        * (math.exp(sigma1[2]) + 1.0)
-        / ((math.exp(-sigma2[1]) + 1.0) * (math.exp(-sigma2[2]) + 1.0))
-    )
-    return PantsBD(tuple(sigma1), tuple(sigma2), tplus, tminus)
+        root = 0.5 * (log_lam[prv] + log_lam[nxt] - log_lam[i])
+        sigma1.append(log_s + log_mu[prv] + root)
+        sigma2.append(log_mu[nxt] - log_s + root)
+    return tuple(sigma1), tuple(sigma2)
+
+
+def _tau_core(sigma1, sigma2) -> float:
+    """c = log[(e^{-sigma2(B2)}+1)(e^{-sigma2(B3)}+1) / (e^{sigma1(B3)}+1)], in log space.
+
+    tau111(T+) = c - log t and tau111(T-) = log t + log(mu1 mu2 mu3) - c.
+    """
+    return _softplus(-sigma2[1]) + _softplus(-sigma2[2]) - _softplus(sigma1[2])
+
+
+def pants_goldman_to_bd(g: PantsGoldman) -> PantsBD:
+    """Convert Goldman pants parameters to Bonahon-Dreyer coordinates."""
+    log_lam = [math.log(b.lam) for b in g.boundaries]
+    log_mu = [math.log(middle_eigenvalue(b)) for b in g.boundaries]
+    sigma1, sigma2 = _shears(log_lam, log_mu, math.log(g.s))
+    core, log_t = _tau_core(sigma1, sigma2), math.log(g.t)
+    return PantsBD(sigma1, sigma2, core - log_t, log_t + sum(log_mu) - core)
 
 
 def torus_goldman_to_bd(g: TorusGoldman) -> TorusBD:
@@ -255,7 +262,7 @@ def one_parabolic_residuals(bd: PantsBD, s: float) -> tuple:
     already give it: sum_i (sigma1(B_i) - sigma2(B_i)) = 6 log s.  So s is
     not used; it stays in the signature for existing callers.
     """
-    r1 = bd.sigma1[1] + bd.sigma2[2]
+    r1 = quasi_hyperbolic_residual(bd)
     r2 = bd.tplus + bd.tminus - bd.sigma1[2] - bd.sigma2[1]
     return (r1, r2)
 
@@ -290,34 +297,28 @@ def torus_parabolic_recover(sigma1, tplus: float) -> TorusParabolicRecovery:
         mu2     = e^{sigma1(B3)} / s
         lambda2 = e^{sigma1(B1) - sigma1(B3)}
 
-    after which every remaining coordinate is determined.  Raises
-    :class:`InconsistentStratum` when the recovered parameters cannot come
-    from a parabolic-boundary torus (lambda2 outside (0,1) or mu2 <= lambda2).
+    after which every remaining coordinate follows from the conversion's
+    formulas.  Raises :class:`InconsistentStratum` when the recovered
+    parameters cannot come from a parabolic-boundary torus, i.e. unless
+    0 < lambda2 < mu2 and mu2^2 lambda2 < 1 (mu2 the middle eigenvalue of
+    the hyperbolic gluing curve; together they give lambda2 < 1).
     """
     sigma1 = tuple(float(x) for x in sigma1)
     if len(sigma1) != 3:
         raise ValueError("expected the three shears sigma1(B1..B3)")
-    s = math.exp(sigma1[1])
-    mu2 = math.exp(sigma1[2]) / s
-    lam2 = math.exp(sigma1[0] - sigma1[2])
-    if not 0.0 < lam2 < 1.0:
-        raise InconsistentStratum(f"recovered lambda2 = {lam2:g} is not in (0, 1)")
-    if not mu2 > lam2:
+    log_s, log_mu2, log_lam2 = sigma1[1], sigma1[2] - sigma1[1], sigma1[0] - sigma1[2]
+    s, mu2, lam2 = math.exp(log_s), math.exp(log_mu2), math.exp(log_lam2)
+    if not (lam2 > 0.0 and log_lam2 < log_mu2 and 2.0 * log_mu2 + log_lam2 < 0.0):
         raise InconsistentStratum(
-            f"recovered mu2 = {mu2:g} is not above lambda2 = {lam2:g}"
+            f"recovered lambda2 = {lam2:g}, mu2 = {mu2:g} are not the two smaller "
+            "eigenvalues of a hyperbolic gluing curve"
         )
-    sigma2 = (
-        math.log(mu2 * lam2 / s),
-        math.log(mu2 / s),
-        -math.log(s),
-    )
-    t = (
-        (math.exp(-sigma2[1]) + 1.0)
-        * (math.exp(-sigma2[2]) + 1.0)
-        / (math.exp(tplus) * (math.exp(sigma1[2]) + 1.0))
-    )
-    tminus = math.log(mu2 * mu2) - tplus
-    return TorusParabolicRecovery(s, lam2, mu2, t, PantsBD(sigma1, sigma2, tplus, tminus))
+    log_mu = (0.0, log_mu2, log_mu2)
+    sigma2 = _shears((0.0, log_lam2, log_lam2), log_mu, log_s)[1]
+    t = math.exp(_tau_core(sigma1, sigma2) - tplus)
+    # tau111(T+) + tau111(T-) = log(mu1 mu2 mu3)
+    bd = PantsBD(sigma1, sigma2, tplus, sum(log_mu) - tplus)
+    return TorusParabolicRecovery(s, lam2, mu2, t, bd)
 
 
 def stratum_codimension(kinds) -> int:

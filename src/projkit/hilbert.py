@@ -136,7 +136,9 @@ class ConicOval(ConvexDomain):
 
     The sign is normalized so the quadratic part is positive definite and the
     interior is the sublevel set {q < 0}; construction rejects quadratic
-    forms that are not ellipses with nonempty interior.
+    forms that are not ellipses with nonempty interior.  Every query goes
+    through the centred form q(x) = (x - center)^T A (x - center) + q_min,
+    which keeps its accuracy far from the origin.
     """
 
     def __init__(self, coeffs):
@@ -150,41 +152,39 @@ class ConicOval(ConvexDomain):
             a, b, c, d, e, f = (-a, -b, -c, -d, -e, -f)
         self.coeffs = (a, b, c, d, e, f)
         quad = np.array([[a, b / 2.0], [b / 2.0, c]])
-        self.center = np.linalg.solve(2.0 * quad, -np.array([d, e]))
-        qmin = float(self._q(self.center[None, :])[0])
-        if qmin >= 0.0:
+        center = np.linalg.solve(2.0 * quad, -np.array([d, e]))
+        # q(center) = f + (d, e) . center / 2, since 2 A center = -(d, e)
+        self._init_centred(center, quad, f + 0.5 * (d * center[0] + e * center[1]))
+
+    def _init_centred(self, center, quad, qmin: float) -> None:
+        if not qmin < 0.0:
             raise ValueError("conic has an empty real locus")
+        self.center = center
         self._quad = quad
         self._qmin = qmin
-        self.scale = float(max(1.0, np.max(np.abs(self.center)), math.sqrt(-qmin)))
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
         cx, cy = (float(v) for v in center)
-        return cls((1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - radius * radius))
+        r2 = float(radius) ** 2
+        # built in centred form: the constant term cx^2 + cy^2 - r^2 cancels
+        oval = cls.__new__(cls)
+        oval.coeffs = (1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - r2)
+        oval._init_centred(np.array([cx, cy]), np.eye(2), -r2)
+        return oval
 
     @classmethod
     def unit_circle(cls) -> "ConicOval":
         return cls.disk((0.0, 0.0), 1.0)
 
-    def _q(self, pts):
-        a, b, c, d, e, f = self.coeffs
-        x, y = pts[:, 0], pts[:, 1]
-        return a * x * x + b * x * y + c * y * y + d * x + e * y + f
-
-    def _grad(self, pts):
-        a, b, c, d, e, _ = self.coeffs
-        x, y = pts[:, 0], pts[:, 1]
-        return np.stack([2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e], axis=1)
-
-    def _quad_form(self, dirs):
-        a, b, c = self.coeffs[:3]
-        return a * dirs[:, 0] ** 2 + b * dirs[:, 0] * dirs[:, 1] + c * dirs[:, 1] ** 2
+    def _depth(self, d):
+        """q / q_min = 1 + d^T A d / q_min at the offsets d = x - center: positive inside."""
+        return 1.0 + np.sum((d @ self._quad) * d, axis=1) / self._qmin
 
     def contains(self, pts, tol: float = 0.0):
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
-        result = self._q(np.atleast_2d(pts)) < -tol * abs(self._qmin)
+        result = self._depth(np.atleast_2d(pts) - self.center) > tol
         return bool(result[0]) if single else result
 
     def extreme_points(self, samples: int):
@@ -196,18 +196,22 @@ class ConicOval(ConvexDomain):
 
     def _density(self, pts):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
-        # taking the unit disk onto {q < 0}, q = (x - c)^T A (x - c) + q_min
-        d = pts - self.center[None, :]
-        depth = 1.0 + np.einsum("ni,ij,nj->n", d, self._quad, d) / self._qmin  # q / q_min
+        # taking the unit disk onto {q < 0}
+        depth = self._depth(pts - self.center)
         return math.sqrt(np.linalg.det(self._quad)) / -self._qmin * depth ** -1.5
 
     def _exits_paired(self, x, u):
+        # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
+        # a = u^T A u / -q_min; each root is taken in the form free of cancellation
+        d = np.atleast_2d(x) - self.center
         u = np.atleast_2d(u)
-        aa = self._quad_form(u)
-        bb = np.einsum("ij,ij->i", self._grad(x), u)
-        cc = self._q(x)
-        sq = np.sqrt(bb * bb - 4.0 * aa * cc)
-        return (sq - bb) / (2.0 * aa), (sq + bb) / (2.0 * aa)
+        ua = (u @ self._quad) / -self._qmin
+        a = np.sum(ua * u, axis=1)
+        h = np.sum(ua * d, axis=1)
+        depth = self._depth(d)
+        w = np.abs(h) + np.sqrt(h * h + a * depth)
+        near, far = depth / w, w / a
+        return np.where(h < 0.0, far, near), np.where(h < 0.0, near, far)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from .errors import NonGenericFlags, NonPositiveRatio
 from .rp2 import (
     DEFAULT_GENERICITY_TOL,
     Flag,
-    _normalized_pairing,
-    _normalized_triple,
+    _pairing_norm,
+    _triple_norm,
     pairing13,
     triple_det,
 )
@@ -39,13 +39,19 @@ class DoubleRatios:
 
 
 def _require_pairing(p, line, tol, what):
-    if abs(_normalized_pairing(p, line)) <= tol:
+    """pairing13(p, line), or NonGenericFlags if it vanishes within tol on unit representatives."""
+    value = pairing13(p, line)
+    if abs(value) / _pairing_norm(p, line) <= tol:
         raise NonGenericFlags(f"vanishing pairing {what}")
+    return value
 
 
 def _require_triple(a, b, c, tol, what):
-    if abs(_normalized_triple(a, b, c)) <= tol:
+    """triple_det(a, b, c), or NonGenericFlags if it vanishes within tol on unit representatives."""
+    value = triple_det(a, b, c)
+    if abs(value) / _triple_norm(a, b, c) <= tol:
         raise NonGenericFlags(f"vanishing determinant {what}")
+    return value
 
 
 def triple_ratio(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> TripleRatio:
@@ -60,16 +66,13 @@ def triple_ratio(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL)
     Raises :class:`NonGenericFlags` if a denominator pairing vanishes within
     ``tol`` on unit-normalized representatives.
     """
-    _require_pairing(f.point, g.line, tol, "f1^g2")
-    _require_pairing(e.point, f.line, tol, "e1^f2")
-    _require_pairing(g.point, e.line, tol, "e2^g1")
     value = (
         pairing13(f.point, e.line)
-        / pairing13(f.point, g.line)
+        / _require_pairing(f.point, g.line, tol, "f1^g2")
         * pairing13(e.point, g.line)
-        / pairing13(e.point, f.line)
+        / _require_pairing(e.point, f.line, tol, "e1^f2")
         * pairing13(g.point, f.line)
-        / pairing13(g.point, e.line)
+        / _require_pairing(g.point, e.line, tol, "e2^g1")
     )
     return TripleRatio(value)
 
@@ -96,14 +99,12 @@ def double_ratios(
 
     with the leading minus signs kept verbatim.
     """
-    _require_triple(e.point, f.point, l.point, tol, "e1^f1^l1")
-    _require_triple(e.point, f.point, g.point, tol, "e1^f1^g1")
-    _require_pairing(g.point, f.line, tol, "f2^g1")
-    _require_pairing(l.point, e.line, tol, "e2^l1")
-    efg = triple_det(e.point, f.point, g.point)
-    efl = triple_det(e.point, f.point, l.point)
-    d1 = -(efg / efl) * (pairing13(l.point, f.line) / pairing13(g.point, f.line))
-    d2 = -(pairing13(g.point, e.line) / pairing13(l.point, e.line)) * (efl / efg)
+    efl = _require_triple(e.point, f.point, l.point, tol, "e1^f1^l1")
+    efg = _require_triple(e.point, f.point, g.point, tol, "e1^f1^g1")
+    fg = _require_pairing(g.point, f.line, tol, "f2^g1")
+    el = _require_pairing(l.point, e.line, tol, "e2^l1")
+    d1 = -(efg / efl) * (pairing13(l.point, f.line) / fg)
+    d2 = -(pairing13(g.point, e.line) / el) * (efl / efg)
     return DoubleRatios(d1, d2)
 
 

@@ -63,15 +63,6 @@ class IsometryClass:
         return cls(HYPERBOLIC, eigenvalues=(l1, l2, l3))
 
     @classmethod
-    def quasi_hyperbolic(cls, mu: float, nu: float) -> "IsometryClass":
-        if not (mu > 0.0 and nu > 0.0 and mu != nu):
-            raise ValueError("quasi-hyperbolic data needs distinct positive mu, nu")
-        product = mu * mu * nu
-        if abs(product - 1.0) > 1e-9 * max(1.0, abs(product)):
-            raise ValueError(f"quasi-hyperbolic data must satisfy mu^2 nu = 1, got {product:g}")
-        return cls(QUASI_HYPERBOLIC, mu=mu, nu=nu, jordan_at_larger=mu > nu)
-
-    @classmethod
     def parabolic(cls) -> "IsometryClass":
         return cls(PARABOLIC)
 
@@ -116,6 +107,8 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has NaN or infinite entries")
     _check_unimodular(m, det_tol)
 
     scale = max(1.0, float(np.linalg.norm(m, 2)))

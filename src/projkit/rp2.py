@@ -9,6 +9,7 @@ first so a single tolerance is meaningful for arbitrarily scaled input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,7 @@ def pairing13(p: ProjPoint, line: ProjLine) -> float:
     rescaling of the three vectors and vanishes exactly when the point lies
     on the line.
     """
-    return det3(p.v, line.u, line.w)
+    return p.v @ line.normal  # det(p, u, w) = p . (u x w)
 
 
 def triple_det(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
@@ -129,7 +130,7 @@ class Flag:
             point = ProjPoint(point)
         if not isinstance(line, ProjLine):
             line = ProjLine(*line)
-        residual = self_incidence(point, line)
+        residual = pairing13(point, line)
         bound = tol * (
             np.linalg.norm(point.v)
             * np.linalg.norm(line.u)
@@ -173,22 +174,19 @@ class Flag:
         return f"Flag({self.point!r}, {self.line!r})"
 
 
-def self_incidence(point: ProjPoint, line: ProjLine) -> float:
-    """Incidence residual of a point against a line (a plain pairing)."""
-    return det3(point.v, line.u, line.w)
+def _pairing_norm(p: ProjPoint, line: ProjLine) -> float:
+    """Divisor taking pairing13 to unit representatives: |value| is 1 for orthogonal data."""
+    return np.linalg.norm(p.v) * np.linalg.norm(line.normal)
 
 
-def _normalized_pairing(p: ProjPoint, line: ProjLine) -> float:
-    """Pairing of unit representatives: |value| is 1 for orthogonal data."""
-    return det3(p.v, line.u, line.w) / (
-        np.linalg.norm(p.v) * np.linalg.norm(line.normal)
-    )
+def _triple_norm(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
+    """Divisor taking triple_det to unit representatives."""
+    return np.linalg.norm(a.v) * np.linalg.norm(b.v) * np.linalg.norm(c.v)
 
 
-def _normalized_triple(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
-    return det3(a.v, b.v, c.v) / (
-        np.linalg.norm(a.v) * np.linalg.norm(b.v) * np.linalg.norm(c.v)
-    )
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _all_transverse(flags, tol: float) -> bool:
@@ -196,7 +194,7 @@ def _all_transverse(flags, tol: float) -> bool:
         for fl in flags:
             if fp is fl:
                 continue
-            if abs(_normalized_pairing(fp.point, fl.line)) <= tol:
+            if abs(pairing13(fp.point, fl.line)) / _pairing_norm(fp.point, fl.line) <= tol:
                 return False
     return True
 
@@ -208,12 +206,12 @@ def is_generic_triple(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY
     the three points, on unit-normalized representatives (unit point vectors,
     unit line bivectors), against ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     flags = (e, f, g)
     if not _all_transverse(flags, tol):
         return False
-    return abs(_normalized_triple(e.point, f.point, g.point)) > tol
+    pts = (e.point, f.point, g.point)
+    return abs(triple_det(*pts)) / _triple_norm(*pts) > tol
 
 
 def is_generic_quadruple(
@@ -223,14 +221,13 @@ def is_generic_quadruple(
 
     All 12 cross pairings and all 4 point triples must clear ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     flags = (e, f, g, l)
     if not _all_transverse(flags, tol):
         return False
     pts = [fl.point for fl in flags]
     for skip in range(4):
         tri = [pts[i] for i in range(4) if i != skip]
-        if abs(_normalized_triple(*tri)) <= tol:
+        if abs(triple_det(*tri)) / _triple_norm(*tri) <= tol:
             return False
     return True

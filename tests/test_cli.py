@@ -87,6 +87,14 @@ class TestClassify:
         assert result.returncode == 1
         assert "NotUnimodular" in result.stderr
 
+    def test_non_finite_matrix_exit_2(self):
+        # rejected before any LAPACK call: one error line, no numpy warning
+        for entries in ("[NaN,0,0,0,1,0,0,0,1]", "[1,0,0,0,-Infinity,0,0,0,1]"):
+            result = run_cli("classify", "--input", entries)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr == "error: MalformedInput: matrix has NaN or infinite entries\n"
+
 
 class TestErrors:
     def test_malformed_json_exit_2(self):
@@ -148,10 +156,19 @@ class TestInvariants:
         assert "NonGenericFlags" in result.stderr
 
     def test_nonpositive_tolerance_rejected(self):
-        result = run_cli(
-            "invariants", "--input", triangle_flags_json(0.25), "--tol", "-1"
+        import os
+
+        flags = triangle_flags_json(0.25)
+        results = [
+            run_cli("invariants", "--input", flags, "--tol", tol) for tol in ("-1", "nan", "inf")
+        ]
+        results.append(
+            run_cli("invariants", "--input", flags, env=dict(os.environ, PROJKIT_TOL="nan"))
         )
-        assert result.returncode == 2
+        for result in results:
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert "Traceback" not in result.stderr
 
 
 class TestDistance:

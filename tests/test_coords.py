@@ -1,9 +1,12 @@
 """Goldman -> Bonahon-Dreyer conversions, strata residuals and recoveries."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import projkit as pk
 from conftest import random_boundary, random_hyperbolic_boundary, random_pants
@@ -29,6 +32,9 @@ class TestBoundaryData:
         assert b.tau == pytest.approx(4.0, rel=1e-12)
         with pytest.raises(ValueError):
             pk.BoundaryData(0.25, 3.9, "quasi_hyperbolic")
+        for lam in (0.0, -0.25, math.nan):
+            with pytest.raises(ValueError):
+                pk.BoundaryData.quasi_hyperbolic(lam)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -88,6 +94,26 @@ class TestPantsConversion:
             pk.PantsGoldman((pk.BoundaryData.parabolic(),) * 3, -1.0, 1.0)
         with pytest.raises(pk.NonPositiveParameter):
             pk.all_parabolic_coords(1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(1e-300, 1e308), st.floats(1e-300, 1e308))
+@example(1e308, 0.5)
+@example(1e-300, 1e308)
+def test_all_parabolic_conversion_closed_form(s, t):
+    """sigma1 = log s, sigma2 = -log s and tau111(T+) = log((s+1)/t) over the
+    whole positive float range, against 40-digit decimal logarithms.  The
+    error is relative to the size of the logs that make up each value."""
+    p = pk.BoundaryData.parabolic()
+    bd = pk.pants_goldman_to_bd(pk.PantsGoldman((p, p, p), s, t))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_s, log_t = Decimal(s).ln(), Decimal(t).ln()
+        tplus = ((Decimal(s) + 1) / Decimal(t)).ln()
+    size = max(1.0, abs(float(log_s)), abs(float(log_t)))
+    assert max(abs(x - float(log_s)) for x in bd.sigma1) <= 1e-15 * size
+    assert max(abs(x + float(log_s)) for x in bd.sigma2) <= 1e-15 * size
+    assert abs(bd.tplus - float(tplus)) <= 1e-15 * size
 
 
 class TestAllParabolicRoundTrip:
@@ -271,6 +297,12 @@ class TestTorus:
         # sigma1(B1) far above sigma1(B3) forces lambda2 >= 1
         with pytest.raises(pk.InconsistentStratum):
             pk.torus_parabolic_recover((5.0, 0.0, 0.1), 0.0)
+        # s = 1, lambda2 = 1/2, mu2 = 2 has mu2^2 lambda2 = 2 > 1, and
+        # lambda2 = e^-2, mu2 = e has mu2^2 lambda2 = 1 exactly: in neither is
+        # mu2 the middle eigenvalue of a hyperbolic gluing curve
+        for sigma1 in ((0.0, 0.0, math.log(2.0)), (-1.0, 0.0, 1.0)):
+            with pytest.raises(pk.InconsistentStratum):
+                pk.torus_parabolic_recover(sigma1, 0.0)
 
     def test_quasi_hyperbolic_boundary_relations(self):
         """On the quasi-hyperbolic torus stratum the shears collapse the

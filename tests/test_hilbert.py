@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import projkit as pk
 
@@ -91,6 +93,17 @@ class TestDomains:
         assert not sq.contains([1.0, 0.0])  # boundary is not interior
         flags = sq.contains(np.array([[0.0, 0.0], [2.0, 2.0]]))
         assert list(flags) == [True, False]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(1.0, 1e3))
+@example(1e4, 1e4, 1.0)
+def test_disk_contains_points_near_boundary_far_from_origin(cx, cy, r):
+    """c + (1 - 1e-12) r e1 is interior.  With r >= 1 and |c| <= 1e4 the rounded
+    point stays inside, since 1e-12 r exceeds half a unit in the last place."""
+    x = np.array([cx + (1.0 - 1e-12) * r, cy])
+    assert (x[0] - cx) ** 2 + (x[1] - cy) ** 2 < r * r
+    assert pk.ConicOval.disk((cx, cy), r).contains(x)
 
 
 class TestChord:

@@ -1,6 +1,7 @@
 """Isometry classification, Goldman lengths, and the bulging deformation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestClassify:
     def test_not_unimodular(self):
         with pytest.raises(pk.NotUnimodular):
             pk.classify(np.diag([2.0, 1.0, 1.0]))
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            m = np.eye(3)
+            m[1, 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="NaN or infinite"):
+                    pk.classify(m)
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(43)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import projkit as pk
 from conftest import random_flag, random_generic_triple, standard_triangle_flags
@@ -47,6 +49,26 @@ class TestPairing:
             assert pk.pairing13(point(*(s * a)), pline) == pytest.approx(
                 s * pk.pairing13(point(*a), pline), rel=1e-12, abs=1e-12
             )
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6),
+                 min_size=9, max_size=9),
+        st.lists(st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=3, max_size=3),
+    )
+    def test_pairing_is_determinant(self, entries, scales):
+        """pairing13(p, line(u, w)) against LAPACK's det of the columns (p, u, w),
+        and its multilinearity, both relative to the Hadamard bound |p||u||w|
+        (entries of magnitude 0 or 1e-6 .. 1e3, so that bound does not underflow)."""
+        p, u, w = np.array(entries).reshape(3, 3)
+        size = np.linalg.norm(p) * np.linalg.norm(u) * np.linalg.norm(w)
+        assume(p.any() and np.linalg.norm(np.cross(u, w)) > 1e-9 * size)
+        value = pk.pairing13(point(*p), line(u, w))
+        assert abs(value - np.linalg.det(np.column_stack([p, u, w]))) <= 1e-12 * size
+        cp, cu, cw = scales
+        scaled = pk.pairing13(point(*(cp * p)), line(cu * u, cw * w))
+        assert abs(scaled - cp * cu * cw * value) <= 1e-12 * abs(cp * cu * cw) * size
 
 
 class TestConstruction:
@@ -123,3 +145,9 @@ class TestGenericity:
         flags = standard_triangle_flags(0.25)
         with pytest.raises(ValueError):
             pk.is_generic_triple(*flags, tol=0.0)
+        quadruple = pk.bulging_configuration(1.0, 1.0)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                pk.is_generic_triple(*flags, tol=tol)
+            with pytest.raises(ValueError):
+                pk.is_generic_quadruple(*quadruple, tol=tol)
