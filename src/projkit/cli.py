@@ -96,20 +96,21 @@ def _parse_boundary(data: dict) -> coords.BoundaryData:
     return coords.BoundaryData(lam, float(data["tau"]), kind)
 
 
+def _shears(flags, tol: float):
+    """The double ratios of four flags and their logs (sigma1, sigma2), each computed once."""
+    d = invariants.double_ratios(*flags, tol=tol)
+    return d, [invariants._positive_log(value, i) for i, value in ((1, d.d1), (2, d.d2))]
+
+
 def _cmd_invariants(args, out) -> int:
     tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
     flags = [Flag.from_json(item) for item in _load_input(args.input)]
     if len(flags) == 3:
         t = invariants.triple_ratio(*flags, tol=tol).value
-        record = {"T": t, "tau111": invariants.tau111(*flags, tol=tol)}
+        record = {"T": t, "tau111": invariants._positive_log(t)}
     elif len(flags) == 4:
-        d = invariants.double_ratios(*flags, tol=tol)
-        record = {
-            "D1": d.d1,
-            "D2": d.d2,
-            "sigma1": invariants.shear(*flags, 1, tol=tol),
-            "sigma2": invariants.shear(*flags, 2, tol=tol),
-        }
+        d, (sigma1, sigma2) = _shears(flags, tol)
+        record = {"D1": d.d1, "D2": d.d2, "sigma1": sigma1, "sigma2": sigma2}
     else:
         raise ValueError("expected a JSON array of 3 or 4 flags")
     _emit_record(record, args.format, out)
@@ -234,8 +235,7 @@ def _cmd_sweep(args, out) -> int:
         raise ValueError("the pinched boundary must start hyperbolic")
 
     mu0 = coords.middle_eigenvalue(start)
-    nu0 = start.tau - mu0
-    log_ratio0 = math.log(nu0 / mu0)
+    log_ratio0 = math.log(start.tau - mu0) - math.log(mu0)
 
     out.write(
         "# config: sweep surface={} boundary={} steps={} start_lambda={} start_tau={}\n".format(
@@ -253,12 +253,13 @@ def _cmd_sweep(args, out) -> int:
     for k in range(steps + 1):
         frac = k / steps
         lam = start.lam * (1.0 - frac) + frac
-        # keep mu < nu along the whole path: pinch the ratio nu/mu to 1
-        ratio = math.exp(log_ratio0 * (1.0 - frac))
+        # keep mu < nu along the whole path: pinch the ratio nu/mu to 1, in log
+        # space so that nu/mu beyond the float range (tau ~ 1e160) stays finite
+        log_ratio = log_ratio0 * (1.0 - frac)
         if k == steps:
             boundary = coords.BoundaryData.parabolic()
         else:
-            mu = 1.0 / math.sqrt(lam * ratio)
+            mu = math.exp(-0.5 * (math.log(lam) + log_ratio))  # mu^2 = 1 / (lambda nu/mu)
             boundary = coords.BoundaryData.hyperbolic(lam, mu + 1.0 / (lam * mu))
         if surface == "pants":
             bs = list(g.boundaries)
@@ -294,9 +295,9 @@ def _cmd_bulge(args, out) -> int:
         if len(flags) != 4:
             raise ValueError("bulge needs exactly 4 flags")
         tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
-        before = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
+        before = _shears(flags, tol)[1]
         flags[3] = flags[3].transform(isometry.bulging_matrix(v))
-        after = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
+        after = _shears(flags, tol)[1]
         record = {
             "sigma1_before": before[0],
             "sigma2_before": before[1],
@@ -320,46 +321,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def add(name, func, summary, options=("input", "format")):
+        """A subcommand with the shared options it reads."""
+        p = sub.add_parser(name, help=summary)
+        if "input" in options:
             p.add_argument("--input", required=True,
                            help="path to a JSON file, inline JSON, or - for stdin")
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"tolerance override (also via ${_ENV_TOL})")
+        if "format" in options:
+            p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        if "tol" in options:
+            p.add_argument("--tol", type=float, default=None,
+                           help=f"tolerance override (also via ${_ENV_TOL})")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("invariants", help="triangle invariant / double ratios of flags")
-    common(p)
-    p.set_defaults(func=_cmd_invariants)
+    with_tol = ("input", "format", "tol")
+    add("invariants", _cmd_invariants, "triangle invariant / double ratios of flags", with_tol)
+    add("classify", _cmd_classify, "classify an SL(3,R) element", with_tol)
+    add("distance", _cmd_distance, "Hilbert distance between two interior points")
 
-    p = sub.add_parser("classify", help="classify an SL(3,R) element")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("distance", help="Hilbert distance between two interior points")
-    common(p)
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("area", help="truncated ideal-triangle area experiment (CSV)")
-    common(p, needs_input=False)
+    p = add("area", _cmd_area, "truncated ideal-triangle area experiment (CSV)", ())
     p.add_argument("--alphas", default="0.5,0.25,0.1,0.05,0.01")
     p.add_argument("--truncation", type=float, default=5.0)
     p.add_argument("--cellsize", type=float, default=0.002)
-    p.set_defaults(func=_cmd_area)
 
-    p = sub.add_parser("convert", help="Goldman record -> Bonahon-Dreyer coordinates")
-    common(p)
-    p.set_defaults(func=_cmd_convert)
+    add("convert", _cmd_convert, "Goldman record -> Bonahon-Dreyer coordinates")
 
-    p = sub.add_parser("sweep", help="pinch a boundary to parabolic, emit CSV per step")
-    common(p)
+    p = add("sweep", _cmd_sweep, "pinch a boundary to parabolic, emit CSV per step", ("input",))
     p.add_argument("--boundary", type=int, default=1)
     p.add_argument("--steps", type=int, default=10)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("bulge", help="apply a bulging deformation to shears or flags")
-    common(p)
-    p.set_defaults(func=_cmd_bulge)
+    add("bulge", _cmd_bulge, "apply a bulging deformation to shears or flags", with_tol)
 
     return parser
 

@@ -168,17 +168,20 @@ def middle_eigenvalue(b: BoundaryData) -> float:
 
     Parabolic data gives 1 and quasi-hyperbolic data the double root tau/2,
     both exactly, so the degenerate strata need no discriminant arithmetic.
+    Hyperbolic data uses mu = 2 / (lambda (tau + sqrt(tau^2 - 4/lambda))),
+    since mu nu = 1/lambda, with tau factored out of the root: the sum does
+    not cancel and tau^2 cannot overflow.
     """
     if b.kind == PARABOLIC:
         return 1.0
     if b.kind == QUASI_HYPERBOLIC:
         return b.tau / 2.0
-    disc = b.tau * b.tau - 4.0 / b.lam
+    disc = 1.0 - 4.0 / (b.lam * b.tau) / b.tau  # (tau^2 - 4/lambda) / tau^2
     if disc < 0.0:
         raise ComplexEigenvalues(
             f"tau^2 = {b.tau * b.tau:g} is below 4/lambda = {4.0 / b.lam:g}"
         )
-    return (b.tau - math.sqrt(disc)) / 2.0
+    return 2.0 / (b.lam * b.tau) / (1.0 + math.sqrt(disc))
 
 
 def _softplus(x: float) -> float:

@@ -225,23 +225,36 @@ class Chord:
     q: np.ndarray
 
 
-def _require_interior(dom: ConvexDomain, pt, name: str) -> np.ndarray:
-    pt = np.asarray(pt, dtype=float).reshape(2)
-    if not dom.contains(pt):
-        raise PointOutsideDomain(f"point {name} = {pt.tolist()} is not interior")
-    return pt
+def _exits(dom: ConvexDomain, direction, *points):
+    """Interior check and exit solve of the scalar chord queries.
+
+    One contains call checks the points x (and y); the first exterior one is
+    named in PointOutsideDomain.  Returns the points, the direction (given, or
+    y - x when None) and the exits (t+, t-) from x, meaningless for a zero one.
+    """
+    pts = np.array([np.asarray(p, dtype=float).reshape(2) for p in points])
+    inside = dom.contains(pts)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise PointOutsideDomain(f"point {'xy'[k]} = {pts[k].tolist()} is not interior")
+    u = pts[1] - pts[0] if direction is None else np.asarray(direction, dtype=float).reshape(2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_fwd, t_bwd = dom._exits_paired(pts[:1], u[None, :])
+    return pts, u, float(t_fwd[0]), float(t_bwd[0])
+
+
+def _cross_ratio(t_fwd, t_bwd, rho):
+    """Cross ratio of p = x - t- u, x, x + rho u, q = x + t+ u, in which the norms of u
+    cancel; half its log is the Hilbert distance from x to x + rho u."""
+    return (t_bwd + rho) * t_fwd / (t_bwd * (t_fwd - rho))
 
 
 def chord(dom: ConvexDomain, x, y) -> Chord:
     """Boundary intersections of the line xy, ordered as p, x, y, q."""
-    x = _require_interior(dom, x, "x")
-    y = _require_interior(dom, y, "y")
-    u = y - x
-    norm = np.linalg.norm(u)
-    if norm <= 1e-15 * max(1.0, np.linalg.norm(x), np.linalg.norm(y)):
+    (x, y), u, t_fwd, t_bwd = _exits(dom, None, x, y)
+    if np.linalg.norm(u) <= 1e-15 * max(1.0, np.linalg.norm(x), np.linalg.norm(y)):
         raise CoincidentPoints("chord endpoints coincide")
-    t_fwd, t_bwd = dom._exits_paired(x[None, :], u[None, :])
-    return Chord(p=x - t_bwd[0] * u, q=x + t_fwd[0] * u)
+    return Chord(p=x - t_bwd * u, q=x + t_fwd * u)
 
 
 def hilbert_distance(dom: ConvexDomain, x, y) -> float:
@@ -250,15 +263,10 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     Symmetric, zero exactly when x = y, and equal to the Klein-model
     hyperbolic distance when the domain boundary is a conic.
     """
-    x = _require_interior(dom, x, "x")
-    y = _require_interior(dom, y, "y")
+    (x, y), _, t_fwd, t_bwd = _exits(dom, None, x, y)
     if np.array_equal(x, y):
         return 0.0
-    u = y - x
-    t_fwd, t_bwd = dom._exits_paired(x[None, :], u[None, :])
-    # p = x - t_bwd u and q = x + t_fwd u; the norms cancel to parameters
-    tf, tb = float(t_fwd[0]), float(t_bwd[0])
-    return 0.5 * math.log((tb + 1.0) * tf / (tb * (tf - 1.0)))
+    return 0.5 * math.log(_cross_ratio(t_fwd, t_bwd, 1.0))
 
 
 def finsler_norm(dom: ConvexDomain, x, direction) -> float:
@@ -268,12 +276,10 @@ def finsler_norm(dom: ConvexDomain, x, direction) -> float:
     the domain; the norm is first-order consistent with hilbert_distance and
     homogeneous of degree 1 in the direction.
     """
-    x = _require_interior(dom, x, "x")
-    u = np.asarray(direction, dtype=float).reshape(2)
+    _, u, t_fwd, t_bwd = _exits(dom, direction, x)
     if not np.linalg.norm(u) > 0.0:
         raise ValueError("direction must be nonzero")
-    t_fwd, t_bwd = dom._exits_paired(x[None, :], u[None, :])
-    return 0.5 * (1.0 / float(t_fwd[0]) + 1.0 / float(t_bwd[0]))
+    return 0.5 * (1.0 / t_fwd + 1.0 / t_bwd)
 
 
 @functools.cache
@@ -307,7 +313,7 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
         # the region may touch the boundary: never leave the domain
         rho = np.minimum(region._exits_paired(x, u)[0], t_fwd)
         with np.errstate(divide="ignore"):
-            s = 0.5 * np.log((t_bwd + rho) * t_fwd / (t_bwd * (t_fwd - rho)))
+            s = 0.5 * np.log(_cross_ratio(t_fwd, t_bwd, rho))
         return u, t_fwd[:, None], t_bwd[:, None], np.minimum(s, radius)
 
     radial_x, radial_w = _radial_rule()

@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonGenericFlags, NonPositiveRatio
-from .rp2 import (
-    DEFAULT_GENERICITY_TOL,
-    Flag,
-    _pairing_norm,
-    _triple_norm,
-    pairing13,
-    triple_det,
-)
+from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _unit_rule, pairing13
 
 
 @dataclass(frozen=True)
@@ -38,20 +31,19 @@ class DoubleRatios:
     d2: float
 
 
-def _require_pairing(p, line, tol, what):
-    """pairing13(p, line), or NonGenericFlags if it vanishes within tol on unit representatives."""
-    value = pairing13(p, line)
-    if abs(value) / _pairing_norm(p, line) <= tol:
-        raise NonGenericFlags(f"vanishing pairing {what}")
+def _denominator(value, what):
+    """A value checked by the unit-representative rule, or NonGenericFlags if it vanished."""
+    if value is None:
+        raise NonGenericFlags(f"vanishing {what}")
     return value
 
 
-def _require_triple(a, b, c, tol, what):
-    """triple_det(a, b, c), or NonGenericFlags if it vanishes within tol on unit representatives."""
-    value = triple_det(a, b, c)
-    if abs(value) / _triple_norm(a, b, c) <= tol:
-        raise NonGenericFlags(f"vanishing determinant {what}")
-    return value
+def _positive_log(value: float, i: int = 0) -> float:
+    """log T (i = 0) or log D_i, or NonPositiveRatio when that ratio is not positive."""
+    if not value > 0.0:
+        what = f"double ratio D{i}" if i else "triangle invariant"
+        raise NonPositiveRatio(f"{what} is not positive: {value:g}")
+    return math.log(value)
 
 
 def triple_ratio(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> TripleRatio:
@@ -66,13 +58,14 @@ def triple_ratio(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL)
     Raises :class:`NonGenericFlags` if a denominator pairing vanishes within
     ``tol`` on unit-normalized representatives.
     """
+    pairing, _ = _unit_rule((e, f, g), tol)
     value = (
         pairing13(f.point, e.line)
-        / _require_pairing(f.point, g.line, tol, "f1^g2")
+        / _denominator(pairing(1, 2), "pairing f1^g2")
         * pairing13(e.point, g.line)
-        / _require_pairing(e.point, f.line, tol, "e1^f2")
+        / _denominator(pairing(0, 1), "pairing e1^f2")
         * pairing13(g.point, f.line)
-        / _require_pairing(g.point, e.line, tol, "e2^g1")
+        / _denominator(pairing(2, 0), "pairing e2^g1")
     )
     return TripleRatio(value)
 
@@ -83,10 +76,7 @@ def tau111(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> fl
     Raises :class:`NonPositiveRatio` when T <= 0, which signals flags that do
     not come from a convex structure in the given vertex order.
     """
-    t = triple_ratio(e, f, g, tol=tol).value
-    if not t > 0.0:
-        raise NonPositiveRatio(f"triangle invariant is not positive: {t:g}")
-    return math.log(t)
+    return _positive_log(triple_ratio(e, f, g, tol=tol).value)
 
 
 def double_ratios(
@@ -99,10 +89,11 @@ def double_ratios(
 
     with the leading minus signs kept verbatim.
     """
-    efl = _require_triple(e.point, f.point, l.point, tol, "e1^f1^l1")
-    efg = _require_triple(e.point, f.point, g.point, tol, "e1^f1^g1")
-    fg = _require_pairing(g.point, f.line, tol, "f2^g1")
-    el = _require_pairing(l.point, e.line, tol, "e2^l1")
+    pairing, triple = _unit_rule((e, f, g, l), tol)
+    efl = _denominator(triple(0, 1, 3), "determinant e1^f1^l1")
+    efg = _denominator(triple(0, 1, 2), "determinant e1^f1^g1")
+    fg = _denominator(pairing(2, 1), "pairing f2^g1")
+    el = _denominator(pairing(3, 0), "pairing e2^l1")
     d1 = -(efg / efl) * (pairing13(l.point, f.line) / fg)
     d2 = -(pairing13(g.point, e.line) / el) * (efl / efg)
     return DoubleRatios(d1, d2)
@@ -115,7 +106,4 @@ def shear(
     if i not in (1, 2):
         raise ValueError("shear index must be 1 or 2")
     d = double_ratios(e, f, g, l, tol=tol)
-    value = d.d1 if i == 1 else d.d2
-    if not value > 0.0:
-        raise NonPositiveRatio(f"double ratio D{i} is not positive: {value:g}")
-    return math.log(value)
+    return _positive_log(d.d1 if i == 1 else d.d2, i)

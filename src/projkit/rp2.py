@@ -9,6 +9,7 @@ first so a single tolerance is meaningful for arbitrarily scaled input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,15 +22,6 @@ DEFAULT_GENERICITY_TOL = 1e-12
 # Tolerance for the incidence residual of a flag, relative to the product of
 # the norms of its representatives.
 DEFAULT_INCIDENCE_TOL = 1e-9
-
-
-def det3(a, b, c) -> float:
-    """Determinant of the 3x3 matrix with columns ``a``, ``b``, ``c``."""
-    return (
-        a[0] * (b[1] * c[2] - c[1] * b[2])
-        - a[1] * (b[0] * c[2] - c[0] * b[2])
-        + a[2] * (b[0] * c[1] - c[0] * b[1])
-    )
 
 
 def _as_vector(coords, what: str) -> np.ndarray:
@@ -53,9 +45,6 @@ class ProjPoint:
             raise ValueError("projective point cannot be the zero vector")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-
-    def unit(self) -> np.ndarray:
-        return self.v / np.linalg.norm(self.v)
 
     def __repr__(self):
         return f"ProjPoint({self.v.tolist()})"
@@ -115,7 +104,12 @@ def pairing13(p: ProjPoint, line: ProjLine) -> float:
 
 def triple_det(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
     """Determinant of the matrix with columns the three point representatives."""
-    return det3(a.v, b.v, c.v)
+    a, b, c = a.v, b.v, c.v
+    return (
+        a[0] * (b[1] * c[2] - c[1] * b[2])
+        - a[1] * (b[0] * c[2] - c[0] * b[2])
+        + a[2] * (b[0] * c[1] - c[0] * b[1])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,29 +168,43 @@ class Flag:
         return f"Flag({self.point!r}, {self.line!r})"
 
 
-def _pairing_norm(p: ProjPoint, line: ProjLine) -> float:
-    """Divisor taking pairing13 to unit representatives: |value| is 1 for orthogonal data."""
-    return np.linalg.norm(p.v) * np.linalg.norm(line.normal)
-
-
-def _triple_norm(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
-    """Divisor taking triple_det to unit representatives."""
-    return np.linalg.norm(a.v) * np.linalg.norm(b.v) * np.linalg.norm(c.v)
-
-
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _all_transverse(flags, tol: float) -> bool:
-    for fp in flags:
-        for fl in flags:
-            if fp is fl:
-                continue
-            if abs(pairing13(fp.point, fl.line)) / _pairing_norm(fp.point, fl.line) <= tol:
-                return False
-    return True
+def _unit_rule(flags, tol: float):
+    """The unit-representative rule for a tuple of flags, each norm taken once.
+
+    Returns pairing(i, j) = pairing13(point i, line j) and triple(i, j, k) =
+    triple_det(points i, j, k), or None where that value divided by the norms
+    of its vectors (unit points, unit line bivectors) is within ``tol`` of 0.
+    """
+    points = [f.point for f in flags]
+    # sqrt(v . v) is what np.linalg.norm computes for a vector, without its dispatch
+    pn = [math.sqrt(p.v.dot(p.v)) for p in points]
+    ln = [math.sqrt(f.line.normal.dot(f.line.normal)) for f in flags]
+
+    def cleared(value, scale):
+        return None if abs(value) / scale <= tol else value
+
+    def pairing(i, j):
+        return cleared(pairing13(points[i], flags[j].line), pn[i] * ln[j])
+
+    def triple(i, j, k):
+        return cleared(triple_det(points[i], points[j], points[k]), pn[i] * pn[j] * pn[k])
+
+    return pairing, triple
+
+
+def _is_generic(flags, tol: float) -> bool:
+    """No pairing of a point with another flag's line and no triple of points vanishes."""
+    _check_tol(tol)
+    pairing, triple = _unit_rule(flags, tol)
+    n = len(flags)
+    return all(
+        pairing(i, j) is not None for i, j in itertools.permutations(range(n), 2)
+    ) and all(triple(*c) is not None for c in itertools.combinations(range(n), 3))
 
 
 def is_generic_triple(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> bool:
@@ -206,12 +214,7 @@ def is_generic_triple(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY
     the three points, on unit-normalized representatives (unit point vectors,
     unit line bivectors), against ``tol``.
     """
-    _check_tol(tol)
-    flags = (e, f, g)
-    if not _all_transverse(flags, tol):
-        return False
-    pts = (e.point, f.point, g.point)
-    return abs(triple_det(*pts)) / _triple_norm(*pts) > tol
+    return _is_generic((e, f, g), tol)
 
 
 def is_generic_quadruple(
@@ -221,13 +224,4 @@ def is_generic_quadruple(
 
     All 12 cross pairings and all 4 point triples must clear ``tol``.
     """
-    _check_tol(tol)
-    flags = (e, f, g, l)
-    if not _all_transverse(flags, tol):
-        return False
-    pts = [fl.point for fl in flags]
-    for skip in range(4):
-        tri = [pts[i] for i in range(4) if i != skip]
-        if abs(triple_det(*tri)) / _triple_norm(*tri) <= tol:
-            return False
-    return True
+    return _is_generic((e, f, g, l), tol)

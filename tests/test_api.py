@@ -1,4 +1,5 @@
-"""The public surface: names exported by the projkit namespace and the CLI subcommands.
+"""The public surface: names exported by the projkit namespace, the CLI
+subcommands and the options of each.
 
 A change that adds, renames or removes one of them has to change this file.
 """
@@ -27,6 +28,16 @@ PUBLIC_NAMES = [
 
 SUBCOMMANDS = ["area", "bulge", "classify", "convert", "distance", "invariants", "sweep"]
 
+OPTIONS = {
+    "area": ["--alphas", "--cellsize", "--help", "--truncation", "-h"],
+    "bulge": ["--format", "--help", "--input", "--tol", "-h"],
+    "classify": ["--format", "--help", "--input", "--tol", "-h"],
+    "convert": ["--format", "--help", "--input", "-h"],
+    "distance": ["--format", "--help", "--input", "-h"],
+    "invariants": ["--format", "--help", "--input", "--tol", "-h"],
+    "sweep": ["--boundary", "--help", "--input", "--steps", "-h"],
+}
+
 
 def test_public_names():
     names = sorted(
@@ -36,7 +47,19 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
-def test_cli_subcommands():
+def _subparsers():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(sub.choices) == SUBCOMMANDS
+    return sub.choices
+
+
+def test_cli_subcommands():
+    assert sorted(_subparsers()) == SUBCOMMANDS
+
+
+def test_cli_options():
+    options = {
+        name: sorted(opt for a in p._actions for opt in a.option_strings)
+        for name, p in _subparsers().items()
+    }
+    assert options == OPTIONS

@@ -223,6 +223,22 @@ class TestSweepAreaBulge:
         assert last[4] == "parabolic"
         assert float(last[2]) == 1.0 and float(last[3]) == 2.0
 
+    def test_sweep_from_huge_tau(self):
+        """tau = 1e160 squares past the float range; the sweep runs in log space.
+        It exited 2 (a negative mu from tau - sqrt(tau^2 - 4/lambda))."""
+        record = json.dumps({
+            "surface": "pants", "s": 1, "t": 1,
+            "boundaries": [{"kind": "hyperbolic", "lambda": 0.5, "tau": 1e160},
+                           {"kind": "parabolic"}, {"kind": "parabolic"}],
+        })
+        for command in (("convert",), ("sweep", "--steps", "4")):
+            result = run_cli(*command, "--input", record)
+            assert result.returncode == 0, result.stderr
+            assert "inf" not in result.stdout and "nan" not in result.stdout
+        rows = result.stdout.strip().splitlines()[2:]
+        taus = [float(row.split(",")[3]) for row in rows]
+        assert taus[0] == pytest.approx(1e160, rel=1e-13) and taus[-1] == 2.0
+
     def test_sweep_rejects_gluing_curve(self):
         result = run_cli("sweep", "--input", HYPERBOLIC_TORUS, "--boundary", "2")
         assert result.returncode == 2
@@ -249,10 +265,29 @@ class TestSweepAreaBulge:
             ("--alphas", "0.5,nan"),
             ("--samples", "0"),
             ("--parallel",),
+            ("--format", "json"),
+            ("--tol", "5"),
         ],
     )
     def test_area_bad_input_exit_2(self, args):
         result = run_cli("area", "--alphas", "0.5", *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sweep", "--input", HYPERBOLIC_TORUS, "--format", "json"),
+            ("sweep", "--input", HYPERBOLIC_TORUS, "--tol", "1e-9"),
+            ("convert", "--input", ALL_PARABOLIC, "--tol", "1e-9"),
+            ("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, "x": [0,0], '
+             '"y": [0.5,0]}', "--tol", "1e-9"),
+        ],
+    )
+    def test_unread_option_exit_2(self, args):
+        """Options a subcommand does not read are unknown arguments."""
+        result = run_cli(*args)
         assert result.returncode == 2
         assert result.stdout == ""
         assert "Traceback" not in result.stderr

@@ -61,6 +61,37 @@ class TestMiddleEigenvalue:
         assert mu == 2.0
         assert mu * mu * b.lam == pytest.approx(1.0, rel=1e-12)
 
+    def test_hyperbolic_against_decimal(self):
+        """mu against 40-digit decimal arithmetic, mu = 1 / (lambda nu) with the
+        larger root nu = (tau + sqrt(tau^2 - 4/lambda)) / 2, on lambda down to
+        1e-300 and tau up to 1e308, half the draws within 1e-12 .. 1 (relative)
+        of the double root.  The bound is the conditioning of the smaller root,
+        a few eps / sqrt(1 - 4 / (lambda tau^2)).  (0.5, 1e7) cancelled to a
+        relative error of 1.2e-3 and (0.5, 1e160) gave -inf in tau - sqrt(...)."""
+        rng = np.random.default_rng(97)
+        cases = [(0.5, 1e7), (0.5, 1e160), (0.9, 1e308), (1e-300, 1e160)]
+        for k in range(2000):
+            lam = 10.0 ** rng.uniform(-300.0, -1e-3)
+            root = 2.0 / math.sqrt(lam)
+            if k % 2:
+                tau = 10.0 ** rng.uniform(math.log10(root), 307.9)
+            else:
+                tau = root * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))
+            cases.append((lam, tau))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for lam, tau in cases:
+                mu = pk.middle_eigenvalue(pk.BoundaryData.hyperbolic(lam, tau))
+                big_l, big_t = Decimal(lam), Decimal(tau)
+                disc = 1 - 4 / (big_l * big_t * big_t)
+                ref = 2 / (big_l * (big_t + big_t * disc.sqrt()))
+                bound = 4.0 * 2.0**-52 / math.sqrt(disc)
+                assert abs(Decimal(mu) - ref) <= Decimal(bound) * ref, (lam, tau)
+        bd = pk.pants_goldman_to_bd(pk.PantsGoldman(
+            (pk.BoundaryData.hyperbolic(0.5, 1e160),) + (pk.BoundaryData.parabolic(),) * 2,
+            1.0, 1.0))
+        assert all(math.isfinite(x) for x in (*bd.sigma1, *bd.sigma2, bd.tplus, bd.tminus))
+
 
 class TestPantsConversion:
     def test_all_parabolic_values(self):

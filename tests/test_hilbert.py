@@ -1,6 +1,7 @@
 """Hilbert metric: chords, distances, Finsler norms and Busemann areas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,11 @@ class TestChord:
     def test_outside_point(self):
         with pytest.raises(pk.PointOutsideDomain):
             pk.chord(unit_circle(), [2.0, 0.0], [0.0, 0.0])
+        # the message names the first exterior point
+        for x, y, named in (([0, 0], [0, 3], "y = [0.0, 3.0]"), ([2, 0], [0, 3], "x = [2.0, 0.0]")):
+            for query in (pk.chord, pk.hilbert_distance):
+                with pytest.raises(pk.PointOutsideDomain, match=re.escape(f"point {named} is")):
+                    query(unit_circle(), x, y)
 
     def test_endpoints_on_boundary_and_ordering(self):
         rng = np.random.default_rng(53)
@@ -277,6 +283,38 @@ class TestBusemannArea:
             affine_disk(m, shift, (0.0, 0.0), 1.0), affine_disk(m, shift, (0.2, 0.1), 0.5), 1e-4
         )
         assert moved == pytest.approx(base, rel=1e-9)
+
+    @pytest.mark.parametrize("region", ["disk", "quadrilateral"])
+    def test_hexagon_projective_invariance(self, region):
+        """Areas in a regular hexagon are invariant under a projective map p that
+        keeps the hexagon's closure in the affine chart (its third row is
+        positive there): the hexagon goes to a hexagon, a disk to an ellipse
+        and a quadrilateral to a quadrilateral.  The hexagon's density is only
+        piecewise smooth, so this checks the quadrature away from triangles."""
+        p = np.array([[1.0, 0.2, 0.1], [-0.15, 0.9, 0.05], [0.25, -0.2, 1.0]])
+
+        def move(pts):
+            h = np.column_stack([pts, np.ones(len(pts))]) @ p.T
+            return h[:, :2] / h[:, 2:]
+
+        angles = math.pi / 3.0 * np.arange(6)
+        hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        if region == "disk":
+            (cx, cy), r = (0.1, -0.05), 0.4
+            # the disk's homogeneous quadratic form, pulled back through p^-1
+            conic = np.array([[1.0, 0.0, -cx], [0.0, 1.0, -cy], [-cx, -cy, cx * cx + cy * cy]])
+            conic[2, 2] -= r * r
+            inv = np.linalg.inv(p)
+            c = inv.T @ conic @ inv
+            before = pk.ConicOval.disk((cx, cy), r)
+            after = pk.ConicOval([c[0, 0], 2 * c[0, 1], c[1, 1], 2 * c[0, 2], 2 * c[1, 2], c[2, 2]])
+        else:
+            quad = np.array([[-0.5, -0.3], [0.4, -0.5], [0.6, 0.4], [-0.3, 0.5]])
+            before, after = pk.Polygon(quad), pk.Polygon(move(quad))
+        cellsize = 1e-4
+        base = pk.busemann_area(pk.Polygon(hexagon), before, cellsize)
+        moved = pk.busemann_area(pk.Polygon(move(hexagon)), after, cellsize)
+        assert moved == pytest.approx(base, rel=100.0 * cellsize**2)
 
     def test_grid_convergence(self):
         coarse = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.02)

@@ -1,10 +1,11 @@
 """Projective primitives: pairings, genericity tests, flag validation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
@@ -151,3 +152,65 @@ class TestGenericity:
                 pk.is_generic_triple(*flags, tol=tol)
             with pytest.raises(ValueError):
                 pk.is_generic_quadruple(*quadruple, tol=tol)
+
+
+def _unit_reference(flags):
+    """|pairing| of every point with every other flag's line and |det| of every
+    point triple, on unit representatives, from LAPACK determinants of
+    norm-scaled columns: each point over its norm, each line by an orthonormal
+    basis of its span (a unit bivector)."""
+    points = [f.point.v / np.linalg.norm(f.point.v) for f in flags]
+    bases = [np.linalg.qr(np.column_stack([f.line.u, f.line.w]))[0] for f in flags]
+    n = len(flags)
+    pairings = [abs(np.linalg.det(np.column_stack([points[i], bases[j]])))
+                for i, j in itertools.permutations(range(n), 2)]
+    triples = [abs(np.linalg.det(np.column_stack([points[k] for k in c])))
+               for c in itertools.combinations(range(n), 3)]
+    return pairings + triples
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 4]),
+    st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+    st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24),
+    st.integers(0, 3), st.integers(1, 3), st.integers(0, 1), st.floats(-3.0, 3.0),
+    st.floats(-3.0, 0.0),
+    st.lists(st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=12, max_size=12),
+)
+def test_genericity_rule(n, tol, coords, i, shift, kind, log_ratio, log_angle, scales):
+    """is_generic_* against the unit-representative reference, on flags with one
+    pairing (kind 0) or point triple (kind 1) pushed to tol * 10^log_ratio and
+    every reference value at least a factor 2 away from tol; the decision is
+    unchanged under rescaling every representative by +-[1e-3, 1e3], and a
+    generic tuple's ratios raise no NonGenericFlags.  Each line is spanned by
+    its point and a vector about 10^log_angle away from it, so a rule that
+    took |u||w| for the bivector norm |u x w| would decide differently."""
+    p = np.array(coords[: 3 * n]).reshape(n, 3)
+    q = p + 10.0**log_angle * np.array(coords[12: 12 + 3 * n]).reshape(n, 3)
+    i, j, k = i % n, (i + shift) % n, (i + shift + 1) % n
+    try:
+        # move point i so that its unit pairing with line j, or its unit triple
+        # with points j and k, is about r
+        r = tol * 10.0**log_ratio
+        normal = np.cross(p[j], q[j]) if kind == 0 else np.cross(p[j], p[k])
+        size = np.linalg.norm(normal)
+        assume(size > 1e-100)
+        normal /= size
+        flat = p[i] - (p[i] @ normal) * normal
+        p[i] = flat + r * np.linalg.norm(flat) / math.sqrt(1.0 - r * r) * normal
+        flags = [pk.Flag(point(*p[m]), line(p[m], q[m])) for m in range(n)]
+    except (ValueError, FloatingPointError):
+        assume(False)
+    ref = _unit_reference(flags)
+    assume(all(v >= 2.0 * tol or v <= 0.5 * tol for v in ref))
+    generic = all(v > tol for v in ref)
+    event(f"generic {generic}")
+    is_generic = pk.is_generic_triple if n == 3 else pk.is_generic_quadruple
+    assert is_generic(*flags, tol=tol) == generic
+    rescaled = [f.rescaled(*scales[3 * m: 3 * m + 3]) for m, f in enumerate(flags)]
+    assert is_generic(*rescaled, tol=tol) == generic
+    if generic:
+        ratio = pk.triple_ratio if n == 3 else pk.double_ratios
+        ratio(*flags, tol=tol)
+        ratio(*rescaled, tol=tol)
