@@ -6,6 +6,7 @@ from .errors import (
     CoincidentPoints,
     ComplexEigenvalues,
     InconsistentStratum,
+    NonFiniteResult,
     NonGenericFlags,
     NonPositiveParameter,
     NonPositiveRatio,

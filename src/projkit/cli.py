@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import coords, hilbert, invariants, isometry
-from .errors import ProjKitError
+from .errors import NonFiniteResult, ProjKitError
 from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _check_tol
 
 _ENV_TOL = "PROJKIT_TOL"
@@ -40,7 +40,16 @@ def _json_text(obj) -> str:
     return _fmt(obj)
 
 
+def _require_finite(items) -> None:
+    """Refuse output with a NaN or infinite number before any of it is written;
+    items are (name, value) pairs, a value a string or nested numbers."""
+    for name, value in items:
+        if not isinstance(value, str) and not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise NonFiniteResult(f"{name} is not finite")
+
+
 def _emit_record(record: dict, fmt: str, out) -> None:
+    _require_finite(record.items())
     if fmt == "json":
         out.write(_json_text(record) + "\n")
         return
@@ -57,7 +66,16 @@ def _emit_record(record: dict, fmt: str, out) -> None:
             out.write(f"{key} = {text}\n")
 
 
-def _load_input(source: str):
+def _load_input(source: str, what: str = "input"):
+    """The JSON of --input, every number a float; NaN, infinities and literals
+    beyond the float range are malformed."""
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{what} has NaN or infinite entries")
+        return value
+
     if source is None:
         raise ValueError("missing --input")
     text = source
@@ -66,7 +84,7 @@ def _load_input(source: str):
     elif not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    return json.loads(text, parse_float=finite, parse_int=finite, parse_constant=finite)
 
 
 def _default_tol(args, fallback: float) -> float:
@@ -87,7 +105,10 @@ def _parse_domain(data: dict) -> hilbert.ConvexDomain:
 
 
 def _parse_boundary(data: dict) -> coords.BoundaryData:
-    kind = data["kind"].replace("-", "_")
+    kind = data["kind"]
+    if not isinstance(kind, str):
+        raise ValueError(f"boundary kind must be a string, got {kind!r}")
+    kind = kind.replace("-", "_")
     if kind == coords.PARABOLIC:
         return coords.BoundaryData.parabolic()
     lam = float(data["lambda"])
@@ -119,7 +140,7 @@ def _cmd_invariants(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     tol = _default_tol(args, isometry.DEFAULT_CLASSIFY_TOL)
-    entries = _load_input(args.input)
+    entries = _load_input(args.input, "matrix")
     m = np.asarray(entries, dtype=float)
     if m.size != 9:
         raise ValueError("expected a row-major array of 9 numbers")
@@ -151,6 +172,7 @@ def _cmd_area(args, out) -> int:
     alphas = [float(a) for a in args.alphas.split(",") if a]
     # compute every row first, so a rejected input leaves stdout empty
     areas = [hilbert.triangle_area_experiment(a, args.truncation, args.cellsize) for a in alphas]
+    _require_finite([("area", areas)])
     out.write(f"# config: area alphas={args.alphas} truncation={_fmt(args.truncation)} "
               f"cellsize={_fmt(args.cellsize)}\n")
     out.write("alpha,truncation,cellsize,area\n")
@@ -182,34 +204,16 @@ def _parse_goldman(data: dict):
     raise ValueError("surface must be 'pants' or 'torus'")
 
 
-def _bd_record(surface: str, bd) -> dict:
-    if surface == "pants":
-        pants = bd
-        record = {"surface": "pants"}
-    else:
-        pants = bd.pants
-        record = {"surface": "torus"}
-    record.update(
-        {
-            "sigma1": list(pants.sigma1),
-            "sigma2": list(pants.sigma2),
-            "tplus": pants.tplus,
-            "tminus": pants.tminus,
-        }
-    )
-    if surface == "torus":
-        record["sigmaC1"] = bd.sigma_c1
-        record["sigmaC2"] = bd.sigma_c2
-    return record
-
-
 def _cmd_convert(args, out) -> int:
     data = _load_input(args.input)
     g = _parse_goldman(data)
     if isinstance(g, coords.PantsGoldman):
-        record = _bd_record("pants", coords.pants_goldman_to_bd(g))
+        surface, pants, gluing = "pants", coords.pants_goldman_to_bd(g), {}
     else:
-        record = _bd_record("torus", coords.torus_goldman_to_bd(g))
+        bd = coords.torus_goldman_to_bd(g)
+        surface, pants, gluing = "torus", bd.pants, {"sigmaC1": bd.sigma_c1, "sigmaC2": bd.sigma_c2}
+    record = {"surface": surface, "sigma1": list(pants.sigma1), "sigma2": list(pants.sigma2),
+              "tplus": pants.tplus, "tminus": pants.tminus, **gluing}
     _emit_record(record, args.format if args.format != "table" else "json", out)
     return 0
 
@@ -221,69 +225,49 @@ def _cmd_sweep(args, out) -> int:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if isinstance(g, coords.PantsGoldman):
-        surface = "pants"
-        index = args.boundary - 1
+        surface, boundaries, index = "pants", g.boundaries, args.boundary - 1
         if index not in (0, 1, 2):
             raise ValueError("pants boundary index must be 1, 2 or 3")
-        start = g.boundaries[index]
     else:
-        surface = "torus"
+        surface, boundaries, index = "torus", (g.b, g.c, g.c), 0
         if args.boundary != 1:
             raise ValueError("only the torus boundary curve (index 1) can be pinched")
-        start = g.b
+    start = boundaries[index]
     if start.kind != coords.HYPERBOLIC:
         raise ValueError("the pinched boundary must start hyperbolic")
 
-    mu0 = coords.middle_eigenvalue(start)
-    log_ratio0 = math.log(start.tau - mu0) - math.log(mu0)
+    # every row in one kernel call, checked before the first line is written
+    frac = np.arange(steps + 1) / steps
+    lam = start.lam * (1.0 - frac) + frac
+    log_lam = [math.log(b.lam) for b in boundaries]
+    log_mu = [math.log(b.mu) for b in boundaries]
+    # keep mu < nu along the whole path: pinch the ratio nu/mu to 1, in log
+    # space so that nu/mu beyond the float range (tau ~ 1e160) stays finite.
+    # mu^2 = 1 / (lambda nu/mu) ends at (lambda, mu) = (1, 1), the parabolic row.
+    log_ratio0 = math.log(start.tau - start.mu) - math.log(start.mu)
+    log_lam[index] = np.log(lam)
+    log_mu[index] = -0.5 * (log_lam[index] + log_ratio0 * (1.0 - frac))
+    mu = np.exp(log_mu[index])
+    tau = mu + 1.0 / (lam * mu)
+    sigma1, sigma2, tplus, tminus = coords._convert(log_lam, log_mu, math.log(g.s), math.log(g.t))
+    names = [f"sigma{j}_B{i}" for j in (1, 2) for i in (1, 2, 3)] + ["tplus", "tminus"]
+    columns = [*sigma1, *sigma2, tplus, tminus]
+    gluing = {}
+    if surface == "torus":
+        gluing = dict(zip(("sigmaC1", "sigmaC2"), isometry.shear_shift(g.u, g.u, g.v)))
+    _require_finite([("tau", tau), *zip(names, columns), *gluing.items()])
 
     out.write(
         "# config: sweep surface={} boundary={} steps={} start_lambda={} start_tau={}\n".format(
             surface, args.boundary, steps, _fmt(start.lam), _fmt(start.tau)
         )
     )
-    header = (
-        "step,frac,lambda,tau,kind,"
-        "sigma1_B1,sigma1_B2,sigma1_B3,sigma2_B1,sigma2_B2,sigma2_B3,tplus,tminus"
-    )
-    if surface == "torus":
-        header += ",sigmaC1,sigmaC2"
-    out.write(header + "\n")
-
-    for k in range(steps + 1):
-        frac = k / steps
-        lam = start.lam * (1.0 - frac) + frac
-        # keep mu < nu along the whole path: pinch the ratio nu/mu to 1, in log
-        # space so that nu/mu beyond the float range (tau ~ 1e160) stays finite
-        log_ratio = log_ratio0 * (1.0 - frac)
-        if k == steps:
-            boundary = coords.BoundaryData.parabolic()
-        else:
-            mu = math.exp(-0.5 * (math.log(lam) + log_ratio))  # mu^2 = 1 / (lambda nu/mu)
-            boundary = coords.BoundaryData.hyperbolic(lam, mu + 1.0 / (lam * mu))
-        if surface == "pants":
-            bs = list(g.boundaries)
-            bs[index] = boundary
-            bd = coords.pants_goldman_to_bd(coords.PantsGoldman(tuple(bs), g.s, g.t))
-            pants, extra = bd, []
-        else:
-            tbd = coords.torus_goldman_to_bd(
-                coords.TorusGoldman(boundary, g.c, g.s, g.t, g.u, g.v)
-            )
-            pants, extra = tbd.pants, [tbd.sigma_c1, tbd.sigma_c2]
-        row = [
-            str(k),
-            _fmt(frac),
-            _fmt(boundary.lam),
-            _fmt(boundary.tau),
-            boundary.kind,
-            *(_fmt(v) for v in pants.sigma1),
-            *(_fmt(v) for v in pants.sigma2),
-            _fmt(pants.tplus),
-            _fmt(pants.tminus),
-            *(_fmt(v) for v in extra),
-        ]
-        out.write(",".join(row) + "\n")
+    out.write(",".join(["step,frac,lambda,tau,kind", *names, *gluing]) + "\n")
+    tail = "".join("," + _fmt(x) for x in gluing.values())
+    for k, row in enumerate(zip(frac, lam, tau, *columns)):
+        kind = coords.PARABOLIC if k == steps else coords.HYPERBOLIC
+        values = [_fmt(v) for v in row]
+        out.write(f"{k},{','.join(values[:3])},{kind},{','.join(values[3:])}{tail}\n")
     return 0
 
 

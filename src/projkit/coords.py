@@ -26,15 +26,17 @@ sigma2(C) = u + 3v (normalized so the base point is (u, v) = (0, 0)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ComplexEigenvalues,
     InconsistentStratum,
     NonPositiveParameter,
 )
-from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC
+from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, shear_shift
 
 _CODIMENSION = {HYPERBOLIC: 0, QUASI_HYPERBOLIC: 1, PARABOLIC: 2}
 
@@ -51,11 +53,19 @@ class BoundaryData:
     tau^2 > 4/lambda (two distinct larger eigenvalues), quasi-hyperbolic sits
     on the degenerate discriminant tau^2 = 4/lambda with lambda < 1, and
     parabolic pins (lambda, tau) = (1, 2).
+
+    The middle eigenvalue mu is derived once, at construction: 1 for
+    parabolic data and the double root tau/2 for quasi-hyperbolic data, both
+    exactly, so the degenerate strata need no discriminant arithmetic.
+    Hyperbolic data uses mu = 2 / (lambda (tau + sqrt(tau^2 - 4/lambda))),
+    since mu nu = 1/lambda, with tau factored out of the root: the sum does
+    not cancel and tau^2 cannot overflow.
     """
 
     lam: float
     tau: float
     kind: str
+    mu: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in _CODIMENSION:
@@ -65,18 +75,21 @@ class BoundaryData:
         if self.kind == HYPERBOLIC:
             if not self.lam < 1.0:
                 raise ValueError("hyperbolic boundary needs lambda in (0, 1)")
-            if not self.tau * self.tau > 4.0 / self.lam:
-                raise ComplexEigenvalues(
-                    "hyperbolic boundary needs tau^2 > 4/lambda"
-                )
+            disc = 1.0 - 4.0 / (self.lam * self.tau) / self.tau  # (tau^2 - 4/lambda) / tau^2
+            if not disc > 0.0:
+                raise ComplexEigenvalues("hyperbolic boundary needs tau^2 > 4/lambda")
+            mu = 2.0 / (self.lam * self.tau) / (1.0 + math.sqrt(disc))
         elif self.kind == PARABOLIC:
             if abs(self.lam - 1.0) > _DATA_TOL or abs(self.tau - 2.0) > _DATA_TOL:
                 raise ValueError("parabolic boundary must have (lambda, tau) = (1, 2)")
+            mu = 1.0
         else:
             if not self.lam < 1.0:
                 raise ValueError("quasi-hyperbolic boundary needs lambda < 1")
             if abs(self.tau * self.tau * self.lam - 4.0) > _DATA_TOL * 4.0:
                 raise ValueError("quasi-hyperbolic boundary must satisfy tau^2 = 4/lambda")
+            mu = self.tau / 2.0
+        object.__setattr__(self, "mu", mu)
 
     @classmethod
     def hyperbolic(cls, lam: float, tau: float) -> "BoundaryData":
@@ -143,6 +156,8 @@ class PantsBD:
     def __post_init__(self):
         object.__setattr__(self, "sigma1", tuple(float(x) for x in self.sigma1))
         object.__setattr__(self, "sigma2", tuple(float(x) for x in self.sigma2))
+        object.__setattr__(self, "tplus", float(self.tplus))
+        object.__setattr__(self, "tminus", float(self.tminus))
         if len(self.sigma1) != 3 or len(self.sigma2) != 3:
             raise ValueError("sigma1 and sigma2 each need 3 entries")
         for x in (*self.sigma1, *self.sigma2, self.tplus, self.tminus):
@@ -164,29 +179,13 @@ class TorusBD:
 
 
 def middle_eigenvalue(b: BoundaryData) -> float:
-    """Middle eigenvalue mu = (tau - sqrt(tau^2 - 4/lambda)) / 2.
-
-    Parabolic data gives 1 and quasi-hyperbolic data the double root tau/2,
-    both exactly, so the degenerate strata need no discriminant arithmetic.
-    Hyperbolic data uses mu = 2 / (lambda (tau + sqrt(tau^2 - 4/lambda))),
-    since mu nu = 1/lambda, with tau factored out of the root: the sum does
-    not cancel and tau^2 cannot overflow.
-    """
-    if b.kind == PARABOLIC:
-        return 1.0
-    if b.kind == QUASI_HYPERBOLIC:
-        return b.tau / 2.0
-    disc = 1.0 - 4.0 / (b.lam * b.tau) / b.tau  # (tau^2 - 4/lambda) / tau^2
-    if disc < 0.0:
-        raise ComplexEigenvalues(
-            f"tau^2 = {b.tau * b.tau:g} is below 4/lambda = {4.0 / b.lam:g}"
-        )
-    return 2.0 / (b.lam * b.tau) / (1.0 + math.sqrt(disc))
+    """Middle eigenvalue mu = (tau - sqrt(tau^2 - 4/lambda)) / 2, as derived by BoundaryData."""
+    return b.mu
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x), finite for every finite x."""
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+def _softplus(x):
+    """log(1 + e^x), finite for every finite x (a float or an array)."""
+    return np.logaddexp(0.0, x)
 
 
 def _shears(log_lam, log_mu, log_s: float) -> tuple:
@@ -208,25 +207,34 @@ def _tau_core(sigma1, sigma2) -> float:
     return _softplus(-sigma2[1]) + _softplus(-sigma2[2]) - _softplus(sigma1[2])
 
 
+def _convert(log_lam, log_mu, log_s, log_t) -> tuple:
+    """(sigma1, sigma2, tau111(T+), tau111(T-)) from the logs of lambda_i, mu_i, s and t.
+
+    Entries are floats, or arrays of one shape for a batch of rows.
+    """
+    sigma1, sigma2 = _shears(log_lam, log_mu, log_s)
+    core = _tau_core(sigma1, sigma2)
+    return sigma1, sigma2, core - log_t, log_t + sum(log_mu) - core
+
+
 def pants_goldman_to_bd(g: PantsGoldman) -> PantsBD:
     """Convert Goldman pants parameters to Bonahon-Dreyer coordinates."""
     log_lam = [math.log(b.lam) for b in g.boundaries]
-    log_mu = [math.log(middle_eigenvalue(b)) for b in g.boundaries]
-    sigma1, sigma2 = _shears(log_lam, log_mu, math.log(g.s))
-    core, log_t = _tau_core(sigma1, sigma2), math.log(g.t)
-    return PantsBD(sigma1, sigma2, core - log_t, log_t + sum(log_mu) - core)
+    log_mu = [math.log(b.mu) for b in g.boundaries]
+    return PantsBD(*_convert(log_lam, log_mu, math.log(g.s), math.log(g.t)))
 
 
 def torus_goldman_to_bd(g: TorusGoldman) -> TorusBD:
     """Convert Goldman torus parameters to Bonahon-Dreyer coordinates.
 
     The cut-open pants has boundaries (B, C, C), forcing lambda2 = lambda3
-    and mu2 = mu3; the gluing parameters only enter the two shears along C.
+    and mu2 = mu3; the gluing parameters only enter the two shears along C,
+    (u - 3v, u + 3v): the shears (u, u) bulged by v.
     """
     pants = pants_goldman_to_bd(
         PantsGoldman((g.b, g.c, g.c), g.s, g.t)
     )
-    return TorusBD(pants, g.u - 3.0 * g.v, g.u + 3.0 * g.v)
+    return TorusBD(pants, *shear_shift(g.u, g.u, g.v))
 
 
 def all_parabolic_coords(s: float, t: float) -> tuple:
@@ -247,7 +255,7 @@ def all_parabolic_recover(sigma1_b1: float, tplus: float) -> tuple:
     return (s, t)
 
 
-def one_parabolic_residuals(bd: PantsBD, s: float) -> tuple:
+def one_parabolic_residuals(bd: PantsBD) -> tuple:
     """Residuals of the A1-parabolic stratum relations.
 
     The two relations fix sigma2(B3) and sigma2(B2), the coordinates left
@@ -262,8 +270,7 @@ def one_parabolic_residuals(bd: PantsBD, s: float) -> tuple:
     every (lambda_i, mu_i) goes to (e^{-2m} lambda_i, e^m mu_i), which keeps
     mu1^2 lambda1 but not mu1 / lambda1, while tau111(T+) + tau111(T-) =
     log(mu1 mu2 mu3) moves by 3m.  Adding s does not help, since the shears
-    already give it: sum_i (sigma1(B_i) - sigma2(B_i)) = 6 log s.  So s is
-    not used; it stays in the signature for existing callers.
+    already give it: sum_i (sigma1(B_i) - sigma2(B_i)) = 6 log s.
     """
     r1 = quasi_hyperbolic_residual(bd)
     r2 = bd.tplus + bd.tminus - bd.sigma1[2] - bd.sigma2[1]

@@ -47,3 +47,7 @@ class NonPositiveParameter(ProjKitError):
 
 class InconsistentStratum(ProjKitError):
     """Recovered parameters violate the constraints of the target stratum."""
+
+
+class NonFiniteResult(ProjKitError):
+    """A computed result is NaN or infinite, so it is not printed."""

@@ -260,7 +260,7 @@ def test_c07d_one_parabolic_residual_r1():
         worst = 0.0
         for _ in range(1000):
             g = random_pants(rng, kinds=("parabolic", "hyperbolic", "hyperbolic"))
-            r1, _ = pk.one_parabolic_residuals(pk.pants_goldman_to_bd(g), g.s)
+            r1, _ = pk.one_parabolic_residuals(pk.pants_goldman_to_bd(g))
             worst = max(worst, abs(r1))
     check(
         "C7d one-parabolic residual r1 on-stratum",
@@ -281,7 +281,7 @@ def test_c07e_one_parabolic_residual_r2():
         worst = 0.0
         for _ in range(1000):
             g = random_pants(rng, kinds=("parabolic", "hyperbolic", "hyperbolic"))
-            _, r2 = pk.one_parabolic_residuals(pk.pants_goldman_to_bd(g), g.s)
+            _, r2 = pk.one_parabolic_residuals(pk.pants_goldman_to_bd(g))
             worst = max(worst, abs(r2))
     check(
         "C7e one-parabolic residual r2 on-stratum",

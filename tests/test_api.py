@@ -13,7 +13,8 @@ from projkit import cli
 PUBLIC_NAMES = [
     "BoundaryData", "Chord", "CoincidentPoints", "ComplexEigenvalues", "ConicOval",
     "ConvexDomain", "DoubleRatios", "Flag", "GoldmanLengths", "InconsistentStratum",
-    "IsometryClass", "NonGenericFlags", "NonPositiveParameter", "NonPositiveRatio",
+    "IsometryClass", "NonFiniteResult", "NonGenericFlags", "NonPositiveParameter",
+    "NonPositiveRatio",
     "NotUnimodular", "PantsBD", "PantsGoldman", "PointOutsideDomain", "Polygon",
     "ProjKitError", "ProjLine", "ProjPoint", "RegionNotContained", "TorusBD",
     "TorusGoldman", "TripleRatio", "WrongClass", "all_parabolic_coords",

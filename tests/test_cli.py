@@ -1,13 +1,21 @@
 """CLI: dispatch, exit codes, error names, deterministic output."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projkit as pk
+from projkit import cli
 
 
 def run_cli(*args, env=None):
@@ -313,3 +321,203 @@ class TestSweepAreaBulge:
         record = json.loads(result.stdout)
         assert record["delta_sigma1"] == pytest.approx(-0.6, abs=1e-12)
         assert record["delta_sigma2"] == pytest.approx(0.6, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: 0 with finite numbers, 1 for a named domain error,
+# 2 for malformed input; stdout stays empty unless the exit code is 0
+
+
+def run_main(*argv):
+    """cli.main in this process, with captured streams: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects an option value
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+NEAR_DOUBLE_ROOT = json.dumps({
+    "surface": "pants", "s": 1, "t": 1,
+    "boundaries": [{"kind": "hyperbolic", "lambda": 0.5, "tau": 2.8284271385627746},
+                   {"kind": "parabolic"}, {"kind": "parabolic"}],
+})
+
+MIXED_PANTS = json.dumps({
+    "surface": "pants", "s": 0.7, "t": 3.1,
+    "boundaries": [{"kind": "hyperbolic", "lambda": 0.2, "tau": 5},
+                   {"kind": "quasi_hyperbolic", "lambda": 0.3},
+                   {"kind": "hyperbolic", "lambda": 0.4, "tau": 3.5}],
+})
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("convert", "--input", TORUS.replace('"parabolic"', "1")),
+            ("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, "x": [NaN, 0], '
+             '"y": [0.5, 0]}'),
+            ("convert", "--input", ALL_PARABOLIC.replace('"s": 2', '"s": NaN')),
+            ("convert", "--input", TORUS.replace('"u": 1', '"u": Infinity')),
+            ("convert", "--input", TORUS.replace('"tau": 5', '"tau": Infinity')),
+            ("bulge", "--input", '{"sigma1": NaN, "sigma2": 0, "v": 0.1}'),
+            ("bulge", "--input", '{"sigma1": 1e400, "sigma2": 0, "v": 0.1}'),
+            ("bulge", "--input", '{"sigma1": 0, "sigma2": 0, "v": 1' + "0" * 400 + "}"),
+            ("sweep", "--input", HYPERBOLIC_TORUS.replace('"lambda": 0.3', '"lambda": -Infinity')),
+        ],
+    )
+    def test_bad_input_exit_2(self, args):
+        """NaN, infinities and literals beyond the float range are malformed input,
+        rejected where the JSON is read; so is a boundary kind that is not a string."""
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: MalformedInput:")
+        assert "Traceback" not in result.stderr and "math domain" not in result.stderr
+
+    def test_non_finite_result_exit_1(self):
+        """sigma1 - v and sigma2 + v overflow: nothing is printed (it printed -inf and inf)."""
+        result = run_cli("bulge", "--input", '{"sigma1": 0, "sigma2": 0, "v": 1e308}')
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: NonFiniteResult: sigma1 is not finite\n"
+
+    def test_sweep_non_finite_writes_nothing(self):
+        """The gluing shears u -+ 3v overflow: the sweep writes no line, not even its header."""
+        record = HYPERBOLIC_TORUS.replace('"v": 0.5', '"v": 1e308')
+        code, out, err = run_main("sweep", "--input", record, "--steps", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: NonFiniteResult: sigmaC1 is not finite\n"
+
+    def test_sweep_through_double_root(self):
+        """Rows next to the double root tau^2 = 4/lambda: mu comes from the path, not
+        back from a rounded tau (this exited 1 with ComplexEigenvalues after 9,999 rows)."""
+        code, out, err = run_main("sweep", "--input", NEAR_DOUBLE_ROOT, "--steps", "10000")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[2:]
+        assert len(rows) == 10001
+        assert rows[-1].split(",")[4] == "parabolic"
+        assert all(row.split(",")[4] == "hyperbolic" for row in rows[:-1])
+
+    @pytest.mark.parametrize("record, boundary", [(MIXED_PANTS, 3), (HYPERBOLIC_TORUS, 1)],
+                             ids=["pants-A3", "torus"])
+    def test_sweep_tau_sum_against_decimal(self, record, boundary):
+        """tau111(T+) + tau111(T-) = log(mu1 mu2 mu3) on every row of a 10,000-step
+        sweep, against 50-digit decimal arithmetic along the pinching path
+        log mu = -(log lambda + log(nu0/mu0) (1 - frac)) / 2.  The sweep rebuilt tau
+        from mu and mu from tau, which lost up to 1.9e-12 near the parabolic end."""
+        code, out, _ = run_main("sweep", "--input", record, "--boundary", str(boundary),
+                                "--steps", "10000")
+        assert code == 0
+        data = json.loads(record)
+        fixed = [(b["kind"], b.get("lambda", 1.0), b.get("tau")) for b in data["boundaries"]]
+        if data["surface"] == "torus":
+            fixed = [fixed[0], fixed[1], fixed[1]]
+        index = boundary - 1
+        with localcontext() as ctx:
+            ctx.prec = 50
+            lam0, tau0 = Decimal(fixed[index][1]), Decimal(fixed[index][2])
+            mu0 = 2 / (lam0 * (tau0 + (tau0 * tau0 - 4 / lam0).sqrt()))
+            log_ratio0 = ((tau0 - mu0) / mu0).ln()
+            others = sum(_decimal_log_mu(*b) for k, b in enumerate(fixed) if k != index)
+            worst = 0.0
+            for row in out.splitlines()[2:]:
+                values = row.split(",")
+                frac, lam = Decimal(float(values[1])), Decimal(float(values[2]))
+                ref = others - (lam.ln() + log_ratio0 * (1 - frac)) / 2
+                got = Decimal(float(values[11])) + Decimal(float(values[12]))
+                worst = max(worst, float(abs(got - ref) / max(1, abs(ref))))
+        assert worst <= 1e-14
+
+
+def _decimal_log_mu(kind, lam, tau):
+    """log of the middle eigenvalue of a fixed boundary, in the current decimal context."""
+    if kind == "parabolic":
+        return Decimal(0)
+    lam = Decimal(lam)
+    if tau is None:  # quasi-hyperbolic: the double root 1 / sqrt(lambda)
+        return -lam.ln() / 2
+    tau = Decimal(tau)
+    return (2 / (lam * (tau + (tau * tau - 4 / lam).sqrt()))).ln()
+
+
+FLAGS3 = json.loads(triangle_flags_json(0.25))
+FLAGS4 = [f.to_json() for f in pk.bulging_configuration(1.0, 1.0)]
+
+# (subcommand and options, a valid JSON input); area's "input" is the values
+# of --alphas, --truncation and --cellsize
+CONTRACT_CASES = [
+    (("invariants",), FLAGS3),
+    (("invariants", "--format", "json"), FLAGS4),
+    (("classify",), [2, 1, 0, 0, 2, 0, 0, 0, 0.25]),
+    (("classify", "--format", "csv"), [1, 1, 0, 0, 1, 1, 0, 0, 1]),
+    (("distance",), {"domain": {"conic": [1, 0, 1, 0, 0, -1]}, "x": [0, 0], "y": [0.5, 0]}),
+    (("distance", "--format", "csv"),
+     {"domain": {"polygon": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}, "x": [0, 0], "y": [0, 0.5]}),
+    (("convert",), json.loads(MIXED_PANTS)),
+    (("convert", "--format", "csv"), json.loads(HYPERBOLIC_TORUS)),
+    (("sweep", "--steps", "3", "--boundary", "3"), json.loads(MIXED_PANTS)),
+    (("sweep", "--steps", "3"), json.loads(HYPERBOLIC_TORUS)),
+    (("bulge",), {"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}),
+    (("bulge", "--format", "json"), {"flags": FLAGS4, "v": 0.2}),
+    (("area",), [0.25, 2, 0.05]),
+]
+
+# JSON texts put in place of a value: non-finite and out-of-range numbers,
+# extreme magnitudes and wrong types
+LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "1e308",
+            "-1.7976931348623157e308", "5e-324", "1e-300", "0", "-0", "-1", "true", "null",
+            '"x"', '"parabolic"', "[]", "{}", "[1, 2]", '{"kind": 1}']
+
+
+def _paths(doc, prefix=()):
+    """Every position below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_exit_code_contract(data):
+    """Every subcommand, fed NaN, infinities, literals beyond the float range, extreme
+    magnitudes or wrong types anywhere in its input, exits 0, 1 or 2 without an
+    exception; stdout is empty unless it exits 0, and then every number is finite."""
+    argv, doc = data.draw(st.sampled_from(CONTRACT_CASES))
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))
+    texts = {}
+    for n in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(paths))
+        text = data.draw(st.one_of(
+            st.sampled_from(LITERALS),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        ))
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = f"@{n}@"
+        except (KeyError, IndexError, TypeError):  # an earlier change replaced this position
+            continue
+        texts[f'"@{n}@"'] = text
+    if argv[0] == "area":
+        values = [texts.get(json.dumps(v), repr(v)) for v in doc]
+        argv = argv + ("--alphas", values[0], "--truncation", values[1], "--cellsize", values[2])
+    else:
+        source = json.dumps(doc)
+        for marker, text in texts.items():
+            source = source.replace(marker, text)
+        argv = argv + ("--input", source)
+
+    code, out, err = run_main(*argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert re.match(r"error: \w+: ", err) or err.startswith("usage:")
+    else:
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out

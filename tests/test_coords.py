@@ -36,6 +36,30 @@ class TestBoundaryData:
             with pytest.raises(ValueError):
                 pk.BoundaryData.quasi_hyperbolic(lam)
 
+    def test_mu_is_derived_at_construction(self):
+        """mu is a field computed once when the data is validated; middle_eigenvalue reads it."""
+        cases = [(pk.BoundaryData.hyperbolic(0.2, 5.0), (5.0 - math.sqrt(5.0)) / 2.0),
+                 (pk.BoundaryData.quasi_hyperbolic(0.25), 2.0), (pk.BoundaryData.parabolic(), 1.0)]
+        for b, mu in cases:
+            assert b.mu == pytest.approx(mu, rel=1e-15)
+            assert pk.middle_eigenvalue(b) == b.mu
+        with pytest.raises(TypeError):
+            pk.BoundaryData(0.2, 5.0, "hyperbolic", 1.0)
+
+    def test_one_discriminant_test(self):
+        """Hyperbolic data needs 1 - 4/(lambda tau^2) > 0, tested once.  A subnormal lambda
+        made 4/lambda overflow, so the old separate test tau^2 > 4/lambda refused valid
+        data; where the rounded discriminant is 0 the data is refused as a double root
+        instead of giving mu = tau/2."""
+        lam, tau = 1.009016282185e-312, 3.1152718757129725e212
+        with localcontext() as ctx:
+            ctx.prec = 40
+            big_l, big_t = Decimal(lam), Decimal(tau)
+            ref = 2 / (big_l * (big_t + (big_t * big_t - 4 / big_l).sqrt()))
+            assert abs(Decimal(pk.BoundaryData.hyperbolic(lam, tau).mu) / ref - 1) < Decimal(1e-15)
+        with pytest.raises(pk.ComplexEigenvalues, match=r"^hyperbolic boundary needs tau\^2 > 4/lambda$"):
+            pk.BoundaryData.hyperbolic(0.013455242339538934, 17.24186473183254)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             pk.BoundaryData(0.5, 3.0, "elliptic")
@@ -174,7 +198,7 @@ class TestStratumResiduals:
                 rng, kinds=("parabolic", "hyperbolic", "hyperbolic")
             )
             bd = pk.pants_goldman_to_bd(g)
-            r1, _ = pk.one_parabolic_residuals(bd, g.s)
+            r1, _ = pk.one_parabolic_residuals(bd)
             assert abs(r1) <= 1e-12
 
     def test_r2_measures_lambda_ratio(self):
@@ -191,7 +215,7 @@ class TestStratumResiduals:
             for _ in range(200):
                 g = random_pants(rng, kinds=(kind, "hyperbolic", "hyperbolic"))
                 bd = pk.pants_goldman_to_bd(g)
-                _, r2 = pk.one_parabolic_residuals(bd, g.s)
+                _, r2 = pk.one_parabolic_residuals(bd)
                 b1, b2, b3 = g.boundaries
                 four = bd.sigma1[0] - bd.sigma2[0] + bd.sigma1[2] - bd.sigma2[1]
                 assert four - 4.0 * math.log(g.s) == pytest.approx(
@@ -212,7 +236,7 @@ class TestStratumResiduals:
                 rng.uniform(0.2, 5.0),
             )
             bd = pk.pants_goldman_to_bd(g)
-            r1, r2 = pk.one_parabolic_residuals(bd, g.s)
+            r1, r2 = pk.one_parabolic_residuals(bd)
             assert abs(r1) <= 1e-12
             assert abs(r2) <= 1e-12
 
@@ -234,12 +258,12 @@ class TestStratumResiduals:
             bd.tplus,
             bd.tminus,
         )
-        r1, _ = pk.one_parabolic_residuals(bumped, g.s)
+        r1, _ = pk.one_parabolic_residuals(bumped)
         assert r1 == pytest.approx(delta, abs=1e-12)
 
     def test_zero_bd_residuals(self):
         bd = pk.PantsBD((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0)
-        assert pk.one_parabolic_residuals(bd, 1.0) == (0.0, 0.0)
+        assert pk.one_parabolic_residuals(bd) == (0.0, 0.0)
         assert pk.quasi_hyperbolic_residual(bd) == 0.0
 
     def test_quasi_residual_vanishes_on_stratum(self):
