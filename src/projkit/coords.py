@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     ComplexEigenvalues,
     InconsistentStratum,
+    NonFiniteResult,
     NonPositiveParameter,
 )
 from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, shear_shift
@@ -234,7 +235,10 @@ def torus_goldman_to_bd(g: TorusGoldman) -> TorusBD:
     pants = pants_goldman_to_bd(
         PantsGoldman((g.b, g.c, g.c), g.s, g.t)
     )
-    return TorusBD(pants, *shear_shift(g.u, g.u, g.v))
+    shears = shear_shift(g.u, g.u, g.v)
+    if not all(map(math.isfinite, shears)):
+        raise NonFiniteResult("gluing shears are not finite")
+    return TorusBD(pants, *shears)
 
 
 def all_parabolic_coords(s: float, t: float) -> tuple:

@@ -47,15 +47,18 @@ class ConvexDomain:
     """A properly convex region of the affine chart, supporting chord queries."""
 
     def contains(self, pts, tol: float = 0.0):
-        """Interior test.
+        """Interior test: each point's depth (``_depth``, per class) exceeds ``tol``.
 
-        ``tol`` is a relative margin: positive demands points at least that
-        deep inside, negative admits the closure up to ``|tol|``.  Returns a
-        bool for a single point, a boolean array for an (n, 2) batch.
+        The depth is positive inside and 0 on the boundary, and ``tol`` is a
+        relative margin: positive demands points at least that deep inside,
+        negative admits the closure up to ``|tol|``.  Returns a bool for a
+        single point, a boolean array for an (n, 2) batch.
         """
-        raise NotImplementedError
+        pts = np.asarray(pts, dtype=float)
+        inside = self._depth(pts.reshape(-1, 2)) > tol
+        return bool(inside[0]) if pts.ndim == 1 else inside
 
-    def extreme_points(self, samples: int):
+    def extreme_points(self):
         """Points whose containment certifies containment of the region."""
         raise NotImplementedError
 
@@ -64,7 +67,8 @@ class ConvexDomain:
         raise NotImplementedError
 
     def _exits_paired(self, x, u):
-        """Forward/backward boundary parameters from x[i] along u[i]."""
+        """Forward/backward boundary parameters from x[i] along u[i], and the depth of x[i];
+        callers set the numpy error state (a direction along an edge divides by 0)."""
         raise NotImplementedError
 
 
@@ -77,10 +81,11 @@ class Polygon(ConvexDomain):
             raise ValueError("polygon needs an (n, 2) vertex array with n >= 3")
         if not np.all(np.isfinite(v)):
             raise ValueError("polygon vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
-            edges, -1, axis=0
-        )[:, 0]
+        # half edges scaled by powers of two, exact in direction: nothing below overflows
+        edges = 0.5 * np.roll(v, -1, axis=0) - 0.5 * v
+        edges = np.ldexp(edges, -np.frexp(np.abs(edges).max(axis=1))[1][:, None])
+        nxt = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if not np.all(cross > 0.0):
             raise ValueError(
                 "polygon must be strictly convex with counterclockwise vertices"
@@ -90,21 +95,18 @@ class Polygon(ConvexDomain):
         self.vertices = v
         self.normals = normals
         self.offsets = np.einsum("ij,ij->i", normals, v)
-        self.scale = float(np.max(np.abs(v))) or 1.0
+        self._scale = max(1.0, float(np.max(np.abs(v))))
         for arr in (self.vertices, self.normals, self.offsets):
             arr.setflags(write=False)
 
     def _slack(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.offsets[None, :] - pts @ self.normals.T
 
-    def contains(self, pts, tol: float = 0.0):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        result = np.min(self._slack(pts), axis=1) > tol * max(1.0, self.scale)
-        return bool(result[0]) if single else result
+    def _depth(self, pts):
+        # the least edge slack relative to the polygon's scale max(1, max |vertex|)
+        return self._slack(pts).min(axis=1) / self._scale
 
-    def extreme_points(self, samples: int):
+    def extreme_points(self):
         return self.vertices
 
     def _density(self, pts):
@@ -123,12 +125,12 @@ class Polygon(ConvexDomain):
 
     def _exits_paired(self, x, u):
         slack = self._slack(x)  # (n, E)
-        den = np.atleast_2d(u) @ self.normals.T  # (n, E)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = slack / den
-            t_fwd = np.min(np.where(den > 0.0, ratio, np.inf), axis=1)
-            t_bwd = np.min(np.where(den < 0.0, -ratio, np.inf), axis=1)
-        return t_fwd, t_bwd
+        den = u @ self.normals.T  # (n, E)
+        ratio = slack / den
+        # a NaN den (a non-finite direction) gives NaN exits, not an exit at infinity
+        t_fwd = np.where(den <= 0.0, np.inf, ratio).min(axis=1)
+        t_bwd = np.where(den >= 0.0, np.inf, -ratio).min(axis=1)
+        return t_fwd, t_bwd, slack.min(axis=1) / self._scale
 
 
 class ConicOval(ConvexDomain):
@@ -141,6 +143,8 @@ class ConicOval(ConvexDomain):
     which keeps its accuracy far from the origin.
     """
 
+    _EXTREME_SAMPLES = 256
+
     def __init__(self, coeffs):
         coeffs = tuple(float(x) for x in coeffs)
         if len(coeffs) != 6:
@@ -150,7 +154,6 @@ class ConicOval(ConvexDomain):
             raise ValueError("quadratic form does not cut out an oval (not an ellipse)")
         if a + c < 0.0:
             a, b, c, d, e, f = (-a, -b, -c, -d, -e, -f)
-        self.coeffs = (a, b, c, d, e, f)
         quad = np.array([[a, b / 2.0], [b / 2.0, c]])
         center = np.linalg.solve(2.0 * quad, -np.array([d, e]))
         # q(center) = f + (d, e) . center / 2, since 2 A center = -(d, e)
@@ -166,52 +169,43 @@ class ConicOval(ConvexDomain):
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
         cx, cy = (float(v) for v in center)
-        r2 = float(radius) ** 2
         # built in centred form: the constant term cx^2 + cy^2 - r^2 cancels
         oval = cls.__new__(cls)
-        oval.coeffs = (1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - r2)
-        oval._init_centred(np.array([cx, cy]), np.eye(2), -r2)
+        oval._init_centred(np.array([cx, cy]), np.eye(2), -float(radius) ** 2)
         return oval
 
     @classmethod
     def unit_circle(cls) -> "ConicOval":
         return cls.disk((0.0, 0.0), 1.0)
 
-    def _depth(self, d):
+    def _depth(self, pts):
         """q / q_min = 1 + d^T A d / q_min at the offsets d = x - center: positive inside."""
-        return 1.0 + np.sum((d @ self._quad) * d, axis=1) / self._qmin
+        d = pts - self.center
+        return 1.0 + ((d @ self._quad) * d).sum(axis=1) / self._qmin
 
-    def contains(self, pts, tol: float = 0.0):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        result = self._depth(np.atleast_2d(pts) - self.center) > tol
-        return bool(result[0]) if single else result
-
-    def extreme_points(self, samples: int):
+    def extreme_points(self):
         w, vecs = np.linalg.eigh(self._quad)
         radii = np.sqrt(-self._qmin / w)
-        phi = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        phi = np.linspace(0.0, 2.0 * math.pi, self._EXTREME_SAMPLES, endpoint=False)
         circle = np.stack([radii[0] * np.cos(phi), radii[1] * np.sin(phi)], axis=1)
         return self.center[None, :] + circle @ vecs.T
 
     def _density(self, pts):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
         # taking the unit disk onto {q < 0}
-        depth = self._depth(pts - self.center)
+        depth = self._depth(pts)
         return math.sqrt(np.linalg.det(self._quad)) / -self._qmin * depth ** -1.5
 
     def _exits_paired(self, x, u):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
         # a = u^T A u / -q_min; each root is taken in the form free of cancellation
-        d = np.atleast_2d(x) - self.center
-        u = np.atleast_2d(u)
         ua = (u @ self._quad) / -self._qmin
-        a = np.sum(ua * u, axis=1)
-        h = np.sum(ua * d, axis=1)
-        depth = self._depth(d)
+        a = (ua * u).sum(axis=1)
+        h = (ua * (x - self.center)).sum(axis=1)
+        depth = self._depth(x)
         w = np.abs(h) + np.sqrt(h * h + a * depth)
         near, far = depth / w, w / a
-        return np.where(h < 0.0, far, near), np.where(h < 0.0, near, far)
+        return np.where(h < 0.0, far, near), np.where(h < 0.0, near, far), depth
 
 
 @dataclass(frozen=True)
@@ -226,20 +220,20 @@ class Chord:
 
 
 def _exits(dom: ConvexDomain, direction, *points):
-    """Interior check and exit solve of the scalar chord queries.
+    """Interior check and exit solve of the scalar chord queries, in one kernel call.
 
-    One contains call checks the points x (and y); the first exterior one is
-    named in PointOutsideDomain.  Returns the points, the direction (given, or
-    y - x when None) and the exits (t+, t-) from x, meaningless for a zero one.
+    x is interior when its depth is positive, y = x + u when t+ > 1; the answer
+    comes from the same solve, so a point within rounding of the boundary is
+    decided once.  Raises PointOutsideDomain naming the first exterior point.
+    Returns the points, u (given, or y - x) and the exits (t+, t-) from x.
     """
     pts = np.array([np.asarray(p, dtype=float).reshape(2) for p in points])
-    inside = dom.contains(pts)
-    if not inside.all():
-        k = int(np.argmin(inside))
-        raise PointOutsideDomain(f"point {'xy'[k]} = {pts[k].tolist()} is not interior")
-    u = pts[1] - pts[0] if direction is None else np.asarray(direction, dtype=float).reshape(2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_fwd, t_bwd = dom._exits_paired(pts[:1], u[None, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = pts[1] - pts[0] if direction is None else np.asarray(direction, dtype=float).reshape(2)
+        t_fwd, t_bwd, depth = dom._exits_paired(pts[:1], u[None, :])
+    for k, inside in enumerate([depth[0] > 0.0, t_fwd[0] > 1.0][: len(pts)]):
+        if not inside:
+            raise PointOutsideDomain(f"point {'xy'[k]} = {pts[k].tolist()} is not interior")
     return pts, u, float(t_fwd[0]), float(t_bwd[0])
 
 
@@ -309,10 +303,10 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
     def exits(theta):
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         x = np.broadcast_to(base, u.shape)
-        t_fwd, t_bwd = dom._exits_paired(x, u)
-        # the region may touch the boundary: never leave the domain
-        rho = np.minimum(region._exits_paired(x, u)[0], t_fwd)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_fwd, t_bwd, _ = dom._exits_paired(x, u)
+            # the region may touch the boundary: never leave the domain
+            rho = np.minimum(region._exits_paired(x, u)[0], t_fwd)
             s = 0.5 * np.log(_cross_ratio(t_fwd, t_bwd, rho))
         return u, t_fwd[:, None], t_bwd[:, None], np.minimum(s, radius)
 
@@ -322,12 +316,14 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
         u, tf, tb, s_max = exits(theta)
         finite = np.isfinite(s_max)
         half = 0.5 * np.where(finite, s_max, 0.0)[:, None]
-        grow = np.exp(2.0 * half * (1.0 + radial_x))  # e^{2s}, (m, N)
-        den = tf + tb * grow
-        rho = tb * tf * (grow - 1.0) / den
-        drho = 2.0 * grow * tb * tf * (tb + tf) / (den * den)
-        density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
-        radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
+        # a radius past the float range overflows e^{2s}, and the total comes out inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.exp(2.0 * half * (1.0 + radial_x))  # e^{2s}, (m, N)
+            den = tf + tb * grow
+            rho = tb * tf * (grow - 1.0) / den
+            drho = 2.0 * grow * tb * tf * (tb + tf) / (den * den)
+            density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
+            radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
         return np.where(finite, half[:, 0] * radial, np.inf)
 
     def evaluate(rows):
@@ -349,7 +345,6 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
     rays = np.concatenate([rays, -rays])
     angles = np.arctan2(rays[:, 1], rays[:, 0]) % (2.0 * math.pi)
     edges = np.unique(np.append(angles, 2.0 * math.pi))
-    edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
     if math.isfinite(radius):
         # bisect each sign change of (region exit - radius) between breaks to rounding
         inside = exits(edges)[3] < radius
@@ -360,6 +355,7 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
             same = (exits(mid)[3] < radius) == inside[idx]
             lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         edges = np.sort(np.concatenate([edges, 0.5 * (lo + hi)]))
+    edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
 
     ends = np.ones(len(edges) - 1)
     rows = evaluate(np.stack([edges[:-1], np.diff(edges), 0.0 * ends, ends, ends, ends], axis=1))
@@ -393,7 +389,7 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
-    probes = region.extreme_points(256)
+    probes = region.extreme_points()
     if not np.all(dom.contains(probes, tol=-1e-9)):
         raise RegionNotContained("integration region is not contained in the domain")
     return _polar_area(dom, region, probes.mean(axis=0), math.inf, cellsize * cellsize)

@@ -83,8 +83,10 @@ class GoldmanLengths:
 def _check_unimodular(m: np.ndarray, det_tol: float) -> None:
     det = float(np.linalg.det(m))
     # an entrywise perturbation of size eps moves the determinant by
-    # ~ eps * ||m||^2, so the gate scales accordingly for large conjugates
-    bound = det_tol * max(1.0, float(np.sum(m * m)))
+    # ~ eps * ||m||^2, so the gate scales accordingly for large conjugates; taken as
+    # c^2 ||m / c||^2, c >= 1 a power of two, no square overflows (c * c may round to inf)
+    c = math.ldexp(1.0, max(0, math.frexp(float(np.abs(m).max()))[1] - 1))
+    bound = det_tol * max(1.0, float(np.sum(np.square(m / c))) * c * c)
     if abs(det - 1.0) > bound:
         raise NotUnimodular(f"determinant {det:.12g} is not 1 within tolerance")
 

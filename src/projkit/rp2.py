@@ -24,6 +24,17 @@ DEFAULT_GENERICITY_TOL = 1e-12
 DEFAULT_INCIDENCE_TOL = 1e-9
 
 
+def _cross(a, b) -> np.ndarray:
+    """Cross product a x b of two 3-vectors, by components in numpy's order of operations."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(v) -> float:
+    """Euclidean norm sqrt(v . v) of a vector, as numpy's vector norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def _as_vector(coords, what: str) -> np.ndarray:
     v = np.asarray(coords, dtype=float)
     if v.shape != (3,):
@@ -65,15 +76,13 @@ class ProjLine:
     def __init__(self, u, w):
         u = _as_vector(u, "line spanning vector")
         w = _as_vector(w, "line spanning vector")
-        normal = np.cross(u, w)
-        scale = np.linalg.norm(u) * np.linalg.norm(w)
-        if scale == 0.0 or np.linalg.norm(normal) <= 1e-12 * scale:
+        normal = _cross(u, w)
+        scale = _norm(u) * _norm(w)
+        if scale == 0.0 or _norm(normal) <= 1e-12 * scale:
             raise ValueError("line spanning vectors must be linearly independent")
-        for vec in (u, w, normal):
+        for name, vec in (("u", u), ("w", w), ("normal", normal)):
             vec.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "normal", normal)
+            object.__setattr__(self, name, vec)
 
     @classmethod
     def from_normal(cls, normal) -> "ProjLine":
@@ -82,10 +91,8 @@ class ProjLine:
         if not n.any():
             raise ValueError("line normal cannot be the zero vector")
         # any vector not parallel to n gives a first spanning vector
-        seed = np.zeros(3)
-        seed[int(np.argmin(np.abs(n)))] = 1.0
-        u = np.cross(n, seed)
-        return cls(u, np.cross(n, u))
+        u = _cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
+        return cls(u, _cross(n, u))
 
     def __repr__(self):
         return f"ProjLine({self.u.tolist()}, {self.w.tolist()})"
@@ -104,12 +111,8 @@ def pairing13(p: ProjPoint, line: ProjLine) -> float:
 
 def triple_det(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
     """Determinant of the matrix with columns the three point representatives."""
-    a, b, c = a.v, b.v, c.v
-    return (
-        a[0] * (b[1] * c[2] - c[1] * b[2])
-        - a[1] * (b[0] * c[2] - c[0] * b[2])
-        + a[2] * (b[0] * c[1] - c[0] * b[1])
-    )
+    x, y, z = _cross(b.v, c.v)
+    return a.v[0] * x + a.v[1] * y + a.v[2] * z  # a . (b x c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +128,7 @@ class Flag:
         if not isinstance(line, ProjLine):
             line = ProjLine(*line)
         residual = pairing13(point, line)
-        bound = tol * (
-            np.linalg.norm(point.v)
-            * np.linalg.norm(line.u)
-            * np.linalg.norm(line.w)
-        )
+        bound = tol * (_norm(point.v) * _norm(line.u) * _norm(line.w))
         if abs(residual) > bound:
             raise ValueError(
                 f"flag point does not lie on its line (residual {residual:g})"
@@ -181,9 +180,8 @@ def _unit_rule(flags, tol: float):
     of its vectors (unit points, unit line bivectors) is within ``tol`` of 0.
     """
     points = [f.point for f in flags]
-    # sqrt(v . v) is what np.linalg.norm computes for a vector, without its dispatch
-    pn = [math.sqrt(p.v.dot(p.v)) for p in points]
-    ln = [math.sqrt(f.line.normal.dot(f.line.normal)) for f in flags]
+    pn = [_norm(p.v) for p in points]
+    ln = [_norm(f.line.normal) for f in flags]
 
     def cleared(value, scale):
         return None if abs(value) / scale <= tol else value

@@ -1,10 +1,11 @@
-"""The public surface: names exported by the projkit namespace, the CLI
-subcommands and the options of each.
+"""The public surface: names exported by the projkit namespace, the public
+attributes of the domain classes, the CLI subcommands and the options of each.
 
 A change that adds, renames or removes one of them has to change this file.
 """
 
 import argparse
+import inspect
 import types
 
 import projkit as pk
@@ -27,6 +28,12 @@ PUBLIC_NAMES = [
     "triangle_area_experiment", "triple_det", "triple_ratio",
 ]
 
+# public attributes of the two domain classes; extreme_points takes no argument
+DOMAIN_ATTRIBUTES = {
+    "ConicOval": ["center", "contains", "disk", "extreme_points", "unit_circle"],
+    "Polygon": ["contains", "extreme_points", "normals", "offsets", "vertices"],
+}
+
 SUBCOMMANDS = ["area", "bulge", "classify", "convert", "distance", "invariants", "sweep"]
 
 OPTIONS = {
@@ -46,6 +53,13 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(getattr(pk, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_domain_attributes():
+    for dom in (pk.ConicOval.unit_circle(), pk.Polygon([[0, 0], [1, 0], [0, 1]])):
+        names = sorted(name for name in dir(dom) if not name.startswith("_"))
+        assert names == DOMAIN_ATTRIBUTES[type(dom).__name__]
+        assert not inspect.signature(dom.extreme_points).parameters
 
 
 def _subparsers():

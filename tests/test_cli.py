@@ -204,6 +204,28 @@ class TestDistance:
             0.5 * math.log(3.0), rel=1e-12
         )
 
+    def test_point_within_rounding_of_the_boundary(self):
+        """y within rounding of the unit circle: its containment test said interior and
+        the chord solve put the exit at y, so the distance divided by zero (a traceback)."""
+        record = {"domain": {"conic": [1, 0, 1, 0, 0, -1]},
+                  "x": [-0.34026108536292143, 0.23457715140921453],
+                  "y": [0.7556028436344767, 0.6550300319004406]}
+        code, out, err = run_main("distance", "--input", json.dumps(record))
+        assert (code, out) == (1, "")
+        assert err == ("error: PointOutsideDomain: point y = "
+                       "[0.7556028436344767, 0.6550300319004406] is not interior\n")
+
+    def test_polygon_near_the_float_range(self):
+        """A vertex at 1e308: the edge normals overflowed, x was refused and numpy
+        warnings reached stderr."""
+        result = run_cli(
+            "distance",
+            "--input",
+            '{"domain": {"polygon": [[-1,-1],[1e308,-1],[1,1],[-1,1]]}, "x": [0,0], "y": [0,0.5]}',
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "distance = 0.54930614433405489\n"
+
 
 HYPERBOLIC_TORUS = json.dumps(
     {
@@ -391,6 +413,15 @@ class TestContract:
         code, out, err = run_main("sweep", "--input", record, "--steps", "4")
         assert (code, out) == (1, "")
         assert err == "error: NonFiniteResult: sigmaC1 is not finite\n"
+
+    @pytest.mark.parametrize("argv", [("convert",), ("sweep", "--steps", "4")])
+    def test_overflowing_gluing_shears_exit_1(self, argv):
+        """u -+ 3v overflow: convert exited 2 (MalformedInput, from TorusBD's check on
+        its fields) where sweep exits 1; the input is well-formed, so both exit 1."""
+        record = HYPERBOLIC_TORUS.replace('"v": 0.5', '"v": 1e308')
+        code, out, err = run_main(*argv, "--input", record)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: NonFiniteResult: ")
 
     def test_sweep_through_double_root(self):
         """Rows next to the double root tau^2 = 4/lambda: mu comes from the path, not

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,12 @@ class TestDomains:
         assert dom.contains([0.0, 0.0])
         assert not dom.contains([2.0, 0.0])
 
+    def test_polygon_near_the_float_range(self):
+        """A vertex at 1e308: the edge normals overflowed and came out zero."""
+        dom = pk.Polygon([[-1, -1], [1e308, -1], [1, 1], [-1, 1]])
+        assert np.all(np.abs(np.linalg.norm(dom.normals, axis=1) - 1.0) <= 1e-15)
+        assert dom.contains([0.0, 0.0]) and not dom.contains([0.0, 1.5])
+
     def test_contains(self):
         sq = unit_square()
         assert sq.contains([0.0, 0.0])
@@ -147,6 +154,68 @@ class TestChord:
             tp = np.dot(c.p - x, u) / np.dot(u, u)
             tq = np.dot(c.q - x, u) / np.dot(u, u)
             assert tp < 0.0 < 1.0 < tq
+
+
+def _hexagon():
+    angles = math.pi / 3.0 * np.arange(6)
+    return np.stack([1.0 + 2.0 * np.cos(angles), -1.0 + 2.0 * np.sin(angles)], axis=1)
+
+
+# each case is a domain and what places its boundary points, by a parameter a in
+# [0, 1): a conic's m, shift, c and r give m (c + r e^{2 pi i a}) + shift, and a
+# polygon's vertices give the point at a share a of its perimeter's edges
+_ELLIPSE = (np.array([[1.0, 0.5], [-0.3, 1.2]]), np.array([0.3, -0.2]), (0.2, 0.1), 0.5)
+NEAR_BOUNDARY_DOMAINS = [
+    (unit_circle(), np.eye(2), np.zeros(2), (0.0, 0.0), 1.0),
+    (pk.ConicOval.disk((3.0, -2.0), 0.7), np.eye(2), np.zeros(2), (3.0, -2.0), 0.7),
+    (affine_disk(*_ELLIPSE), *_ELLIPSE),
+    (unit_square(), np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])),
+    (standard_triangle(), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    (pk.Polygon(_hexagon()), _hexagon()),
+]
+
+
+def _boundary_point(case, a):
+    if isinstance(case[0], pk.Polygon):
+        verts = case[1]
+        i, s = divmod(a * len(verts), 1.0)
+        i = int(i)
+        return verts[i] + s * (verts[(i + 1) % len(verts)] - verts[i]), verts.mean(axis=0)
+    _, m, shift, c, r = case
+    phi = 2.0 * math.pi * a
+    c = np.asarray(c)
+    return m @ (c + r * np.array([math.cos(phi), math.sin(phi)])) + shift, m @ c + shift
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(
+    st.integers(0, len(NEAR_BOUNDARY_DOMAINS) - 1),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 0.95),
+    st.integers(-4, 4),
+)
+def test_near_boundary_chord_and_distance_agree(k, a, f, ulps):
+    """y a boundary point moved -4..4 ulps along the chord from an interior x:
+    chord and hilbert_distance both raise PointOutsideDomain or both answer,
+    with a finite distance.  They decided y apart (a containment test and
+    then the exit solve), and a y within rounding of the boundary gave
+    ZeroDivisionError or a math domain error."""
+    case = NEAR_BOUNDARY_DOMAINS[k]
+    dom = case[0]
+    y, centre = _boundary_point(case, a)
+    x = centre + f * (_boundary_point(case, (a + 0.5) % 1.0)[0] - centre)
+    for _ in range(abs(ulps)):  # outwards for ulps > 0
+        y = np.nextafter(y, y + math.copysign(1.0, ulps) * (y - x))
+    answers = []
+    for query in (pk.chord, pk.hilbert_distance):
+        try:
+            answers.append(query(dom, x, y))
+        except pk.PointOutsideDomain:
+            answers.append(None)
+    assert (answers[0] is None) == (answers[1] is None)
+    if answers[1] is not None:
+        assert math.isfinite(answers[1]) and answers[1] > 0.0
+        assert np.all(np.isfinite(answers[0].p)) and np.all(np.isfinite(answers[0].q))
 
 
 class TestDistance:
@@ -403,6 +472,23 @@ class TestTriangleExperiment:
         assert pk.busemann_area(dom, pk.Polygon(clipped), h) == pytest.approx(direct, rel=1e-9)
         mirrored = pk.Polygon(clipped[::-1, ::-1])
         assert pk.busemann_area(dom, mirrored, h) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("truncation", [18.0, 25.0, 40.0, 1e300])
+    def test_large_truncation_is_untruncated_area(self, truncation):
+        """Beyond radius ~17 the truncation leaves out nothing at this tolerance.  A
+        bisected break then fell within e^-36 rad of a vertex direction, after the
+        narrow-panel filter, and its nodes met the boundary: the area was inf."""
+        area = pk.triangle_area_experiment(0.25, truncation, 0.05)
+        ideal = pk.Polygon([[0.0, 0.5], [0.25, 0.0], [0.5, 0.5]])
+        assert area == pytest.approx(pk.busemann_area(standard_triangle(), ideal, 0.05), rel=1e-9)
+
+    @pytest.mark.parametrize("truncation", [1e308, 1.7976931348623157e308])
+    def test_radius_past_the_float_range_without_warnings(self, truncation):
+        """e^{2s} overflows along the rays: the area is inf (the CLI's NonFiniteResult),
+        and numpy's overflow and invalid-value warnings no longer reach stderr."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pk.triangle_area_experiment(5e-324, truncation, 0.05) == math.inf
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,16 @@ class TestClassify:
                 with pytest.raises(ValueError, match="NaN or infinite"):
                     pk.classify(m)
 
+    def test_det_gate_does_not_overflow(self):
+        """||m||^2 of diag(1e200, 1, 1e-200) overflowed in the det gate with a numpy
+        warning on stderr.  Which class comes out is not what this test checks."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = pk.classify(np.diag([1e200, 1.0, 1e-200]))
+        assert c.kind in ("hyperbolic", "quasi_hyperbolic", "parabolic", "other")
+        with pytest.raises(pk.NotUnimodular):
+            pk.classify(np.diag([1e100, 1e100, 1.0]))
+
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
