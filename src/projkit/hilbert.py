@@ -260,7 +260,11 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     (x, y), _, t_fwd, t_bwd = _exits(dom, None, x, y)
     if np.array_equal(x, y):
         return 0.0
-    return 0.5 * math.log(_cross_ratio(t_fwd, t_bwd, 1.0))
+    # The cross ratio less 1 is z = (t+ + t-) / (t- (t+ - 1)).  Below z = 1,
+    # log1p(z) keeps short distances to rounding, where the log of the rounded
+    # cross ratio loses eps / |y - x|; from z = 1 on that log loses nothing.
+    z = (1.0 + t_fwd / t_bwd) / (t_fwd - 1.0)
+    return 0.5 * (math.log1p(z) if z < 1.0 else math.log(_cross_ratio(t_fwd, t_bwd, 1.0)))
 
 
 def finsler_norm(dom: ConvexDomain, x, direction) -> float:

@@ -36,6 +36,9 @@ DET_TOL = 1e-9
 # tol^(1/3) scales respectively.
 DEFAULT_CLASSIFY_TOL = 1e-8
 
+_EYE = np.eye(3)
+_TWO_PI_3 = 2.0 * math.pi / 3.0
+
 
 @dataclass(frozen=True)
 class IsometryClass:
@@ -80,19 +83,114 @@ class GoldmanLengths:
     hilbert_length: float
 
 
-def _check_unimodular(m: np.ndarray, det_tol: float) -> None:
-    det = float(np.linalg.det(m))
-    # an entrywise perturbation of size eps moves the determinant by
-    # ~ eps * ||m||^2, so the gate scales accordingly for large conjugates; taken as
-    # c^2 ||m / c||^2, c >= 1 a power of two, no square overflows (c * c may round to inf)
-    c = math.ldexp(1.0, max(0, math.frexp(float(np.abs(m).max()))[1] - 1))
-    bound = det_tol * max(1.0, float(np.sum(np.square(m / c))) * c * c)
-    if abs(det - 1.0) > bound:
-        raise NotUnimodular(f"determinant {det:.12g} is not 1 within tolerance")
+def _unit_exponent(entries) -> int:
+    """The least e >= 0 with max |entry| < 2^(e+1): entries / 2^e stay below 2 in size."""
+    return max(0, math.frexp(max(map(abs, entries)))[1] - 1)
 
 
-def _rank(m: np.ndarray, threshold: float) -> int:
-    return int(np.sum(np.linalg.svd(m, compute_uv=False) > threshold))
+def _char_poly(entries, e: int):
+    """(a, b, d) of det(xI - m / 2^e) = x^3 - a x^2 + b x - d, each correctly rounded.
+
+    a is the trace, b the sum of the principal 2x2 minors, d the determinant.
+    Every entry is a binary fraction n / 2^k, so over a common denominator all
+    three are exact integers, and int / int rounds each once.  In floating
+    point a conjugate P n P^-1 with cond(P) = kappa loses eps kappa^2 in b and d
+    to cancellation, as much as a backward stable eigenvalue solver does.
+    """
+    ratios = [x.as_integer_ratio() for x in entries]
+    k = max(den for _, den in ratios).bit_length() - 1
+    n00, n01, n02, n10, n11, n12, n20, n21, n22 = [
+        num << (k + 1 - den.bit_length()) for num, den in ratios]
+    s = k + e
+    k0 = n11 * n22 - n12 * n21
+    return ((n00 + n11 + n22) / (1 << s),
+            (n00 * n11 - n01 * n10 + n00 * n22 - n02 * n20 + k0) / (1 << 2 * s),
+            (n00 * k0 - n01 * (n10 * n22 - n12 * n20) + n02 * (n10 * n21 - n11 * n20))
+            / (1 << 3 * s))
+
+
+def _symmetric_max_eigenvalue(s00, s11, s22, s01, s02, s12) -> float:
+    """Largest eigenvalue of a symmetric 3x3 matrix, in closed form (trigonometric).
+
+    With q = tr S / 3 and w the rms size of S - qI, the eigenvalues are
+    q + 2w cos(phi + 2 pi k / 3), 3 phi = acos(det((S - qI) / w) / 2); the
+    largest (k = 0) is well conditioned.
+    """
+    q = (s00 + s11 + s22) / 3.0
+    d0, d1, d2 = s00 - q, s11 - q, s22 - q
+    w2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12)) / 6.0
+    if w2 == 0.0:
+        return q
+    w = math.sqrt(w2)
+    d0, d1, d2, s01, s02, s12 = d0 / w, d1 / w, d2 / w, s01 / w, s02 / w, s12 / w
+    half_det = 0.5 * (d0 * (d1 * d2 - s12 * s12) - s01 * (s01 * d2 - s12 * s02)
+                      + s02 * (s01 * s12 - d1 * s02))
+    return q + 2.0 * w * math.cos(math.acos(max(-1.0, min(1.0, half_det))) / 3.0)
+
+
+def _newton(x, a, b, d, gap):
+    """One Newton step on x^3 - a x^2 + b x - d from the root estimate x.
+
+    The step is taken only when it is small against ``gap``, the distance to the
+    nearest other root: there x is a simple root at working precision.  Near a
+    double root the step is of the order of the gap and would move the pair
+    together, so it is not taken.
+    """
+    slope = (3.0 * x - 2.0 * a) * x + b
+    if slope == 0.0:
+        return x
+    step = (((x - a) * x + b) * x - d) / slope
+    return x - step if 8.0 * abs(step) <= gap else x
+
+
+def _cubic_roots(a, b, d):
+    """Roots of x^3 - a x^2 + b x - d.
+
+    Returns three reals in descending order, or a real root and a complex pair
+    (re + i im, re - i im) with im > 0.  With x = y + a/3 the cubic is
+    y^3 + p y + q.  Three real roots (h <= 0) come from the trigonometric
+    form; otherwise Cardano's real root, taken without cancellation, deflates
+    the cubic to a quadratic for the pair.  Simple roots get one Newton step.
+    All coefficients are of size <= ~50 (entries below 2), so nothing overflows.
+    """
+    s = a / 3.0
+    p = b - a * s
+    q = (b - 2.0 * s * s) * s - d
+    h = 0.25 * q * q + p * p * p / 27.0
+    if h <= 0.0:
+        # p >= 0 here only when p^3 underflows: the roots are then s to working precision
+        r = math.sqrt(-p / 3.0) if p < 0.0 else 0.0
+        if r == 0.0:
+            return (s, s, s)
+        # |q / 2| <= r^3 here; dividing by r three times cannot underflow to a zero divisor
+        phi = math.acos(max(-1.0, min(1.0, -0.5 * q / r / r / r))) / 3.0
+        x = [s + 2.0 * r * math.cos(phi - _TWO_PI_3 * k) for k in (0, 1, 2)]
+        x = [_newton(x[k], a, b, d, min(abs(x[k] - x[k - 1]), abs(x[k] - x[k - 2])))
+             for k in (0, 1, 2)]
+        x.sort(reverse=True)
+        return tuple(x)
+    u = math.copysign((0.5 * abs(q) + math.sqrt(h)) ** (1.0 / 3.0), -q)
+    v = -p / (3.0 * u)
+    # the pair sits at s - (u + v) / 2 +- i sqrt(3) (u - v) / 2
+    x1 = _newton(s + u + v, a, b, d, math.hypot(1.5 * (u + v), 0.8660254037844386 * (u - v)))
+    # deflate to x^2 - sigma x + pi; pi from the end that does not cancel
+    sigma = a - x1
+    pi = d / x1 if x1 * x1 >= abs(b - x1 * sigma) else b - x1 * sigma
+    half = 0.5 * sigma
+    disc = half * half - pi
+    if disc < 0.0:
+        im = math.sqrt(-disc)
+        return (x1, complex(half, im), complex(half, -im))
+    r2 = half + math.copysign(math.sqrt(disc), half)
+    r3 = pi / r2 if r2 != 0.0 else 0.0
+    return tuple(sorted((x1, r2, r3), reverse=True))
+
+
+def _ranks(stack: np.ndarray, thresholds) -> list:
+    """Numerical ranks of a stack of matrices, each the count of its singular values
+    above its threshold, from one SVD call."""
+    return [sum(sv > thr for sv in row) for row, thr in
+            zip(np.linalg.svd(stack, compute_uv=False).reshape(-1, 3).tolist(), thresholds)]
 
 
 def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> IsometryClass:
@@ -105,64 +203,98 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
 
     Raises :class:`NotUnimodular` when det(m) deviates from 1 by more than
     ``det_tol`` relatively.
+
+    Everything before the rank tests is scalar Python arithmetic on m / c,
+    c >= 1 a power of two, so that nothing overflows: the characteristic
+    polynomial x^3 - a x^2 + b x - d with a, b and d correctly rounded (d is
+    the det gate's determinant), its roots and ||m||_2 in closed form.  The
+    rank tests make one SVD call each.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    entries = m.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise ValueError("matrix has NaN or infinite entries")
-    _check_unimodular(m, det_tol)
+    e = _unit_exponent(entries)
+    c = math.ldexp(1.0, e)
+    ci = 1.0 / c
+    p00, p01, p02, p10, p11, p12, p20, p21, p22 = (x * ci for x in entries)
+    trace, minors, d = _char_poly(entries, e)
 
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    # det gate |det m - 1| <= det_tol max(1, ||m||_F^2), divided through by c^3: an
+    # entrywise perturbation of size eps moves the determinant by ~ eps ||m||^2
+    frob2 = (p00 * p00 + p01 * p01 + p02 * p02 + p10 * p10 + p11 * p11 + p12 * p12
+             + p20 * p20 + p21 * p21 + p22 * p22)
+    ci3 = ci * ci * ci
+    if abs(d - ci3) > det_tol * max(ci3, frob2 * ci):
+        raise NotUnimodular(f"determinant {d * c * c * c:.12g} is not 1 within tolerance")
+
+    # ||m / c||_2 from the largest eigenvalue of (m / c)^T (m / c)
+    norm2 = math.sqrt(_symmetric_max_eigenvalue(
+        p00 * p00 + p10 * p10 + p20 * p20, p01 * p01 + p11 * p11 + p21 * p21,
+        p02 * p02 + p12 * p12 + p22 * p22, p00 * p01 + p10 * p11 + p20 * p21,
+        p00 * p02 + p10 * p12 + p20 * p22, p01 * p02 + p11 * p12 + p21 * p22))
+    # the thresholds of max(1, ||m||_2), in units of c
+    scale = max(ci, norm2)
     rank_thr = tol * scale
     pair_tol = math.sqrt(tol) * scale
     triple_tol = tol ** (1.0 / 3.0) * scale
 
-    eig = np.linalg.eigvals(m)
+    roots = _cubic_roots(trace, minors, d)
+    complex_pair = isinstance(roots[1], complex)
 
     # Full Jordan block at eigenvalue 1: rank(m - I) = 2 and rank((m - I)^2) = 1.
     # The second rank test separates true unipotents from nearby diagonalizable
     # matrices whose spectrum merely clusters at 1 within triple_tol.
-    if np.all(np.abs(eig - 1.0) <= triple_tol):
-        n = m - np.eye(3)
-        if _rank(n, rank_thr) == 2 and _rank(n @ n, rank_thr) == 1:
+    if all(abs(z - ci) <= triple_tol for z in roots):
+        # in units of c, (m - I)^2 is (n @ n) c^2 and its threshold stays tol ||m||
+        n = (m - _EYE) * ci
+        if _ranks(np.array((n, n @ n)), (rank_thr, rank_thr * ci)) == [2, 1]:
             return IsometryClass.parabolic()
 
-    if np.any(np.abs(eig.imag) > pair_tol):
-        return IsometryClass.other(eigenvalues=tuple(sorted(eig, key=lambda z: -abs(z))))
+    if complex_pair:
+        if roots[1].imag > pair_tol:
+            eig = (roots[1] * c, roots[2] * c, complex(roots[0] * c))
+            return IsometryClass.other(eigenvalues=tuple(sorted(eig, key=lambda z: -abs(z))))
+        roots = sorted((roots[0], roots[1].real, roots[2].real), reverse=True)
+    l1, l2, l3 = roots
+    vals = (l1 * c, l2 * c, l3 * c)
+    if l3 <= 0.0 or d <= 0.0:
+        return IsometryClass.other(eigenvalues=vals)
 
-    vals = np.sort(eig.real)[::-1]
-    a, b, c = (float(x) for x in vals)
-    if c <= 0.0:
-        return IsometryClass.other(eigenvalues=(a, b, c))
-
-    gap_ab, gap_bc = a - b, b - c
-    if min(gap_ab, gap_bc) > pair_tol:
+    gap_12, gap_23 = l1 - l2, l2 - l3
+    if min(gap_12, gap_23) > pair_tol:
         # ordering and positivity established above; skip the constructor's
         # product check, which is tighter than the det gate for noisy input
-        return IsometryClass(HYPERBOLIC, eigenvalues=(a, b, c))
+        return IsometryClass(HYPERBOLIC, eigenvalues=vals)
 
-    if gap_ab <= pair_tol:
-        mu, nu = 0.5 * (a + b), c
+    # Decisions are taken at the mean of the merged pair, as the rank test always
+    # was.  The reported mu is sqrt(d / nu): the simple root nu is accurate to
+    # rounding and mu^2 nu = d keeps mu so, where the mean of a split pair is
+    # good to sqrt(eps) only.
+    if gap_12 <= pair_tol:
+        mean, nu = 0.5 * (l1 + l2), l3
     else:
-        mu, nu = 0.5 * (b + c), a
-    if abs(mu - nu) <= pair_tol:
+        mean, nu = 0.5 * (l2 + l3), l1
+    if abs(mean - nu) <= pair_tol:
         # near-triple spectrum away from 1; det 1 rules out an exact instance
-        return IsometryClass.other(eigenvalues=(a, b, c))
+        return IsometryClass.other(eigenvalues=vals)
 
     # A Jordan block at mu leaves exactly one singular value of m - mu*I near
     # zero, and the block structure suppresses the O(sqrt(eps)) eigenvalue
     # split to O(eps) there, so the plain rank threshold is reliable.
-    jordan_rank = _rank(m - mu * np.eye(3), rank_thr)
+    (jordan_rank,) = _ranks(m * ci - mean * _EYE, (rank_thr,))
     if jordan_rank == 2:
-        return IsometryClass(QUASI_HYPERBOLIC, mu=mu, nu=nu, jordan_at_larger=mu > nu)
+        mu = math.sqrt(d / nu)
+        return IsometryClass(QUASI_HYPERBOLIC, mu=mu * c, nu=nu * c, jordan_at_larger=mu > nu)
     if jordan_rank == 1:
         # diagonalizable repeated eigenvalue: not an isometry of the trichotomy
-        return IsometryClass.other(eigenvalues=(a, b, c))
+        return IsometryClass.other(eigenvalues=vals)
     # eigenvalues merged by tolerance but no Jordan structure present
-    if a > b > c:
-        return IsometryClass(HYPERBOLIC, eigenvalues=(a, b, c))
-    return IsometryClass.other(eigenvalues=(a, b, c))
+    if l1 > l2 > l3:
+        return IsometryClass(HYPERBOLIC, eigenvalues=vals)
+    return IsometryClass.other(eigenvalues=vals)
 
 
 def goldman_lengths(c: IsometryClass) -> GoldmanLengths:

@@ -30,9 +30,18 @@ def _cross(a, b) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+# |v| in [2^-500, 2^500]: v . v neither overflows nor loses digits to underflow
+_NORM_MIN, _NORM_MAX = math.ldexp(1.0, -500), math.ldexp(1.0, 500)
+
+
 def _norm(v) -> float:
-    """Euclidean norm sqrt(v . v) of a vector, as numpy's vector norm computes it."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a 3-vector: sqrt(v . v), as numpy's vector norm computes it.
+
+    Where v . v would leave the normal range, ``math.hypot`` gives the norm
+    instead; it scales internally, so it neither overflows nor warns.
+    """
+    h = math.hypot(*v.tolist())
+    return math.sqrt(v.dot(v)) if _NORM_MIN <= h <= _NORM_MAX else h
 
 
 def _as_vector(coords, what: str) -> np.ndarray:

@@ -1,13 +1,53 @@
 """Isometry classification, Goldman lengths, and the bulging deformation."""
 
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import projkit as pk
 from conftest import NORMAL_FORMS, random_conjugator
+
+EPS = 2.0**-52
+
+
+def conjugate(rng, m, kappa):
+    """P m P^-1 with P = Q1 diag(1, sqrt(kappa), kappa) Q2, Q1 and Q2 random orthogonal."""
+    q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    s = np.array([1.0, math.sqrt(kappa), kappa])
+    return (q1 * s) @ q2 @ m @ q2.T @ (q1 / s).T
+
+
+def exact_char_poly(m):
+    """(a, b, d) of det(xI - m) = x^3 - a x^2 + b x - d for the float matrix m, exactly."""
+    e = [[Fraction(x) for x in row] for row in np.asarray(m).tolist()]
+    k0 = e[1][1] * e[2][2] - e[1][2] * e[2][1]
+    a = e[0][0] + e[1][1] + e[2][2]
+    b = e[0][0] * e[1][1] - e[0][1] * e[1][0] + e[0][0] * e[2][2] - e[0][2] * e[2][0] + k0
+    d = (e[0][0] * k0 - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+         + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+    return a, b, d
+
+
+def decimal_root(coefs, x0, digits=50):
+    """The root of x^3 - a x^2 + b x - d that Newton's method reaches from x0, to ``digits``."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        a, b, d = (Decimal(c.numerator) / Decimal(c.denominator) for c in coefs)
+        x = Decimal(x0)
+        for _ in range(100):
+            step = (((x - a) * x + b) * x - d) / ((3 * x - 2 * a) * x + b)
+            x -= step
+            if abs(step) <= abs(x) * Decimal(10) ** -(digits + 5):
+                break
+        return x
 
 
 class TestClassify:
@@ -71,7 +111,10 @@ class TestClassify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = pk.classify(np.diag([1e200, 1.0, 1e-200]))
-        assert c.kind in ("hyperbolic", "quasi_hyperbolic", "parabolic", "other")
+            assert c.kind in ("hyperbolic", "quasi_hyperbolic", "parabolic", "other")
+            # det 1e400 overflowed to inf, and inf > inf let it through the gate
+            with pytest.raises(pk.NotUnimodular):
+                pk.classify(np.diag([1e200, 1e200, 1.0]))
         with pytest.raises(pk.NotUnimodular):
             pk.classify(np.diag([1e100, 1e100, 1.0]))
 
@@ -88,6 +131,95 @@ class TestClassify:
                 elif kind == "quasi_hyperbolic":
                     assert c.mu == pytest.approx(2.0, rel=1e-6)
                     assert c.nu == pytest.approx(0.25, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+    def test_hyperbolic_eigenvalues_are_roots_of_the_input(self, kappa):
+        """Reported eigenvalues are within 10 eps kappa^2 (relative) of the roots of
+        the float input's own characteristic polynomial, taken to 50 digits by
+        Newton's method from the normal form's eigenvalues 2, 1, 1/2.  Conjugates
+        that come out quasi-hyperbolic carry no eigenvalues: the class decision at
+        large kappa is the thresholds' business, not this test's."""
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(40):
+            m = conjugate(rng, NORMAL_FORMS["hyperbolic"], kappa)
+            c = pk.classify(m)
+            if c.eigenvalues is None:
+                continue
+            coefs = exact_char_poly(m)
+            for got, start in zip(c.eigenvalues, (2.0, 1.0, 0.5)):
+                ref = decimal_root(coefs, start)
+                assert abs(Decimal(got) - ref) <= Decimal(10.0 * EPS * kappa**2) * ref
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+    def test_quasi_hyperbolic_mu_from_the_determinant(self, kappa):
+        """mu = sqrt(det / nu) to 1e-12, with det the input's exact determinant:
+        mu comes from the simple root nu, not from the mean of the split pair."""
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(40):
+            m = conjugate(rng, NORMAL_FORMS["quasi_hyperbolic"], kappa)
+            c = pk.classify(m)
+            if c.kind != "quasi_hyperbolic":
+                continue
+            det = float(exact_char_poly(m)[2])
+            assert c.mu == pytest.approx(math.sqrt(det / c.nu), rel=1e-12)
+            assert c.jordan_at_larger is (c.mu > c.nu)
+            checked += 1
+        assert checked >= 30
+
+
+def _product(factors):
+    m = np.eye(3)
+    with np.errstate(all="ignore"):
+        for f in factors:
+            m = m @ f
+    return m
+
+
+_MAGNITUDES = st.floats(5e-324, sys.float_info.max) | st.just(0.0)
+_ENTRIES = st.builds(lambda x, sign: sign * x, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
+_FACTORS = st.sampled_from(
+    list(NORMAL_FORMS.values())
+    + [np.diag([1e200, 1.0, 1e-200]), np.diag([1e8, 1.0, 1e-8]), np.eye(3)[[1, 2, 0]]]
+) | st.builds(lambda t: np.array([[math.cos(t), -math.sin(t), 0.0],
+                                  [math.sin(t), math.cos(t), 0.0], [0.0, 0.0, 1.0]]),
+              st.floats(0.0, 6.3)) | st.builds(
+    lambda k, seed: conjugate(np.random.default_rng(seed), np.diag([4.0, 1.0, 0.25]), k),
+    st.floats(1.0, 1e8), st.integers(0, 2**16))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(_ENTRIES, min_size=9, max_size=9).map(lambda v: np.array(v).reshape(3, 3))
+    | st.lists(_FACTORS, min_size=1, max_size=4).map(_product).filter(
+        lambda m: np.all(np.isfinite(m)))
+)
+@example(np.diag([1e200, 1e200, 1.0]))
+@example(np.diag([1e200, 1.0, 1e-200]))
+@example(np.full((3, 3), 1.7e308))
+@example(np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1.0], [1e-200, 0.0, 0.0]]))
+def test_classify_total_on_finite_matrices(m):
+    """Any finite 3x3 matrix gives an IsometryClass or NotUnimodular, with no
+    numpy warning and no other exception, and the det gate decides as
+    |det m - 1| <= DET_TOL max(1, ||m||_F^2) does in exact arithmetic (within a
+    factor of 2 of the bound, where rounding may decide either way)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            c = pk.classify(m)
+        except pk.NotUnimodular:
+            c = None
+    assert c is None or c.kind in ("hyperbolic", "quasi_hyperbolic", "parabolic", "other")
+    e = [Fraction(x) for x in m.ravel().tolist()]
+    det = exact_char_poly(m)[2]
+    bound = Fraction(pk.isometry.DET_TOL) * max(1, sum(x * x for x in e))
+    if c is None:
+        assert abs(det - 1) > bound / 2
+    else:
+        assert abs(det - 1) <= 2 * bound
 
 
 class TestGoldmanLengths:

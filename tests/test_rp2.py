@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             line([1, 2, 3], [2, 4, 6])
 
+    def test_line_beyond_the_square_root_of_the_float_range(self):
+        """|u|^2 overflowed for coordinates past ~1.3e154, so the independence test
+        compared inf with inf and refused the line, with a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = line([1e160, 0, 0], [0, 1, 0])
+        assert l.normal.tolist() == [0.0, 0.0, 1e160]
+
     def test_flag_requires_incidence(self):
         with pytest.raises(ValueError):
             pk.Flag(point(1, 0, 0), line([0, 1, 0], [0, 0, 1]))
@@ -157,9 +166,10 @@ class TestGenericity:
 def _unit_reference(flags):
     """|pairing| of every point with every other flag's line and |det| of every
     point triple, on unit representatives, from LAPACK determinants of
-    norm-scaled columns: each point over its norm, each line by an orthonormal
-    basis of its span (a unit bivector)."""
-    points = [f.point.v / np.linalg.norm(f.point.v) for f in flags]
+    norm-scaled columns: each point over its norm (``math.hypot``, which
+    neither overflows nor underflows), each line by an orthonormal basis of
+    its span (a unit bivector)."""
+    points = [f.point.v / math.hypot(*f.point.v) for f in flags]
     bases = [np.linalg.qr(np.column_stack([f.line.u, f.line.w]))[0] for f in flags]
     n = len(flags)
     pairings = [abs(np.linalg.det(np.column_stack([points[i], bases[j]])))
