@@ -242,7 +242,6 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     triple_tol = tol ** (1.0 / 3.0) * scale
 
     roots = _cubic_roots(trace, minors, d)
-    complex_pair = isinstance(roots[1], complex)
 
     # Full Jordan block at eigenvalue 1: rank(m - I) = 2 and rank((m - I)^2) = 1.
     # The second rank test separates true unipotents from nearby diagonalizable
@@ -253,7 +252,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
         if _ranks(np.array((n, n @ n)), (rank_thr, rank_thr * ci)) == [2, 1]:
             return IsometryClass.parabolic()
 
-    if complex_pair:
+    if isinstance(roots[1], complex):
         if roots[1].imag > pair_tol:
             eig = (roots[1] * c, roots[2] * c, complex(roots[0] * c))
             return IsometryClass.other(eigenvalues=tuple(sorted(eig, key=lambda z: -abs(z))))
