@@ -148,10 +148,14 @@ def _cubic_roots(a, b, d):
 
     Returns three reals in descending order, or a real root and a complex pair
     (re + i im, re - i im) with im > 0.  With x = y + a/3 the cubic is
-    y^3 + p y + q.  Three real roots (h <= 0) come from the trigonometric
-    form; otherwise Cardano's real root, taken without cancellation, deflates
-    the cubic to a quadratic for the pair.  Simple roots get one Newton step.
-    All coefficients are of size <= ~50 (entries below 2), so nothing overflows.
+    y^3 + p y + q.  One simple root x1 comes first: with three real roots
+    (h <= 0) the one farthest from the other two, from the trigonometric
+    form, otherwise Cardano's real root, taken without cancellation.  It
+    deflates the cubic to x^2 - sigma x + pi, pi = d / x1, with sigma from
+    whichever of a and b does not cancel, and a stable quadratic gives the
+    other two, so a root far smaller than x1 keeps its relative accuracy.
+    Simple roots get one Newton step.  All coefficients are of size <= ~50
+    (entries below 2), so nothing overflows.
     """
     s = a / 3.0
     p = b - a * s
@@ -164,26 +168,32 @@ def _cubic_roots(a, b, d):
             return (s, s, s)
         # |q / 2| <= r^3 here; dividing by r three times cannot underflow to a zero divisor
         phi = math.acos(max(-1.0, min(1.0, -0.5 * q / r / r / r))) / 3.0
-        x = [s + 2.0 * r * math.cos(phi - _TWO_PI_3 * k) for k in (0, 1, 2)]
-        x = [_newton(x[k], a, b, d, min(abs(x[k] - x[k - 1]), abs(x[k] - x[k - 2])))
-             for k in (0, 1, 2)]
-        x.sort(reverse=True)
-        return tuple(x)
-    u = math.copysign((0.5 * abs(q) + math.sqrt(h)) ** (1.0 / 3.0), -q)
-    v = -p / (3.0 * u)
-    # the pair sits at s - (u + v) / 2 +- i sqrt(3) (u - v) / 2
-    x1 = _newton(s + u + v, a, b, d, math.hypot(1.5 * (u + v), 0.8660254037844386 * (u - v)))
-    # deflate to x^2 - sigma x + pi; pi from the end that does not cancel
-    sigma = a - x1
-    pi = d / x1 if x1 * x1 >= abs(b - x1 * sigma) else b - x1 * sigma
+        y = [2.0 * r * math.cos(phi - _TWO_PI_3 * k) for k in (0, 1, 2)]
+        gaps = [min(abs(y[k] - y[k - 1]), abs(y[k] - y[k - 2])) for k in (0, 1, 2)]
+        k = max((0, 1, 2), key=gaps.__getitem__)
+        x1, gap = s + y[k], gaps[k]
+    else:
+        u = math.copysign((0.5 * abs(q) + math.sqrt(h)) ** (1.0 / 3.0), -q)
+        v = -p / (3.0 * u)
+        # the pair sits at s - (u + v) / 2 +- i sqrt(3) (u - v) / 2
+        x1, gap = s + u + v, math.hypot(1.5 * (u + v), 0.8660254037844386 * (u - v))
+    x1 = _newton(x1, a, b, d, gap)
+    if x1 == 0.0:
+        sigma, pi = a, b
+    else:
+        pi = d / x1
+        sigma = (b - pi) / x1 if x1 * x1 >= abs(pi) else a - x1
     half = 0.5 * sigma
     disc = half * half - pi
     if disc < 0.0:
         im = math.sqrt(-disc)
         return (x1, complex(half, im), complex(half, -im))
-    r2 = half + math.copysign(math.sqrt(disc), half)
-    r3 = pi / r2 if r2 != 0.0 else 0.0
-    return tuple(sorted((x1, r2, r3), reverse=True))
+    x2 = half + math.copysign(math.sqrt(disc), half)
+    x3 = pi / x2 if x2 != 0.0 else 0.0
+    split = abs(x2 - x3)
+    x2 = _newton(x2, a, b, d, min(split, abs(x2 - x1)))
+    x3 = _newton(x3, a, b, d, min(split, abs(x3 - x1)))
+    return tuple(sorted((x1, x2, x3), reverse=True))
 
 
 def _ranks(stack: np.ndarray, thresholds) -> list:
