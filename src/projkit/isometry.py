@@ -89,13 +89,14 @@ def _unit_exponent(entries) -> int:
 
 
 def _char_poly(entries, e: int):
-    """(a, b, d) of det(xI - m / 2^e) = x^3 - a x^2 + b x - d, each correctly rounded.
+    """(a, b, d, n, t) of det(xI - m / 2^e) = x^3 - a x^2 + b x - d.
 
-    a is the trace, b the sum of the principal 2x2 minors, d the determinant.
-    Every entry is a binary fraction n / 2^k, so over a common denominator all
-    three are exact integers, and int / int rounds each once.  In floating
-    point a conjugate P n P^-1 with cond(P) = kappa loses eps kappa^2 in b and d
-    to cancellation, as much as a backward stable eigenvalue solver does.
+    a is the trace, b the sum of the principal 2x2 minors, d the determinant,
+    each correctly rounded; det m = n / 2^t exactly.  Every entry is a binary
+    fraction n / 2^k, so over a common denominator all three are exact
+    integers, and int / int rounds each once.  In floating point a conjugate
+    P n P^-1 with cond(P) = kappa loses eps kappa^2 in b and d to cancellation,
+    as much as a backward stable eigenvalue solver does.
     """
     ratios = [x.as_integer_ratio() for x in entries]
     k = max(den for _, den in ratios).bit_length() - 1
@@ -103,10 +104,28 @@ def _char_poly(entries, e: int):
         num << (k + 1 - den.bit_length()) for num, den in ratios]
     s = k + e
     k0 = n11 * n22 - n12 * n21
+    det = n00 * k0 - n01 * (n10 * n22 - n12 * n20) + n02 * (n10 * n21 - n11 * n20)
     return ((n00 + n11 + n22) / (1 << s),
             (n00 * n11 - n01 * n10 + n00 * n22 - n02 * n20 + k0) / (1 << 2 * s),
-            (n00 * k0 - n01 * (n10 * n22 - n12 * n20) + n02 * (n10 * n21 - n11 * n20))
-            / (1 << 3 * s))
+            det / (1 << 3 * s), det, 3 * k)
+
+
+def _det_ratio(n: int, t: int, *xs) -> tuple:
+    """(p, q) with p / q = n / 2^t divided by the product of the floats xs, exactly."""
+    p, q = n, 1 << t
+    for x in xs:
+        num, den = x.as_integer_ratio()
+        p, q = p * den, q * num
+    return p, q
+
+
+def _sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p / q) for positive integers, from p / q rounded once after scaling by
+    an even power of two, so that no intermediate underflows or overflows."""
+    j = (p.bit_length() - q.bit_length()) >> 1
+    r = p / (q << 2 * j) if j >= 0 else (p << -2 * j) / q
+    # sqrt(r) lies in (0.7, 2): 2^j times it is finite exactly when j < 1024
+    return math.ldexp(math.sqrt(r), j) if j < 1024 else math.inf
 
 
 def _symmetric_max_eigenvalue(s00, s11, s22, s01, s02, s12) -> float:
@@ -144,18 +163,21 @@ def _newton(x, a, b, d, gap):
 
 
 def _cubic_roots(a, b, d):
-    """Roots of x^3 - a x^2 + b x - d.
+    """Roots of x^3 - a x^2 + b x - d, and the divisors of the one taken by Vieta.
 
-    Returns three reals in descending order, or a real root and a complex pair
-    (re + i im, re - i im) with im > 0.  With x = y + a/3 the cubic is
+    The roots are three reals in descending order, or a real root and a complex
+    pair (re + i im, re - i im) with im > 0.  With x = y + a/3 the cubic is
     y^3 + p y + q.  One simple root x1 comes first: with three real roots
     (h <= 0) the one farthest from the other two, from the trigonometric
     form, otherwise Cardano's real root, taken without cancellation.  It
-    deflates the cubic to x^2 - sigma x + pi, pi = d / x1, with sigma from
-    whichever of a and b does not cancel, and a stable quadratic gives the
-    other two, so a root far smaller than x1 keeps its relative accuracy.
-    Simple roots get one Newton step.  All coefficients are of size <= ~50
-    (entries below 2), so nothing overflows.
+    deflates the cubic to x^2 - sigma x + pi, and a stable quadratic gives the
+    other two.  Where x1 is at least the pair's geometric mean, pi = d / x1 and
+    sigma comes from b; the smaller root of the pair is then d / (x1 x2).
+    Otherwise sigma = a - x1, pi = b - x1 sigma and x1 = d / pi.  Either way
+    the smallest root keeps its relative accuracy, and when the spectrum is
+    positive it is d / prod(divisors), so the caller can redo that quotient
+    where d itself underflows.  Simple roots get one Newton step.  All
+    coefficients are of size <= ~50 (entries below 2), so nothing overflows.
     """
     s = a / 3.0
     p = b - a * s
@@ -165,7 +187,7 @@ def _cubic_roots(a, b, d):
         # p >= 0 here only when p^3 underflows: the roots are then s to working precision
         r = math.sqrt(-p / 3.0) if p < 0.0 else 0.0
         if r == 0.0:
-            return (s, s, s)
+            return (s, s, s), ()
         # |q / 2| <= r^3 here; dividing by r three times cannot underflow to a zero divisor
         phi = math.acos(max(-1.0, min(1.0, -0.5 * q / r / r / r))) / 3.0
         y = [2.0 * r * math.cos(phi - _TWO_PI_3 * k) for k in (0, 1, 2)]
@@ -178,22 +200,36 @@ def _cubic_roots(a, b, d):
         # the pair sits at s - (u + v) / 2 +- i sqrt(3) (u - v) / 2
         x1, gap = s + u + v, math.hypot(1.5 * (u + v), 0.8660254037844386 * (u - v))
     x1 = _newton(x1, a, b, d, gap)
-    if x1 == 0.0:
-        sigma, pi = a, b
-    else:
+    sigma = a - x1
+    pi = b - x1 * sigma
+    large = x1 * x1 >= abs(pi) and x1 != 0.0
+    vieta = ()
+    if large:
+        # b and d give the pair without cancellation
         pi = d / x1
-        sigma = (b - pi) / x1 if x1 * x1 >= abs(pi) else a - x1
+        sigma = (b - pi) / x1
+    elif pi != 0.0:
+        # x1 is good to eps |a| only, where a and b give the pair without it
+        x1, vieta = d / pi, (pi,)
+    # disc = half^2 - pi in units of g^2, g the larger of |half| and sqrt |pi|,
+    # so that no square underflows: for a pair far below x1 both would
     half = 0.5 * sigma
-    disc = half * half - pi
+    g = max(abs(half), math.sqrt(abs(pi)))
+    if g == 0.0:
+        return tuple(sorted((x1, 0.0, 0.0), reverse=True)), vieta
+    w = half / g
+    disc = w * w - pi / g / g
     if disc < 0.0:
-        im = math.sqrt(-disc)
-        return (x1, complex(half, im), complex(half, -im))
-    x2 = half + math.copysign(math.sqrt(disc), half)
+        im = g * math.sqrt(-disc)
+        return (x1, complex(half, im), complex(half, -im)), vieta
+    x2 = half + math.copysign(g * math.sqrt(disc), half)
     x3 = pi / x2 if x2 != 0.0 else 0.0
+    if large and x2 != 0.0:
+        vieta = (x1, x2)
     split = abs(x2 - x3)
     x2 = _newton(x2, a, b, d, min(split, abs(x2 - x1)))
     x3 = _newton(x3, a, b, d, min(split, abs(x3 - x1)))
-    return tuple(sorted((x1, x2, x3), reverse=True))
+    return tuple(sorted((x1, x2, x3), reverse=True)), vieta
 
 
 def _ranks(stack: np.ndarray, thresholds) -> list:
@@ -230,7 +266,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     c = math.ldexp(1.0, e)
     ci = 1.0 / c
     p00, p01, p02, p10, p11, p12, p20, p21, p22 = (x * ci for x in entries)
-    trace, minors, d = _char_poly(entries, e)
+    trace, minors, d, det, t = _char_poly(entries, e)
 
     # det gate |det m - 1| <= det_tol max(1, ||m||_F^2), divided through by c^3: an
     # entrywise perturbation of size eps moves the determinant by ~ eps ||m||^2
@@ -251,7 +287,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     pair_tol = math.sqrt(tol) * scale
     triple_tol = tol ** (1.0 / 3.0) * scale
 
-    roots = _cubic_roots(trace, minors, d)
+    roots, vieta = _cubic_roots(trace, minors, d)
 
     # Full Jordan block at eigenvalue 1: rank(m - I) = 2 and rank((m - I)^2) = 1.
     # The second rank test separates true unipotents from nearby diagonalizable
@@ -266,10 +302,21 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
         if roots[1].imag > pair_tol:
             eig = (roots[1] * c, roots[2] * c, complex(roots[0] * c))
             return IsometryClass.other(eigenvalues=tuple(sorted(eig, key=lambda z: -abs(z))))
+        if roots[0] > roots[1].real:
+            vieta = ()  # the real root, the one Vieta gives, is not the smallest
         roots = sorted((roots[0], roots[1].real, roots[2].real), reverse=True)
     l1, l2, l3 = roots
     vals = (l1 * c, l2 * c, l3 * c)
-    if l3 <= 0.0 or d <= 0.0:
+    if vieta and l2 > 0.0 and det > 0:
+        # positive spectrum: l3 = d / prod(vieta), redone in units of 1 from the exact
+        # determinant, as d = det m / c^3 underflows once c passes ~2^341 while l3
+        # itself is still a normal float.  The quotient leaves the float range only
+        # where underflow in a and b has already lost the roots; l3 then stays.
+        p, q = _det_ratio(det, t + 2 * e, *vieta)
+        if p.bit_length() - q.bit_length() < 1023:
+            vals = (vals[0], vals[1], p / q)
+            l3 = vals[2] * ci
+    if vals[2] <= 0.0 or det <= 0:
         return IsometryClass.other(eigenvalues=vals)
 
     gap_12, gap_23 = l1 - l2, l2 - l3
@@ -279,13 +326,13 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
         return IsometryClass(HYPERBOLIC, eigenvalues=vals)
 
     # Decisions are taken at the mean of the merged pair, as the rank test always
-    # was.  The reported mu is sqrt(d / nu): the simple root nu is accurate to
-    # rounding and mu^2 nu = d keeps mu so, where the mean of a split pair is
+    # was.  The reported mu is sqrt(det m / nu): the simple root nu is accurate to
+    # rounding and mu^2 nu = det m keeps mu so, where the mean of a split pair is
     # good to sqrt(eps) only.
     if gap_12 <= pair_tol:
-        mean, nu = 0.5 * (l1 + l2), l3
+        mean, nu, k = 0.5 * (l1 + l2), l3, 2
     else:
-        mean, nu = 0.5 * (l2 + l3), l1
+        mean, nu, k = 0.5 * (l2 + l3), l1, 0
     if abs(mean - nu) <= pair_tol:
         # near-triple spectrum away from 1; det 1 rules out an exact instance
         return IsometryClass.other(eigenvalues=vals)
@@ -295,8 +342,11 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     # split to O(eps) there, so the plain rank threshold is reliable.
     (jordan_rank,) = _ranks(m * ci - mean * _EYE, (rank_thr,))
     if jordan_rank == 2:
-        mu = math.sqrt(d / nu)
-        return IsometryClass(QUASI_HYPERBOLIC, mu=mu * c, nu=nu * c, jordan_at_larger=mu > nu)
+        # mu^2 = det m / nu, exact until the one rounding, with nu in units of 1
+        # where it is the smallest root (in units of c it may underflow) and in
+        # units of c where it is the largest (in units of 1 it may overflow)
+        mu = _sqrt_ratio(*(_det_ratio(det, t, vals[2]) if k else _det_ratio(det, t + e, l1)))
+        return IsometryClass(QUASI_HYPERBOLIC, mu=mu, nu=vals[k], jordan_at_larger=mu > vals[k])
     if jordan_rank == 1:
         # diagonalizable repeated eigenvalue: not an isometry of the trichotomy
         return IsometryClass.other(eigenvalues=vals)

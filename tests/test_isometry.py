@@ -118,6 +118,27 @@ class TestClassify:
         with pytest.raises(pk.NotUnimodular):
             pk.classify(np.diag([1e100, 1e100, 1.0]))
 
+    @pytest.mark.parametrize("m, kind, data", [
+        # d = det m / c^3 underflows in units of c ~ 2^365; l3 = 1e-217 is a normal float
+        (np.diag([1e110, 1e107, 1e-217]), "hyperbolic", (1e110, 1e107, 1e-217)),
+        (np.diag([1e6, 1.0, 1e-6]), "hyperbolic", (1e6, 1.0, 1e-6)),
+        (np.diag([1e200, 1.0, 1e-200]), "other", (1e200, 1.0, 1e-200)),
+        # the isolated root far below eps^2 of the pair
+        (np.array([[1e11, 1.0, 0.0], [0.0, 1e11, 0.0], [0.0, 0.0, 1e-22]]), "other",
+         (1e11, 1e11, 1e-22)),
+        (np.array([[1e150, 1e148, 0.0], [0.0, 1e150, 0.0], [0.0, 0.0, 1e-300]]),
+         "quasi_hyperbolic", (1e150, 1e-300)),
+        (np.array([[1e110, 0.0, 0.0], [0.0, 1e-55, 1e105], [0.0, 0.0, 1e-55]]),
+         "quasi_hyperbolic", (1e-55, 1e110)),
+    ])
+    def test_spread_spectrum_keeps_every_eigenvalue(self, m, kind, data):
+        """The kind and eigen-data of triangular matrices whose eigenvalues span far
+        more than the float range of one scale; eigvals gives them exactly."""
+        c = pk.classify(m)
+        assert c.kind == kind
+        got = (c.mu, c.nu) if kind == "quasi_hyperbolic" else c.eigenvalues
+        assert got == pytest.approx(data, rel=1e-14)
+
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
@@ -201,6 +222,7 @@ _FACTORS = st.sampled_from(
 @example(np.diag([1e200, 1.0, 1e-200]))
 @example(np.full((3, 3), 1.7e308))
 @example(np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1.0], [1e-200, 0.0, 0.0]]))
+@example(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.9974368165136842e307, 0.0]]))
 def test_classify_total_on_finite_matrices(m):
     """Any finite 3x3 matrix gives an IsometryClass or NotUnimodular, with no
     numpy warning and no other exception, and the det gate decides as
