@@ -146,10 +146,11 @@ class ConicOval(ConvexDomain):
     _EXTREME_SAMPLES = 256
 
     def __init__(self, coeffs):
-        coeffs = tuple(float(x) for x in coeffs)
-        if len(coeffs) != 6:
-            raise ValueError("conic needs 6 coefficients (a, b, c, d, e, f)")
-        a, b, c, d, e, f = coeffs
+        coeffs = np.array([float(x) for x in coeffs])
+        if len(coeffs) != 6 or not np.all(np.isfinite(coeffs)):
+            raise ValueError("conic needs 6 finite coefficients (a, b, c, d, e, f)")
+        # a scale class: an exact power of two brings the largest coefficient into [1, 2)
+        a, b, c, d, e, f = np.ldexp(coeffs, 1 - math.frexp(np.abs(coeffs).max())[1]).tolist()
         if b * b - 4.0 * a * c >= 0.0:
             raise ValueError("quadratic form does not cut out an oval (not an ellipse)")
         if a + c < 0.0:
@@ -222,19 +223,22 @@ class Chord:
 def _exits(dom: ConvexDomain, direction, *points):
     """Interior check and exit solve of the scalar chord queries, in one kernel call.
 
-    x is interior when its depth is positive, y = x + u when t+ > 1; the answer
-    comes from the same solve, so a point within rounding of the boundary is
-    decided once.  Raises PointOutsideDomain naming the first exterior point.
-    Returns the points, u (given, or y - x) and the exits (t+, t-) from x.
+    The solve runs on u / rho (u given, or y - x), rho the power of two that brings
+    u's largest entry into [1, 2): exact, so no query depends on the size of u.  x is
+    interior when its depth is positive, y = x + u when t+ > rho; one solve decides
+    both.  Raises PointOutsideDomain naming the first exterior point.  Returns the
+    points, u / rho, rho and the exits (t+, t-) from x along u / rho.
     """
     pts = np.array([np.asarray(p, dtype=float).reshape(2) for p in points])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = pts[1] - pts[0] if direction is None else np.asarray(direction, dtype=float).reshape(2)
+        rho = math.ldexp(1.0, math.frexp(float(np.abs(u).max()))[1] - 1)
+        u = u / rho
         t_fwd, t_bwd, depth = dom._exits_paired(pts[:1], u[None, :])
-    for k, inside in enumerate([depth[0] > 0.0, t_fwd[0] > 1.0][: len(pts)]):
+    for k, inside in enumerate([depth[0] > 0.0, t_fwd[0] > rho][: len(pts)]):
         if not inside:
             raise PointOutsideDomain(f"point {'xy'[k]} = {pts[k].tolist()} is not interior")
-    return pts, u, float(t_fwd[0]), float(t_bwd[0])
+    return pts, u, rho, float(t_fwd[0]), float(t_bwd[0])
 
 
 def _cross_ratio(t_fwd, t_bwd, rho):
@@ -245,8 +249,8 @@ def _cross_ratio(t_fwd, t_bwd, rho):
 
 def chord(dom: ConvexDomain, x, y) -> Chord:
     """Boundary intersections of the line xy, ordered as p, x, y, q."""
-    (x, y), u, t_fwd, t_bwd = _exits(dom, None, x, y)
-    if np.linalg.norm(u) <= 1e-15 * max(1.0, np.linalg.norm(x), np.linalg.norm(y)):
+    (x, _), u, _, t_fwd, t_bwd = _exits(dom, None, x, y)
+    if not u.any():
         raise CoincidentPoints("chord endpoints coincide")
     return Chord(p=x - t_bwd * u, q=x + t_fwd * u)
 
@@ -257,14 +261,17 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     Symmetric, zero exactly when x = y, and equal to the Klein-model
     hyperbolic distance when the domain boundary is a conic.
     """
-    (x, y), _, t_fwd, t_bwd = _exits(dom, None, x, y)
-    if np.array_equal(x, y):
+    _, u, rho, t_fwd, t_bwd = _exits(dom, None, x, y)
+    if not u.any():
         return 0.0
-    # The cross ratio less 1 is z = (t+ + t-) / (t- (t+ - 1)).  Below z = 1,
-    # log1p(z) keeps short distances to rounding, where the log of the rounded
-    # cross ratio loses eps / |y - x|; from z = 1 on that log loses nothing.
-    z = (1.0 + t_fwd / t_bwd) / (t_fwd - 1.0)
-    return 0.5 * (math.log1p(z) if z < 1.0 else math.log(_cross_ratio(t_fwd, t_bwd, 1.0)))
+    # The cross ratio less 1 is z = (t+ + t-) / (t- (t+ - 1)) along y - x.  Below z = 1,
+    # log1p(z) keeps short distances to rounding, where the log of the rounded cross
+    # ratio loses eps / |y - x|; from z = 1 on that log loses nothing.  Its products take
+    # the exits along y - x, t+- / rho, and z takes rho: tiny steps do not overflow it.
+    z = rho * ((1.0 + t_fwd / t_bwd) / (t_fwd - rho))
+    if z < 1.0:
+        return 0.5 * math.log1p(z)
+    return 0.5 * math.log(_cross_ratio(t_fwd / rho, t_bwd / rho, 1.0))
 
 
 def finsler_norm(dom: ConvexDomain, x, direction) -> float:
@@ -274,10 +281,10 @@ def finsler_norm(dom: ConvexDomain, x, direction) -> float:
     the domain; the norm is first-order consistent with hilbert_distance and
     homogeneous of degree 1 in the direction.
     """
-    _, u, t_fwd, t_bwd = _exits(dom, direction, x)
-    if not np.linalg.norm(u) > 0.0:
-        raise ValueError("direction must be nonzero")
-    return 0.5 * (1.0 / t_fwd + 1.0 / t_bwd)
+    _, u, rho, t_fwd, t_bwd = _exits(dom, direction, x)
+    if not (u.any() and np.isfinite(u).all()):
+        raise ValueError("direction must be finite and nonzero")
+    return 0.5 * (1.0 / t_fwd + 1.0 / t_bwd) * rho
 
 
 @functools.cache

@@ -226,6 +226,18 @@ class TestDistance:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "distance = 0.54930614433405489\n"
 
+    @pytest.mark.parametrize("conic, y, expected", [
+        ([1, 0, 1, 0, 0, -1], 1e-160, 1e-160),
+        ([1, 0, 1, 0, 0, -1], 1e-300, 1e-300),
+        ([1e-170, 0, 1e-170, 0, 0, -1e-170], 0.5, 0.5493061443340549),
+    ])
+    def test_extreme_scales(self, conic, y, expected):
+        """Tiny steps printed 9.9999443357584898e-161 or exited 1 (NonFiniteResult), and
+        the conic scaled by 1e-170 exited 2 as "not an oval"."""
+        record = {"domain": {"conic": conic}, "x": [0, 0], "y": [y, 0]}
+        assert run_main("distance", "--input", json.dumps(record)) == (
+            0, f"distance = {expected:.17g}\n", "")
+
 
 HYPERBOLIC_TORUS = json.dumps(
     {

@@ -2,12 +2,13 @@
 
 import math
 import re
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
@@ -84,6 +85,21 @@ class TestDomains:
         with pytest.raises(ValueError):
             pk.ConicOval([1, 0, 1, 0, 0, 1])
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1.0, 3.0, 1e170, 1e200])
+    def test_conic_coefficients_are_a_scale_class(self, s):
+        """The unit circle's coefficients times s give the same distance and area, bit
+        for bit.  b^2 - 4ac underflowed to 0 for s <= 1e-170 ("not an oval"), and the
+        density overflowed to an infinite area for s >= 1e170."""
+        dom, unit = pk.ConicOval([s, 0.0, s, 0.0, 0.0, -s]), unit_circle()
+        region = pk.ConicOval.disk((0.0, 0.0), 0.5)
+        assert pk.hilbert_distance(dom, [0, 0], [0.5, 0]) == pk.hilbert_distance(unit, [0, 0], [0.5, 0])
+        assert pk.busemann_area(dom, region, 0.01) == pk.busemann_area(unit, region, 0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_conic_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pk.ConicOval([1.0, 0.0, 1.0, 0.0, 0.0, bad])
+
     def test_sign_normalization(self):
         dom = pk.ConicOval([-1, 0, -1, 0, 0, 1])  # negated unit circle
         assert dom.contains([0.0, 0.0])
@@ -129,6 +145,14 @@ class TestChord:
     def test_coincident_points(self):
         with pytest.raises(pk.CoincidentPoints):
             pk.chord(unit_circle(), [0.1, 0.2], [0.1, 0.2])
+
+    @pytest.mark.parametrize("x", [[0.1, 0.2], [-0.7, 0.3], [0.0, 0.0], [1e-300, -0.5]])
+    def test_adjacent_floats_have_a_chord(self, x):
+        """y one float away from x spans a line, and its chord ends on the circle.  A
+        relative 1e-15 threshold on |y - x| used to refuse it as coincident."""
+        x = np.array(x)
+        c = pk.chord(unit_circle(), x, np.nextafter(x, 1.0))
+        assert np.all(np.abs(unit_circle()._depth(np.stack([c.p, c.q]))) <= 1e-12)
 
     def test_outside_point(self):
         with pytest.raises(pk.PointOutsideDomain):
@@ -228,7 +252,9 @@ def _atanh_50(r: float) -> Decimal:
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.floats(1e-150, 1.0 - 1e-12) | st.integers(1, 12).map(lambda k: 1.0 - 10.0**-k))
+@given(st.floats(1e-300, 1.0 - 1e-12) | st.integers(1, 12).map(lambda k: 1.0 - 10.0**-k))
+@example(1e-300)
+@example(1e-160)
 @example(1e-150)
 @example(1e-10)
 @example(1.0 - 1e-12)
@@ -238,20 +264,55 @@ def test_distance_is_backward_stable(r):
     """d(0, (r, 0)) on the unit disk is atanh(r).  Its relative error stays within
     8 cond(r) eps, cond(r) = r / ((1 - r^2) atanh r) the condition number of
     atanh at r: the digits lost near the boundary are the problem's own (one
-    rounding of r moves atanh(r) by as much), and short distances keep theirs.
-    Below r ~ 1e-154 the exit solve underflows; see the test after this one."""
+    rounding of r moves atanh(r) by as much), and short distances keep theirs,
+    down to 1e-300: the exit solve runs on (r, 0) rescaled by a power of two,
+    where u^T A u underflowed below r ~ 1e-154."""
     d = pk.hilbert_distance(unit_circle(), [0.0, 0.0], [r, 0.0])
     cond = r / ((1.0 - r * r) * math.atanh(r)) if r > 1e-8 else 1.0
     ref = _atanh_50(r)
     assert abs(Decimal(d) - ref) <= Decimal(8.0 * cond * 2.0**-52) * ref
 
 
-@pytest.mark.xfail(strict=True, reason="u^T A u of the conic exit solve underflows for "
-                   "|y - x| below ~1e-154 (a known defect, listed in CHANGES.md)")
 @pytest.mark.parametrize("r", [1e-160, 1e-300])
 def test_tiny_step_distance_on_a_conic(r):
     d = pk.hilbert_distance(unit_circle(), [0.0, 0.0], [r, 0.0])
     assert abs(Decimal(d) - _atanh_50(r)) <= Decimal(8.0 * 2.0**-52 * r)
+
+
+_FAR_DISK = pk.ConicOval.disk((3e5, -2e5), 1.0)
+SCALE_DOMAINS = [
+    unit_circle(), pk.ConicOval([2.0, 0.7, 1.0, 0.3, -0.2, -1.5]), _FAR_DISK, unit_square()
+]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.integers(0, len(SCALE_DOMAINS) - 1),
+    st.integers(0, 255),
+    st.integers(0, 255),
+    st.floats(0.0, 0.99),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.integers(-1000, 1000),
+)
+@example(0, 0, 128, 0.5, (1.0, 0.5), -600)
+@example(1, 3, 200, 0.9, (-0.3, 0.7), -1000)
+@example(2, 10, 90, 0.2, (0.6, -0.8), 1000)
+@example(3, 0, 2, 0.3, (0.5, 0.25), 600)
+def test_finsler_norm_scales_exactly(k, i, j, f, v, power):
+    """finsler_norm(x, 2^j v) is 2^j finsler_norm(x, v) exactly wherever that is a
+    normal float: the exit solve sees v rescaled by a power of two, whatever its
+    size.  A conic's u^T A u underflowed below |v| ~ 1e-154, and the polygon's norm
+    of v overflowed past ~1e154 and underflowed to 0 below ~1e-162."""
+    dom = SCALE_DOMAINS[k]
+    rim = dom.extreme_points()
+    centre, chord_mid = rim.mean(axis=0), 0.5 * (rim[i % len(rim)] + rim[j % len(rim)])
+    x = centre + f * (chord_mid - centre)
+    v = np.array(v)
+    scaled = np.ldexp(v, power)
+    assume(v.any() and np.array_equal(np.ldexp(scaled, -power), v))
+    base = pk.finsler_norm(dom, x, v)
+    assume(sys.float_info.min <= min(base, base * 2.0**power) and base * 2.0**power < math.inf)
+    assert pk.finsler_norm(dom, x, scaled) == base * 2.0**power
 
 
 class TestDistance:
@@ -348,6 +409,13 @@ class TestFinslerNorm:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             pk.finsler_norm(unit_circle(), [0.0, 0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("direction", [[math.nan, 0.0], [math.inf, 0.0], [1.0, -math.inf]])
+    def test_non_finite_direction_rejected(self, direction):
+        """An infinite direction gave NaN."""
+        for dom in (unit_circle(), unit_square()):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                pk.finsler_norm(dom, [0.0, 0.0], direction)
 
 
 class TestDensity:
