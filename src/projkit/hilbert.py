@@ -147,10 +147,12 @@ class ConicOval(ConvexDomain):
 
     def __init__(self, coeffs):
         coeffs = np.array([float(x) for x in coeffs])
+        # a scale class: an exact power of two brings the largest of a, b, c into [1, 2)
+        with np.errstate(over="ignore"):
+            coeffs = np.ldexp(coeffs, 1 - math.frexp(max(map(abs, coeffs[:3]), default=0.0))[1])
         if len(coeffs) != 6 or not np.all(np.isfinite(coeffs)):
-            raise ValueError("conic needs 6 finite coefficients (a, b, c, d, e, f)")
-        # a scale class: an exact power of two brings the largest coefficient into [1, 2)
-        a, b, c, d, e, f = np.ldexp(coeffs, 1 - math.frexp(np.abs(coeffs).max())[1]).tolist()
+            raise ValueError("conic needs 6 coefficients, finite in units of max |a|, |b|, |c|")
+        a, b, c, d, e, f = coeffs.tolist()
         if b * b - 4.0 * a * c >= 0.0:
             raise ValueError("quadratic form does not cut out an oval (not an ellipse)")
         if a + c < 0.0:
@@ -194,8 +196,8 @@ class ConicOval(ConvexDomain):
     def _density(self, pts):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
         # taking the unit disk onto {q < 0}
-        depth = self._depth(pts)
-        return math.sqrt(np.linalg.det(self._quad)) / -self._qmin * depth ** -1.5
+        (a, h), (_, c) = self._quad
+        return math.sqrt(a * c - h * h) / -self._qmin * self._depth(pts) ** -1.5
 
     def _exits_paired(self, x, u):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
@@ -269,9 +271,8 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     # ratio loses eps / |y - x|; from z = 1 on that log loses nothing.  Its products take
     # the exits along y - x, t+- / rho, and z takes rho: tiny steps do not overflow it.
     z = rho * ((1.0 + t_fwd / t_bwd) / (t_fwd - rho))
-    if z < 1.0:
-        return 0.5 * math.log1p(z)
-    return 0.5 * math.log(_cross_ratio(t_fwd / rho, t_bwd / rho, 1.0))
+    return 0.5 * (math.log1p(z) if z < 1.0
+                  else math.log(_cross_ratio(t_fwd / rho, t_bwd / rho, 1.0)))
 
 
 def finsler_norm(dom: ConvexDomain, x, direction) -> float:

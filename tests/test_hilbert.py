@@ -95,10 +95,31 @@ class TestDomains:
         assert pk.hilbert_distance(dom, [0, 0], [0.5, 0]) == pk.hilbert_distance(unit, [0, 0], [0.5, 0])
         assert pk.busemann_area(dom, region, 0.01) == pk.busemann_area(unit, region, 0.01)
 
+    @pytest.mark.parametrize("a, f", [(1.0, -1e300), (1.3, -1.3e160)])
+    def test_huge_disk_from_coefficients(self, a, f):
+        """a (x^2 + y^2) + f = 0 is the disk of radius sqrt(-f / a).  Scaling the
+        coefficients by the largest of all six took a and c toward underflow: at
+        f = -1e300 4ac was 0 ("not an oval"), at f = -1.3e160 det A was subnormal and
+        the density 2e-5 off."""
+        r = math.sqrt(-f / a)
+        dom, disk = pk.ConicOval([a, 0.0, a, 0.0, 0.0, f]), pk.ConicOval.disk((0.0, 0.0), r)
+        # the disk's constant term is the rounded r^2, not f / a
+        assert pk.hilbert_distance(dom, [0, 0], [r / 2, 0]) == pytest.approx(
+            pk.hilbert_distance(disk, [0, 0], [r / 2, 0]), rel=1e-15)
+        if r < 1e100:  # the area of a larger disk is inf (the radial map overflows)
+            region = pk.ConicOval.disk((0.0, 0.0), r / 2)
+            assert pk.busemann_area(dom, region, 0.01) == pytest.approx(
+                pk.busemann_area(disk, region, 0.01), rel=1e-12)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_conic_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             pk.ConicOval([1.0, 0.0, 1.0, 0.0, 0.0, bad])
+
+    def test_conic_past_the_float_range_rejected(self):
+        """Its centre, -(d, e) / 2a, is ~5e309: d is not finite in units of a."""
+        with pytest.raises(ValueError, match="finite"):
+            pk.ConicOval([1e-300, 0.0, 1e-300, 1e10, 0.0, -1.0])
 
     def test_sign_normalization(self):
         dom = pk.ConicOval([-1, 0, -1, 0, 0, 1])  # negated unit circle
