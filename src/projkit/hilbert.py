@@ -271,8 +271,16 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     # ratio loses eps / |y - x|; from z = 1 on that log loses nothing.  Its products take
     # the exits along y - x, t+- / rho, and z takes rho: tiny steps do not overflow it.
     z = rho * ((1.0 + t_fwd / t_bwd) / (t_fwd - rho))
-    return 0.5 * (math.log1p(z) if z < 1.0
-                  else math.log(_cross_ratio(t_fwd / rho, t_bwd / rho, 1.0)))
+    if z < 1.0:
+        return 0.5 * math.log1p(z)
+    t_fwd, t_bwd = t_fwd / rho, t_bwd / rho
+    # t+ > 1 here, so a zero t- (t+ - 1) has underflowed
+    ratio = _cross_ratio(t_fwd, t_bwd, 1.0) if t_bwd * (t_fwd - 1.0) else math.inf
+    if ratio == math.inf:
+        # past ~354.9 the cross ratio overflows; the logs of its factors (t- + 1) / t-
+        # (as a difference: t- may be subnormal) and t+ / (t+ - 1) do not
+        return 0.5 * (math.log1p(t_bwd) - math.log(t_bwd) + math.log(t_fwd / (t_fwd - 1.0)))
+    return 0.5 * math.log(ratio)
 
 
 def finsler_norm(dom: ConvexDomain, x, direction) -> float:
@@ -331,9 +339,11 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
         # a radius past the float range overflows e^{2s}, and the total comes out inf
         with np.errstate(over="ignore", invalid="ignore"):
             grow = np.exp(2.0 * half * (1.0 + radial_x))  # e^{2s}, (m, N)
+            # each exit divided by den first, so that no product of exits overflows
             den = tf + tb * grow
-            rho = tb * tf * (grow - 1.0) / den
-            drho = 2.0 * grow * tb * tf * (tb + tf) / (den * den)
+            near, far = tb / den, tf / den
+            rho = (grow - 1.0) * near * tf
+            drho = 2.0 * grow * near * far * (tb + tf)
             density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
             radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
         return np.where(finite, half[:, 0] * radial, np.inf)

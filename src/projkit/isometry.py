@@ -37,7 +37,7 @@ DET_TOL = 1e-9
 DEFAULT_CLASSIFY_TOL = 1e-8
 
 _EYE = np.eye(3)
-_TWO_PI_3 = 2.0 * math.pi / 3.0
+_PI_3 = math.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -88,35 +88,28 @@ def _unit_exponent(entries) -> int:
     return max(0, math.frexp(max(map(abs, entries)))[1] - 1)
 
 
-def _char_poly(entries, e: int):
-    """(a, b, d, n, t) of det(xI - m / 2^e) = x^3 - a x^2 + b x - d.
-
-    a is the trace, b the sum of the principal 2x2 minors, d the determinant,
-    each correctly rounded; det m = n / 2^t exactly.  Every entry is a binary
-    fraction n / 2^k, so over a common denominator all three are exact
-    integers, and int / int rounds each once.  In floating point a conjugate
-    P n P^-1 with cond(P) = kappa loses eps kappa^2 in b and d to cancellation,
-    as much as a backward stable eigenvalue solver does.
+def _char_poly(entries):
+    """(trace, minors, det, k) with m = n / 2^k for an integer matrix n, and
+    det(yI - n) = y^3 - trace y^2 + minors y - det: the trace, the sum of the
+    principal 2x2 minors and the determinant of n, exact integers.  Every entry
+    is a binary fraction, so 2^k is a common denominator; the eigenvalues of m
+    are the roots of that cubic divided by 2^k.
     """
     ratios = [x.as_integer_ratio() for x in entries]
     k = max(den for _, den in ratios).bit_length() - 1
     n00, n01, n02, n10, n11, n12, n20, n21, n22 = [
         num << (k + 1 - den.bit_length()) for num, den in ratios]
-    s = k + e
     k0 = n11 * n22 - n12 * n21
     det = n00 * k0 - n01 * (n10 * n22 - n12 * n20) + n02 * (n10 * n21 - n11 * n20)
-    return ((n00 + n11 + n22) / (1 << s),
-            (n00 * n11 - n01 * n10 + n00 * n22 - n02 * n20 + k0) / (1 << 2 * s),
-            det / (1 << 3 * s), det, 3 * k)
+    return (n00 + n11 + n22, n00 * n11 - n01 * n10 + n00 * n22 - n02 * n20 + k0, det, k)
 
 
-def _det_ratio(n: int, t: int, *xs) -> tuple:
-    """(p, q) with p / q = n / 2^t divided by the product of the floats xs, exactly."""
-    p, q = n, 1 << t
-    for x in xs:
-        num, den = x.as_integer_ratio()
-        p, q = p * den, q * num
-    return p, q
+def _ratio(p: int, q: int) -> float:
+    """p / q for integers with q > 0, rounded once; +-inf where that is past the float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
 
 
 def _sqrt_ratio(p: int, q: int) -> float:
@@ -147,37 +140,14 @@ def _symmetric_max_eigenvalue(s00, s11, s22, s01, s02, s12) -> float:
     return q + 2.0 * w * math.cos(math.acos(max(-1.0, min(1.0, half_det))) / 3.0)
 
 
-def _newton(x, a, b, d, gap):
-    """One Newton step on x^3 - a x^2 + b x - d from the root estimate x.
+def _simple_root(a, b, d) -> float:
+    """A simple root of x^3 - a x^2 + b x - d, with a, b and d of size <= 1.
 
-    The step is taken only when it is small against ``gap``, the distance to the
-    nearest other root: there x is a simple root at working precision.  Near a
-    double root the step is of the order of the gap and would move the pair
-    together, so it is not taken.
-    """
-    slope = (3.0 * x - 2.0 * a) * x + b
-    if slope == 0.0:
-        return x
-    step = (((x - a) * x + b) * x - d) / slope
-    return x - step if 8.0 * abs(step) <= gap else x
-
-
-def _cubic_roots(a, b, d):
-    """Roots of x^3 - a x^2 + b x - d, and the divisors of the one taken by Vieta.
-
-    The roots are three reals in descending order, or a real root and a complex
-    pair (re + i im, re - i im) with im > 0.  With x = y + a/3 the cubic is
-    y^3 + p y + q.  One simple root x1 comes first: with three real roots
-    (h <= 0) the one farthest from the other two, from the trigonometric
-    form, otherwise Cardano's real root, taken without cancellation.  It
-    deflates the cubic to x^2 - sigma x + pi, and a stable quadratic gives the
-    other two.  Where x1 is at least the pair's geometric mean, pi = d / x1 and
-    sigma comes from b; the smaller root of the pair is then d / (x1 x2).
-    Otherwise sigma = a - x1, pi = b - x1 sigma and x1 = d / pi.  Either way
-    the smallest root keeps its relative accuracy, and when the spectrum is
-    positive it is d / prod(divisors), so the caller can redo that quotient
-    where d itself underflows.  Simple roots get one Newton step.  All
-    coefficients are of size <= ~50 (entries below 2), so nothing overflows.
+    With x = y + a/3 the cubic is y^3 + p y + q.  With three real roots (h <= 0)
+    the root is the one farthest from the other two, from the trigonometric form,
+    otherwise Cardano's real root, taken without cancellation.  One Newton step
+    follows, taken only when it is small against the distance to the nearest other
+    root: near a double root it would be of the order of that distance.
     """
     s = a / 3.0
     p = b - a * s
@@ -187,49 +157,69 @@ def _cubic_roots(a, b, d):
         # p >= 0 here only when p^3 underflows: the roots are then s to working precision
         r = math.sqrt(-p / 3.0) if p < 0.0 else 0.0
         if r == 0.0:
-            return (s, s, s), ()
+            return s
         # |q / 2| <= r^3 here; dividing by r three times cannot underflow to a zero divisor
         phi = math.acos(max(-1.0, min(1.0, -0.5 * q / r / r / r))) / 3.0
-        y = [2.0 * r * math.cos(phi - _TWO_PI_3 * k) for k in (0, 1, 2)]
-        gaps = [min(abs(y[k] - y[k - 1]), abs(y[k] - y[k - 2])) for k in (0, 1, 2)]
-        k = max((0, 1, 2), key=gaps.__getitem__)
-        x1, gap = s + y[k], gaps[k]
+        # the roots s + 2 r cos(phi - 2 pi k / 3) descend in k; their gaps to the middle one
+        # are 2 sqrt(3) r sin(pi/3 - phi) above it (k = 0) and 2 sqrt(3) r sin(phi) below
+        above, below = math.sin(_PI_3 - phi), math.sin(phi)
+        k = 0 if above >= below else 2
+        x = s + 2.0 * r * math.cos(phi - 2.0 * _PI_3 * k)
+        gap = 3.4641016151377544 * r * max(above, below)
     else:
         u = math.copysign((0.5 * abs(q) + math.sqrt(h)) ** (1.0 / 3.0), -q)
         v = -p / (3.0 * u)
         # the pair sits at s - (u + v) / 2 +- i sqrt(3) (u - v) / 2
-        x1, gap = s + u + v, math.hypot(1.5 * (u + v), 0.8660254037844386 * (u - v))
-    x1 = _newton(x1, a, b, d, gap)
-    sigma = a - x1
-    pi = b - x1 * sigma
-    large = x1 * x1 >= abs(pi) and x1 != 0.0
-    vieta = ()
-    if large:
-        # b and d give the pair without cancellation
-        pi = d / x1
-        sigma = (b - pi) / x1
-    elif pi != 0.0:
-        # x1 is good to eps |a| only, where a and b give the pair without it
-        x1, vieta = d / pi, (pi,)
-    # disc = half^2 - pi in units of g^2, g the larger of |half| and sqrt |pi|,
-    # so that no square underflows: for a pair far below x1 both would
-    half = 0.5 * sigma
-    g = max(abs(half), math.sqrt(abs(pi)))
-    if g == 0.0:
-        return tuple(sorted((x1, 0.0, 0.0), reverse=True)), vieta
-    w = half / g
-    disc = w * w - pi / g / g
-    if disc < 0.0:
-        im = g * math.sqrt(-disc)
-        return (x1, complex(half, im), complex(half, -im)), vieta
-    x2 = half + math.copysign(g * math.sqrt(disc), half)
-    x3 = pi / x2 if x2 != 0.0 else 0.0
-    if large and x2 != 0.0:
-        vieta = (x1, x2)
-    split = abs(x2 - x3)
-    x2 = _newton(x2, a, b, d, min(split, abs(x2 - x1)))
-    x3 = _newton(x3, a, b, d, min(split, abs(x3 - x1)))
-    return tuple(sorted((x1, x2, x3), reverse=True)), vieta
+        x, gap = s + u + v, math.hypot(1.5 * (u + v), 0.8660254037844386 * (u - v))
+    slope = (3.0 * x - 2.0 * a) * x + b
+    step = (((x - a) * x + b) * x - d) / slope if slope else 0.0
+    return x - step if 8.0 * abs(step) <= gap else x
+
+
+def _cubic_roots(x1: float, trace: int, minors: int, det: int, s: int):
+    """Roots of y^3 - trace y^2 + minors y - det, given 2^s x1 near a simple one, as
+    ratios (num, den) of integers, den > 0: (x1, x2, x3, im), where a complex pair
+    has x2 = x3 its real part and im > 0 its imaginary part, and a real one im None.
+
+    X = 2^s x1 deflates the cubic to y^2 - sigma y + pi over the integers.  Where X is
+    at least the pair's geometric mean, pi = det / X and sigma = (minors - pi) / X;
+    otherwise sigma = trace - X, pi = minors - X sigma, and x1 = det / pi in turn.
+    Either way nothing cancels, the sign of the pair's discriminant is exact, and
+    each root (its square root taken to 64 bits) is left for the caller to round once.
+    """
+    # X = xp / xq exactly
+    xp, xq = x1.as_integer_ratio()
+    shift = s + 1 - xq.bit_length()
+    xp, xq = (xp << shift, 1) if shift >= 0 else (xp, 1 << -shift)
+    # sigma over xq and pi over xq^2, from trace and minors
+    sigma = trace * xq - xp
+    pi = minors * xq * xq - xp * sigma
+    if xp * xp >= abs(pi) and xp:
+        # sigma and pi over xp^2, from minors and det
+        den = xp * xp
+        sigma, pi = (minors * xp - det * xq) * xq, det * xq * xp
+        root = (xp, xq)
+    else:
+        den = xq * xq
+        sigma *= xq
+        root = (det * den, pi) if pi > 0 else (-det * den, -pi) if pi else (xp, xq)
+    # the pair is (sigma +- sqrt(disc)) / (2 den), with sqrt(disc) = r / 2^j to 64 bits
+    disc = sigma * sigma - 4 * pi * den
+    t = (abs(disc).bit_length() >> 1) - 64
+    if t > 0:
+        r, j = math.isqrt(abs(disc) >> 2 * t) << t, 0
+    else:
+        r, j = math.isqrt(abs(disc) << -2 * t), -t
+    half = den << (j + 1)
+    if disc < 0:
+        re = (sigma << j, half)
+        return root, re, re, (r, half)
+    # the root of larger size takes no cancellation, and Vieta gives the other
+    n = (sigma << j) + (r if sigma >= 0 else -r)
+    if n == 0:
+        return root, (0, 1), (0, 1), None
+    x3 = (pi << (j + 1), n) if n > 0 else (-(pi << (j + 1)), -n)
+    return root, (n, half), x3, None
 
 
 def _ranks(stack: np.ndarray, thresholds) -> list:
@@ -250,11 +240,11 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     Raises :class:`NotUnimodular` when det(m) deviates from 1 by more than
     ``det_tol`` relatively.
 
-    Everything before the rank tests is scalar Python arithmetic on m / c,
-    c >= 1 a power of two, so that nothing overflows: the characteristic
-    polynomial x^3 - a x^2 + b x - d with a, b and d correctly rounded (d is
-    the det gate's determinant), its roots and ||m||_2 in closed form.  The
-    rank tests make one SVD call each.
+    Everything before the rank tests is scalar Python arithmetic: the
+    characteristic polynomial over exact integers, its roots as ratios of
+    integers (one float root, the rest from exact deflation), each rounded once,
+    and ||m||_2 in closed form on m / c, c >= 1 a power of two, so that nothing
+    overflows.  The rank tests make one SVD call each.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
@@ -266,7 +256,8 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     c = math.ldexp(1.0, e)
     ci = 1.0 / c
     p00, p01, p02, p10, p11, p12, p20, p21, p22 = (x * ci for x in entries)
-    trace, minors, d, det, t = _char_poly(entries, e)
+    trace, minors, det, k = _char_poly(entries)
+    d = det / (1 << 3 * (k + e))  # det(m / c), correctly rounded
 
     # det gate |det m - 1| <= det_tol max(1, ||m||_F^2), divided through by c^3: an
     # entrywise perturbation of size eps moves the determinant by ~ eps ||m||^2
@@ -287,35 +278,32 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     pair_tol = math.sqrt(tol) * scale
     triple_tol = tol ** (1.0 / 3.0) * scale
 
-    roots, vieta = _cubic_roots(trace, minors, d)
+    # the float root in units of 2^s, the size of the roots (within a factor 6): no
+    # coefficient exceeds 1, and the largest root does not underflow against c
+    s = max(trace.bit_length(), (minors.bit_length() + 1) >> 1, (det.bit_length() + 2) // 3)
+    x1 = _simple_root(trace / (1 << s), minors / (1 << 2 * s), det / (1 << 3 * s))
+    *roots, im = _cubic_roots(x1, trace, minors, det, s)
+    # each root rounded once from its exact ratio: in units of c, where none
+    # overflows, for the decisions, and in units of 1 for the report
+    l1, l2, l3 = [_ratio(n, q << (k + e)) for n, q in roots]
+    li = _ratio(im[0], im[1] << (k + e)) if im else 0.0
 
     # Full Jordan block at eigenvalue 1: rank(m - I) = 2 and rank((m - I)^2) = 1.
     # The second rank test separates true unipotents from nearby diagonalizable
     # matrices whose spectrum merely clusters at 1 within triple_tol.
-    if all(abs(z - ci) <= triple_tol for z in roots):
+    if max(abs(l1 - ci), math.hypot(l2 - ci, li), math.hypot(l3 - ci, li)) <= triple_tol:
         # in units of c, (m - I)^2 is (n @ n) c^2 and its threshold stays tol ||m||
         n = (m - _EYE) * ci
         if _ranks(np.array((n, n @ n)), (rank_thr, rank_thr * ci)) == [2, 1]:
             return IsometryClass.parabolic()
 
-    if isinstance(roots[1], complex):
-        if roots[1].imag > pair_tol:
-            eig = (roots[1] * c, roots[2] * c, complex(roots[0] * c))
-            return IsometryClass.other(eigenvalues=tuple(sorted(eig, key=lambda z: -abs(z))))
-        if roots[0] > roots[1].real:
-            vieta = ()  # the real root, the one Vieta gives, is not the smallest
-        roots = sorted((roots[0], roots[1].real, roots[2].real), reverse=True)
-    l1, l2, l3 = roots
-    vals = (l1 * c, l2 * c, l3 * c)
-    if vieta and l2 > 0.0 and det > 0:
-        # positive spectrum: l3 = d / prod(vieta), redone in units of 1 from the exact
-        # determinant, as d = det m / c^3 underflows once c passes ~2^341 while l3
-        # itself is still a normal float.  The quotient leaves the float range only
-        # where underflow in a and b has already lost the roots; l3 then stays.
-        p, q = _det_ratio(det, t + 2 * e, *vieta)
-        if p.bit_length() - q.bit_length() < 1023:
-            vals = (vals[0], vals[1], p / q)
-            l3 = vals[2] * ci
+    if li > pair_tol:
+        real, re, imag = [_ratio(n, q << k) for n, q in (roots[0], roots[1], im)]
+        eig = (complex(re, imag), complex(re, -imag), complex(real))
+        return IsometryClass.other(eigenvalues=tuple(sorted(eig, key=lambda z: -abs(z))))
+    # a complex pair within pair_tol of the real axis counts as its real part twice
+    vals = [_ratio(n, q << k) for n, q in roots]
+    (l1, l2, l3), vals, roots = zip(*sorted(zip((l1, l2, l3), vals, roots), reverse=True))
     if vals[2] <= 0.0 or det <= 0:
         return IsometryClass.other(eigenvalues=vals)
 
@@ -330,9 +318,9 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     # rounding and mu^2 nu = det m keeps mu so, where the mean of a split pair is
     # good to sqrt(eps) only.
     if gap_12 <= pair_tol:
-        mean, nu, k = 0.5 * (l1 + l2), l3, 2
+        mean, nu, j = 0.5 * (l1 + l2), l3, 2
     else:
-        mean, nu, k = 0.5 * (l2 + l3), l1, 0
+        mean, nu, j = 0.5 * (l2 + l3), l1, 0
     if abs(mean - nu) <= pair_tol:
         # near-triple spectrum away from 1; det 1 rules out an exact instance
         return IsometryClass.other(eigenvalues=vals)
@@ -342,11 +330,10 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     # split to O(eps) there, so the plain rank threshold is reliable.
     (jordan_rank,) = _ranks(m * ci - mean * _EYE, (rank_thr,))
     if jordan_rank == 2:
-        # mu^2 = det m / nu, exact until the one rounding, with nu in units of 1
-        # where it is the smallest root (in units of c it may underflow) and in
-        # units of c where it is the largest (in units of 1 it may overflow)
-        mu = _sqrt_ratio(*(_det_ratio(det, t, vals[2]) if k else _det_ratio(det, t + e, l1)))
-        return IsometryClass(QUASI_HYPERBOLIC, mu=mu, nu=vals[k], jordan_at_larger=mu > vals[k])
+        # mu^2 = det m / nu = (det / 2^3k) / (n / (q 2^k)), exact until the one rounding
+        n, q = roots[j]
+        mu = _sqrt_ratio(det * q, n << 2 * k)
+        return IsometryClass(QUASI_HYPERBOLIC, mu=mu, nu=vals[j], jordan_at_larger=mu > vals[j])
     if jordan_rank == 1:
         # diagonalizable repeated eigenvalue: not an isometry of the trichotomy
         return IsometryClass.other(eigenvalues=vals)

@@ -122,13 +122,13 @@ class Flag:
     point: ProjPoint
     line: ProjLine
 
-    def __init__(self, point, line, tol: float = DEFAULT_INCIDENCE_TOL):
+    def __init__(self, point, line):
         if not isinstance(point, ProjPoint):
             point = ProjPoint(point)
         if not isinstance(line, ProjLine):
             line = ProjLine(*line)
         residual = pairing13(point, line)
-        bound = tol * (_norm(point.v) * _norm(line.u) * _norm(line.w))
+        bound = DEFAULT_INCIDENCE_TOL * (_norm(point.v) * _norm(line.u) * _norm(line.w))
         if abs(residual) > bound:
             raise ValueError(
                 f"flag point does not lie on its line (residual {residual:g})"
@@ -136,22 +136,24 @@ class Flag:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "line", line)
 
+    @classmethod
+    def _incident(cls, point: ProjPoint, line: ProjLine) -> "Flag":
+        """A flag incident by construction, as the image of one is: not checked."""
+        flag = object.__new__(cls)
+        object.__setattr__(flag, "point", point)
+        object.__setattr__(flag, "line", line)
+        return flag
+
     def transform(self, m) -> "Flag":
         """Image of the flag under an invertible 3x3 matrix."""
         m = np.asarray(m, dtype=float)
-        return Flag(
-            ProjPoint(m @ self.point.v),
-            ProjLine(m @ self.line.u, m @ self.line.w),
-            tol=np.inf,  # exact incidence is preserved up to roundoff
-        )
+        return Flag._incident(
+            ProjPoint(m @ self.point.v), ProjLine(m @ self.line.u, m @ self.line.w))
 
     def rescaled(self, cp: float, cu: float, cw: float) -> "Flag":
         """Same flag with representatives rescaled by nonzero scalars."""
-        return Flag(
-            ProjPoint(cp * self.point.v),
-            ProjLine(cu * self.line.u, cw * self.line.w),
-            tol=np.inf,
-        )
+        return Flag._incident(
+            ProjPoint(cp * self.point.v), ProjLine(cu * self.line.u, cw * self.line.w))
 
     def to_json(self) -> dict:
         return {

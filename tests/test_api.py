@@ -1,5 +1,6 @@
-"""The public surface: names exported by the projkit namespace, the public
-attributes of the domain classes, the CLI subcommands and the options of each.
+"""The public surface: names exported by the projkit namespace, the parameter
+names of every public callable, the public attributes of the domain classes,
+the CLI subcommands and the options of each.
 
 A change that adds, renames or removes one of them has to change this file.
 """
@@ -28,6 +29,73 @@ PUBLIC_NAMES = [
     "triangle_area_experiment", "triple_det", "triple_ratio",
 ]
 
+# parameter names of every exported function and class (its constructor) and of
+# the public methods each class defines; exception classes take a message only
+SIGNATURES = {
+    "BoundaryData": ["lam", "tau", "kind"],
+    "BoundaryData.hyperbolic": ["lam", "tau"],
+    "BoundaryData.parabolic": [],
+    "BoundaryData.quasi_hyperbolic": ["lam"],
+    "Chord": ["p", "q"],
+    "ConicOval": ["coeffs"],
+    "ConicOval.disk": ["center", "radius"],
+    "ConicOval.extreme_points": ["self"],
+    "ConicOval.unit_circle": [],
+    "ConvexDomain": [],
+    "ConvexDomain.contains": ["self", "pts", "tol"],
+    "ConvexDomain.extreme_points": ["self"],
+    "DoubleRatios": ["d1", "d2"],
+    "Flag": ["point", "line"],
+    "Flag.from_json": ["data"],
+    "Flag.rescaled": ["self", "cp", "cu", "cw"],
+    "Flag.to_json": ["self"],
+    "Flag.transform": ["self", "m"],
+    "GoldmanLengths": ["l1", "l2", "hilbert_length"],
+    "IsometryClass": ["kind", "eigenvalues", "mu", "nu", "jordan_at_larger"],
+    "IsometryClass.hyperbolic": ["l1", "l2", "l3"],
+    "IsometryClass.other": ["eigenvalues"],
+    "IsometryClass.parabolic": [],
+    "PantsBD": ["sigma1", "sigma2", "tplus", "tminus"],
+    "PantsGoldman": ["boundaries", "s", "t"],
+    "Polygon": ["vertices"],
+    "Polygon.extreme_points": ["self"],
+    "ProjLine": ["u", "w"],
+    "ProjLine.from_normal": ["normal"],
+    "ProjPoint": ["coords"],
+    "TorusBD": ["pants", "sigma_c1", "sigma_c2"],
+    "TorusGoldman": ["b", "c", "s", "t", "u", "v"],
+    "TripleRatio": ["value"],
+    "all_parabolic_coords": ["s", "t"],
+    "all_parabolic_recover": ["sigma1_b1", "tplus"],
+    "bulge_vertex": ["y", "x", "v"],
+    "bulging_configuration": ["y", "x"],
+    "bulging_matrix": ["v"],
+    "busemann_area": ["dom", "region", "cellsize"],
+    "chord": ["dom", "x", "y"],
+    "classify": ["m", "tol", "det_tol"],
+    "double_ratios": ["e", "f", "g", "l", "tol"],
+    "finsler_norm": ["dom", "x", "direction"],
+    "goldman_lengths": ["c"],
+    "hilbert_distance": ["dom", "x", "y"],
+    "is_generic_quadruple": ["e", "f", "g", "l", "tol"],
+    "is_generic_triple": ["e", "f", "g", "tol"],
+    "middle_eigenvalue": ["b"],
+    "one_parabolic_residuals": ["bd"],
+    "pairing13": ["p", "line"],
+    "pants_goldman_to_bd": ["g"],
+    "quasi_hyperbolic_residual": ["bd"],
+    "shear": ["e", "f", "g", "l", "i", "tol"],
+    "shear_shift": ["s1", "s2", "v"],
+    "stratum_codimension": ["kinds"],
+    "stratum_parameters": ["surface", "kinds"],
+    "tau111": ["e", "f", "g", "tol"],
+    "torus_goldman_to_bd": ["g"],
+    "torus_parabolic_recover": ["sigma1", "tplus"],
+    "triangle_area_experiment": ["alpha", "truncation", "cellsize"],
+    "triple_det": ["a", "b", "c"],
+    "triple_ratio": ["e", "f", "g", "tol"],
+}
+
 # public attributes of the two domain classes; extreme_points takes no argument
 DOMAIN_ATTRIBUTES = {
     "ConicOval": ["center", "contains", "disk", "extreme_points", "unit_circle"],
@@ -53,6 +121,21 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(getattr(pk, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_signatures():
+    signatures = {}
+    for name in PUBLIC_NAMES:
+        obj = getattr(pk, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        signatures[name] = list(inspect.signature(obj).parameters)
+        if isinstance(obj, type):
+            for attr in vars(obj):
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    method = getattr(obj, attr)
+                    signatures[f"{name}.{attr}"] = list(inspect.signature(method).parameters)
+    assert signatures == SIGNATURES
 
 
 def test_domain_attributes():

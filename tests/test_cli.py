@@ -226,6 +226,16 @@ class TestDistance:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "distance = 0.54930614433405489\n"
 
+    def test_distance_past_the_cross_ratio_overflow(self):
+        """The cross ratio overflowed and the distance exited 1 with NonFiniteResult."""
+        record = {"domain": {"polygon": [[-1, -1], [1e308, -1], [1, 1], [-1, 1]]},
+                  "x": [0.18240924359246036, 0.18240924359246036],
+                  "y": [1.4366681146128056e307, 0.6881984436753196]}
+        code, out, err = run_main("distance", "--input", json.dumps(record))
+        assert (code, err) == (0, "")
+        assert float(out.removeprefix("distance = ")) == pytest.approx(
+            355.298697288858688913370002956, rel=1e-14)
+
     @pytest.mark.parametrize("conic, y, expected", [
         ([1, 0, 1, 0, 0, -1], 1e-160, 1e-160),
         ([1, 0, 1, 0, 0, -1], 1e-300, 1e-300),

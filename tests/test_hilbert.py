@@ -100,16 +100,17 @@ class TestDomains:
         """a (x^2 + y^2) + f = 0 is the disk of radius sqrt(-f / a).  Scaling the
         coefficients by the largest of all six took a and c toward underflow: at
         f = -1e300 4ac was 0 ("not an oval"), at f = -1.3e160 det A was subnormal and
-        the density 2e-5 off."""
+        the density 2e-5 off.  The area of the radius-1e150 disk was inf: the radial
+        map overflowed."""
         r = math.sqrt(-f / a)
         dom, disk = pk.ConicOval([a, 0.0, a, 0.0, 0.0, f]), pk.ConicOval.disk((0.0, 0.0), r)
         # the disk's constant term is the rounded r^2, not f / a
         assert pk.hilbert_distance(dom, [0, 0], [r / 2, 0]) == pytest.approx(
             pk.hilbert_distance(disk, [0, 0], [r / 2, 0]), rel=1e-15)
-        if r < 1e100:  # the area of a larger disk is inf (the radial map overflows)
-            region = pk.ConicOval.disk((0.0, 0.0), r / 2)
-            assert pk.busemann_area(dom, region, 0.01) == pytest.approx(
-                pk.busemann_area(disk, region, 0.01), rel=1e-12)
+        region = pk.ConicOval.disk((0.0, 0.0), r / 2)
+        area = pk.busemann_area(dom, region, 0.01)
+        assert math.isfinite(area)
+        assert area == pytest.approx(pk.busemann_area(disk, region, 0.01), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_conic_rejected(self, bad):
@@ -337,6 +338,24 @@ def test_finsler_norm_scales_exactly(k, i, j, f, v, power):
 
 
 class TestDistance:
+    @pytest.mark.parametrize("verts, x, y, expected", [
+        ([[-1, -1], [1e308, -1], [1, 1], [-1, 1]], [0.18240924359246036] * 2,
+         [1.4366681146128056e307, 0.6881984436753196], 355.298697288858688913370002956),
+        # x at a subnormal distance from the edge behind it
+        ([[0, 0], [1, 0], [0, 1]], [1e-310, 0.25], [0.5, 0.25], 357.103421968131164741311306889),
+    ])
+    def test_past_the_cross_ratio_overflow(self, verts, x, y, expected):
+        """Cross ratios past the float range: it overflowed and the distance was inf.
+        The references are the chords' exact cross ratios, to 30 digits."""
+        assert pk.hilbert_distance(pk.Polygon(verts), x, y) == pytest.approx(expected, rel=1e-14)
+
+    def test_exit_at_the_smallest_subnormal(self):
+        """t- (t+ - 1) underflowed to 0 and the cross ratio raised ZeroDivisionError.
+        The exit behind x = (5e-324, 0.25) has one significant bit, so the distance
+        is good to that only: the exact value is 372.7693."""
+        d = pk.hilbert_distance(pk.Polygon([[0, 0], [1, 0], [0, 1]]), [5e-324, 0.25], [0.6, 0.25])
+        assert d == pytest.approx(372.769342105024686, rel=1e-3)
+
     def test_half_log_three(self):
         d = pk.hilbert_distance(unit_circle(), [0.0, 0.0], [0.5, 0.0])
         assert d == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
@@ -463,6 +482,17 @@ class TestBusemannArea:
     def test_klein_disk_oracle(self):
         area = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.01)
         assert area == pytest.approx(self.ORACLE, rel=0.02)
+
+    def test_domain_past_1e102(self):
+        """The radial map's derivative was a product cubic in the chord exits, which
+        overflowed for exits past ~5e102: the area came out inf.  The Busemann area is
+        invariant under scaling domain and region together."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = pk.busemann_area(pk.ConicOval.disk((0, 0), 1e150),
+                                   pk.ConicOval.disk((0, 0), 5e149), 0.01)
+        unit = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.01)
+        assert big == pytest.approx(unit, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_klein_disk_exact(self, r):

@@ -130,14 +130,21 @@ class TestClassify:
          "quasi_hyperbolic", (1e150, 1e-300)),
         (np.array([[1e110, 0.0, 0.0], [0.0, 1e-55, 1e105], [0.0, 0.0, 1e-55]]),
          "quasi_hyperbolic", (1e-55, 1e110)),
+        # a pair below 2^-1000 c, where the sum of the minors in units of c underflows
+        (np.array([[1e250, 0.0, 0.0], [0.0, 1e-125, 1.0], [0.0, 0.0, 1e-125]]), "other",
+         (1e250, 1e-125, 1e-125)),
+        (np.array([[1e300, 1.0, 0.0], [0.0, 1e-150, 1e-10], [0.0, 0.0, 1e-150]]), "other",
+         (1e300, 1e-150, 1e-150)),
+        (np.diag([1e250, 2e-125, 5e-126]), "other", (1e250, 2e-125, 5e-126)),
     ])
     def test_spread_spectrum_keeps_every_eigenvalue(self, m, kind, data):
         """The kind and eigen-data of triangular matrices whose eigenvalues span far
-        more than the float range of one scale; eigvals gives them exactly."""
+        more than the float range of one scale; eigvals gives them exactly.  Where a
+        pair lay below ~2^-1000 max |entry| it came out 0.0."""
         c = pk.classify(m)
         assert c.kind == kind
         got = (c.mu, c.nu) if kind == "quasi_hyperbolic" else c.eigenvalues
-        assert got == pytest.approx(data, rel=1e-14)
+        assert got == pytest.approx(data, rel=1e-14, abs=0.0)
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(43)
@@ -190,6 +197,43 @@ class TestClassify:
             assert c.jordan_at_larger is (c.mu > c.nu)
             checked += 1
         assert checked >= 30
+
+
+def _triangular(spec):
+    """Upper-triangular matrix with diagonal (d1, d2, 1 / (d1 d2)) and off-diagonal
+    entries up to max |d|, from (log10 d1, log10 d2, signs, off-diagonal factors)."""
+    (e1, e2), (s1, s2), off = spec
+    d = [s1 * 10.0**e1, s2 * 10.0**e2]
+    d.append(1.0 / (d[0] * d[1]))
+    big = max(map(abs, d))
+    return np.array([[d[0], off[0] * big, off[1] * big],
+                     [0.0, d[1], off[2] * big],
+                     [0.0, 0.0, d[2]]])
+
+
+def _spread_apart(spec):
+    """The diagonal's entries are at least a factor 2 apart in size, and 1 / (d1 d2)
+    is a normal float."""
+    (e1, e2), _, _ = spec
+    apart = min(abs(e1 - e2), abs(2.0 * e1 + e2), abs(e1 + 2.0 * e2)) >= 0.302
+    return apart and abs(e1 + e2) <= 300
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(
+    st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    st.tuples(*[st.sampled_from([1.0, -1.0])] * 2),
+    st.tuples(*[st.just(0.0) | st.floats(-1.0, 1.0)] * 3),
+).filter(_spread_apart).map(_triangular))
+def test_triangular_eigenvalues_to_rounding(m):
+    """Real eigenvalues reported for a triangular matrix are its diagonal within 4 ulps,
+    however far apart in size: no eigenvalue underflows in the units of the largest."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = pk.classify(m)
+    if c.eigenvalues is not None:
+        for got, d in zip(c.eigenvalues, sorted(np.diag(m).tolist(), reverse=True)):
+            assert abs(got - d) <= 4 * EPS * abs(d)
 
 
 def _product(factors):
