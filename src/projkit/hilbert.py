@@ -58,10 +58,6 @@ class ConvexDomain:
         inside = self._depth(pts.reshape(-1, 2)) > tol
         return bool(inside[0]) if pts.ndim == 1 else inside
 
-    def extreme_points(self):
-        """Points whose containment certifies containment of the region."""
-        raise NotImplementedError
-
     def _density(self, pts):
         """Busemann density pi / area(unit Finsler ball) at each of the (n, 2) points."""
         raise NotImplementedError
@@ -106,9 +102,6 @@ class Polygon(ConvexDomain):
         # the least edge slack relative to the polygon's scale max(1, max |vertex|)
         return self._slack(pts).min(axis=1) / self._scale
 
-    def extreme_points(self):
-        return self.vertices
-
     def _density(self, pts):
         # F(w) = (g(w) + g(-w)) / 2 with the gauge g(w) = max_e n_e.w / slack_e is
         # linear between the rays +-(v_i - x), so the unit ball is the polygon
@@ -143,8 +136,6 @@ class ConicOval(ConvexDomain):
     which keeps its accuracy far from the origin.
     """
 
-    _EXTREME_SAMPLES = 256
-
     def __init__(self, coeffs):
         coeffs = np.array([float(x) for x in coeffs])
         # a scale class: an exact power of two brings the largest of a, b, c into [1, 2)
@@ -171,10 +162,12 @@ class ConicOval(ConvexDomain):
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
-        cx, cy = (float(v) for v in center)
-        # built in centred form: the constant term cx^2 + cy^2 - r^2 cancels
+        (cx, cy), r = (float(v) for v in center), float(radius)
+        if not (math.isfinite(cx) and math.isfinite(cy) and r * r < math.inf):
+            raise ValueError("disk needs a finite centre and a radius whose square is finite")
+        # centred form: cx^2 + cy^2 - r^2 cancels; scaling r out would make A = I r^-2 subnormal
         oval = cls.__new__(cls)
-        oval._init_centred(np.array([cx, cy]), np.eye(2), -float(radius) ** 2)
+        oval._init_centred(np.array([cx, cy]), np.eye(2), -(r * r))
         return oval
 
     @classmethod
@@ -185,13 +178,6 @@ class ConicOval(ConvexDomain):
         """q / q_min = 1 + d^T A d / q_min at the offsets d = x - center: positive inside."""
         d = pts - self.center
         return 1.0 + ((d @ self._quad) * d).sum(axis=1) / self._qmin
-
-    def extreme_points(self):
-        w, vecs = np.linalg.eigh(self._quad)
-        radii = np.sqrt(-self._qmin / w)
-        phi = np.linspace(0.0, 2.0 * math.pi, self._EXTREME_SAMPLES, endpoint=False)
-        circle = np.stack([radii[0] * np.cos(phi), radii[1] * np.sin(phi)], axis=1)
-        return self.center[None, :] + circle @ vecs.T
 
     def _density(self, pts):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
@@ -307,10 +293,10 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> float:
+def _polar_area(dom, region, radius: float, rtol: float) -> float:
     """Busemann area of the points of region within Hilbert distance radius of base.
 
-    The region must be star-shaped about the interior point base.  Along the
+    base is the region's centre (a conic) or vertex mean (a polygon).  Along the
     ray base + rho u the Hilbert distance from base is s, with
     rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s}) for the chord exits t+-, so
     the radial integral of density * rho drho is taken in s, where the
@@ -319,6 +305,7 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
     region's and the domain's vertices and their opposites (kinks of the exits
     t+ and t-), and where the region exit and the radius trade places.
     """
+    base = region.center if isinstance(region, ConicOval) else region.vertices.mean(axis=0)
 
     def exits(theta):
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -336,8 +323,8 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
         u, tf, tb, s_max = exits(theta)
         finite = np.isfinite(s_max)
         half = 0.5 * np.where(finite, s_max, 0.0)[:, None]
-        # a radius past the float range overflows e^{2s}, and the total comes out inf
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grow = np.exp(2.0 * half * (1.0 + radial_x))  # e^{2s}, (m, N)
             # each exit divided by den first, so that no product of exits overflows
             den = tf + tb * grow
@@ -398,6 +385,35 @@ def _polar_area(dom, region, base: np.ndarray, radius: float, rtol: float) -> fl
     return total if math.isfinite(total) else math.inf
 
 
+def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
+    """The least depth of dom over the region, exact to rounding.
+
+    Depth is concave, so least at a polygon's vertex.  A conic region is c + L w,
+    |w| <= 1, L's columns its semi-axes: an edge's least slack is offset - n.c - |L^T n|, and
+    1 - depth in a conic, w^T B w + 2 g.w + k, peaks at the least lambda + k + sum
+    g_i^2 / (lambda - b_i) over lambda > max b (More & Sorensen 1983), each an upper bound.
+    """
+    if isinstance(region, Polygon):
+        return float(dom._depth(region.vertices).min())
+    w, vecs = np.linalg.eigh(region._quad)
+    axes = vecs * np.sqrt(-region._qmin / w)
+    if isinstance(dom, Polygon):
+        reach = np.linalg.norm(dom.normals @ axes, axis=1)
+        return float((dom.offsets - dom.normals @ region.center - reach).min()) / dom._scale
+    ltm = axes.T @ dom._quad / -dom._qmin
+    b, vecs = np.linalg.eigh(ltm @ axes)
+    g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
+    # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out
+    norm = math.hypot(*g)
+    terms = [(gi / norm, (b[-1] - bi) / norm) for gi, bi in zip(g, b.tolist()) if gi]
+    lo, nu = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + nu)
+        lo, nu = (mid, nu) if sum((gi / (mid + gap)) ** 2 for gi, gap in terms) > 1 else (lo, mid)
+    excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
+    return float(dom._depth(region.center[None, :])[0]) - b[-1] - norm * excess
+
+
 def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> float:
     """Busemann (Hilbert) area of a convex region inside the domain.
 
@@ -406,15 +422,15 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     ``cellsize`` sets the accuracy: the relative tolerance is ``cellsize**2``,
     the error a midpoint grid of that cell size has on a smooth integrand.
     The region may touch the domain boundary; it has finite area when it
-    touches it only at points, and the result is ``math.inf`` when it shares
-    a boundary arc.
+    touches it only at points, and ``math.inf`` means only that it shares a
+    boundary arc: a region that leaves the domain raises RegionNotContained.
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
-    probes = region.extreme_points()
-    if not np.all(dom.contains(probes, tol=-1e-9)):
+    # a relative margin, as contains' tol: tangency may fall short of depth 0 by rounding
+    if not _least_depth(dom, region) > -1e-9:
         raise RegionNotContained("integration region is not contained in the domain")
-    return _polar_area(dom, region, probes.mean(axis=0), math.inf, cellsize * cellsize)
+    return _polar_area(dom, region, math.inf, cellsize * cellsize)
 
 
 def triangle_area_experiment(alpha: float, truncation: float, cellsize: float) -> float:
@@ -435,5 +451,4 @@ def triangle_area_experiment(alpha: float, truncation: float, cellsize: float) -
         raise ValueError("truncation and cellsize must be positive and finite")
     dom = Polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     region = Polygon([[0.0, 0.5], [alpha, 0.0], [0.5, 0.5]])
-    barycenter = np.array([(0.5 + alpha) / 3.0, 1.0 / 3.0])
-    return _polar_area(dom, region, barycenter, truncation, cellsize * cellsize)
+    return _polar_area(dom, region, truncation, cellsize * cellsize)

@@ -39,11 +39,9 @@ SIGNATURES = {
     "Chord": ["p", "q"],
     "ConicOval": ["coeffs"],
     "ConicOval.disk": ["center", "radius"],
-    "ConicOval.extreme_points": ["self"],
     "ConicOval.unit_circle": [],
     "ConvexDomain": [],
     "ConvexDomain.contains": ["self", "pts", "tol"],
-    "ConvexDomain.extreme_points": ["self"],
     "DoubleRatios": ["d1", "d2"],
     "Flag": ["point", "line"],
     "Flag.from_json": ["data"],
@@ -58,7 +56,6 @@ SIGNATURES = {
     "PantsBD": ["sigma1", "sigma2", "tplus", "tminus"],
     "PantsGoldman": ["boundaries", "s", "t"],
     "Polygon": ["vertices"],
-    "Polygon.extreme_points": ["self"],
     "ProjLine": ["u", "w"],
     "ProjLine.from_normal": ["normal"],
     "ProjPoint": ["coords"],
@@ -96,10 +93,10 @@ SIGNATURES = {
     "triple_ratio": ["e", "f", "g", "tol"],
 }
 
-# public attributes of the two domain classes; extreme_points takes no argument
+# public attributes of the two domain classes
 DOMAIN_ATTRIBUTES = {
-    "ConicOval": ["center", "contains", "disk", "extreme_points", "unit_circle"],
-    "Polygon": ["contains", "extreme_points", "normals", "offsets", "vertices"],
+    "ConicOval": ["center", "contains", "disk", "unit_circle"],
+    "Polygon": ["contains", "normals", "offsets", "vertices"],
 }
 
 SUBCOMMANDS = ["area", "bulge", "classify", "convert", "distance", "invariants", "sweep"]
@@ -142,7 +139,6 @@ def test_domain_attributes():
     for dom in (pk.ConicOval.unit_circle(), pk.Polygon([[0, 0], [1, 0], [0, 1]])):
         names = sorted(name for name in dir(dom) if not name.startswith("_"))
         assert names == DOMAIN_ATTRIBUTES[type(dom).__name__]
-        assert not inspect.signature(dom.extreme_points).parameters
 
 
 def _subparsers():

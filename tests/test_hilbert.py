@@ -122,6 +122,17 @@ class TestDomains:
         with pytest.raises(ValueError, match="finite"):
             pk.ConicOval([1e-300, 0.0, 1e-300, 1e10, 0.0, -1.0])
 
+    @pytest.mark.parametrize("center, radius", [
+        ((0.0, 0.0), math.inf), ((math.nan, 0.0), 1.0), ((0.0, -math.inf), 1.0),
+        ((0.0, 0.0), 1e160),
+    ])
+    def test_disk_refuses_what_it_cannot_hold(self, center, radius):
+        """An infinite radius was accepted and its distances were nan, a non-finite
+        centre was accepted, and a radius past ~1.3e154 raised a bare OverflowError
+        from r ** 2."""
+        with pytest.raises(ValueError, match="finite"):
+            pk.ConicOval.disk(center, radius)
+
     def test_sign_normalization(self):
         dom = pk.ConicOval([-1, 0, -1, 0, 0, 1])  # negated unit circle
         assert dom.contains([0.0, 0.0])
@@ -301,6 +312,18 @@ def test_tiny_step_distance_on_a_conic(r):
     assert abs(Decimal(d) - _atanh_50(r)) <= Decimal(8.0 * 2.0**-52 * r)
 
 
+def rim(dom):
+    """Boundary points: a polygon's vertices, 256 equally spaced in a conic's
+    eccentric angle."""
+    if isinstance(dom, pk.Polygon):
+        return dom.vertices
+    w, vecs = np.linalg.eigh(dom._quad)
+    radii = np.sqrt(-dom._qmin / w)
+    phi = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    circle = np.stack([radii[0] * np.cos(phi), radii[1] * np.sin(phi)], axis=1)
+    return dom.center[None, :] + circle @ vecs.T
+
+
 _FAR_DISK = pk.ConicOval.disk((3e5, -2e5), 1.0)
 SCALE_DOMAINS = [
     unit_circle(), pk.ConicOval([2.0, 0.7, 1.0, 0.3, -0.2, -1.5]), _FAR_DISK, unit_square()
@@ -326,8 +349,8 @@ def test_finsler_norm_scales_exactly(k, i, j, f, v, power):
     size.  A conic's u^T A u underflowed below |v| ~ 1e-154, and the polygon's norm
     of v overflowed past ~1e154 and underflowed to 0 below ~1e-162."""
     dom = SCALE_DOMAINS[k]
-    rim = dom.extreme_points()
-    centre, chord_mid = rim.mean(axis=0), 0.5 * (rim[i % len(rim)] + rim[j % len(rim)])
+    pts = rim(dom)
+    centre, chord_mid = pts.mean(axis=0), 0.5 * (pts[i % len(pts)] + pts[j % len(pts)])
     x = centre + f * (chord_mid - centre)
     v = np.array(v)
     scaled = np.ldexp(v, power)
@@ -565,6 +588,16 @@ class TestBusemannArea:
         with pytest.raises(pk.RegionNotContained):
             pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 2.0), 0.05)
 
+    def test_edge_between_rim_samples_is_refused(self):
+        """The unit disk in a quadrilateral whose edge cuts 3e-5 into it, its normal
+        halfway between two of the 256 rim points that used to decide containment:
+        the disk was accepted and its area came out inf."""
+        n = np.array([math.cos(math.pi / 256), math.sin(math.pi / 256)])
+        t, d = np.array([-n[1], n[0]]), 1.0 - 3e-5
+        quad = pk.Polygon([d * n - 3.0 * t, d * n + 3.0 * t, [-4.0, 3.0], [-4.0, -3.0]])
+        with pytest.raises(pk.RegionNotContained):
+            pk.busemann_area(quad, unit_circle(), 0.01)
+
     def test_deterministic(self):
         region = pk.ConicOval.disk((0.1, 0), 0.4)
         a1 = pk.busemann_area(unit_circle(), region, 0.01)
@@ -597,6 +630,150 @@ class TestBusemannArea:
         tri = standard_triangle()
         assert pk.busemann_area(tri, tri, 0.01) == math.inf
         assert pk.busemann_area(unit_circle(), unit_circle(), 0.01) == math.inf
+        # crossing the boundary within the margin, centred on it: its part inside the
+        # disk shares an arc with the boundary; the density at the centre divided by 0
+        assert pk.busemann_area(unit_circle(), pk.ConicOval.disk((1, 0), 1e-13), 0.01) == math.inf
+
+
+def _reference_least_depth(dom, region):
+    """The least depth of dom over the region's boundary, in 50-digit decimals: the
+    least of 128 samples of a boundary parametrisation, each local minimum among them
+    refined by golden-section search.  Depth is concave, so it is least on the
+    boundary.  A polygon region's vertices are samples; a conic region's boundary
+    point in direction u is c + u sqrt(-q_min / u^T A u), u running round the square
+    [-1, 1]^2."""
+
+    def dec(a):
+        return [dec(x) for x in a] if isinstance(a, list) else Decimal(a)
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if isinstance(region, pk.Polygon):
+            verts = dec(region.vertices.tolist())
+
+            def rim(t):
+                k = int(t * len(verts))
+                f, a, b = t * len(verts) - k, verts[k], verts[(k + 1) % len(verts)]
+                return [a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])]
+        else:
+            (rc0, rc1), ((ra, rh), (_, rb)), rq = dec(region.center.tolist()), dec(
+                region._quad.tolist()), Decimal(region._qmin)
+
+            def rim(t):
+                k = int(8 * t) // 2
+                f = 8 * t - 2 * k - 1
+                u0, u1 = [(1, f), (-f, 1), (-1, -f), (f, -1)][k]
+                r = (-rq / (ra * u0 * u0 + 2 * rh * u0 * u1 + rb * u1 * u1)).sqrt()
+                return [rc0 + r * u0, rc1 + r * u1]
+        if isinstance(dom, pk.Polygon):
+            vs = dec(dom.vertices.tolist())
+            scale = max(Decimal(1), *(abs(x) for v in vs for x in v))
+            edges = [(p, q[0] - p[0], q[1] - p[1]) for p, q in zip(vs, vs[1:] + vs[:1])]
+            edges = [(p, dx, dy, (dx * dx + dy * dy).sqrt() * scale) for p, dx, dy in edges]
+
+            def depth(x):
+                return min((dx * (x[1] - p[1]) - dy * (x[0] - p[0])) / n for p, dx, dy, n in edges)
+        else:
+            (c0, c1), ((a, h), (_, b)), q = dec(dom.center.tolist()), dec(
+                dom._quad.tolist()), Decimal(dom._qmin)
+
+            def depth(x):
+                d0, d1 = x[0] - c0, x[1] - c1
+                return 1 + (a * d0 * d0 + 2 * h * d0 * d1 + b * d1 * d1) / q
+
+        def f(t):
+            return depth(rim(t % 1 + (t < 0)))
+
+        n = 128
+        vals = [f(Decimal(i) / n) for i in range(n)]
+        best = min(vals)
+        golden = (Decimal(5).sqrt() - 1) / 2
+        for i in range(n):
+            if vals[i] <= vals[i - 1] and vals[i] <= vals[(i + 1) % n]:
+                lo, hi = Decimal(i - 1) / n, Decimal(i + 1) / n
+                x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+                f1, f2 = f(x1), f(x2)
+                for _ in range(50):
+                    if f1 < f2:
+                        hi, x2, f2 = x2, x1, f1
+                        x1 = hi - golden * (hi - lo)
+                        f1 = f(x1)
+                    else:
+                        lo, x1, f1 = x1, x2, f2
+                        x2 = lo + golden * (hi - lo)
+                        f2 = f(x2)
+                best = min(best, f1, f2)
+        return best
+
+
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+def _near_tangent_pair(kind, shape, axes, shift, contact, size, jitter, eps):
+    """A domain and a region touching it at one point, the region then moved outwards
+    by eps (inwards for eps < 0) in units of the domain's size.
+
+    kind 0: an ellipse domain and its image under x -> p + T (x - p), p on its
+    boundary, T = size (I + s t t^T) with t the tangent at p and s = jitter[0]; for
+    (1 + s)^2 > 1 / size the image crosses the boundary near p.
+    kind 1: a polygon with vertices on an ellipse, at angles jittered about equal
+    steps from the contact angle, and an ellipse touching its first edge.
+    kind 2: an ellipse and a polygon with such vertices on it, all but the first
+    pulled inwards by up to 5%.
+    """
+    m = _rotation(shape) @ np.diag(axes)
+    shift = np.asarray(shift)
+    dom = affine_disk(m, shift, (0.0, 0.0), 1.0)
+    if kind == 0:
+        w = np.array([math.cos(contact), math.sin(contact)])
+        p, nu = m @ w + shift, np.linalg.solve(m.T, w)
+        nu /= np.linalg.norm(nu)
+        t = np.array([-nu[1], nu[0]])
+        big_t = size * (np.eye(2) + jitter[0] * np.outer(t, t))
+        moved = p + big_t @ (shift - p) + eps * max(axes) * nu
+        return dom, affine_disk(big_t @ m, moved, (0.0, 0.0), 1.0)
+    k = len(jitter)
+    angles = 2.0 * math.pi * (np.arange(k) + 0.6 * np.asarray(jitter)) / k + contact
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ m.T
+    if kind == 2:
+        pull = np.concatenate([[1.0 + eps], 1.0 - 0.05 * np.asarray(jitter[1:])])
+        return dom, pk.Polygon(pts * pull[:, None] + shift)
+    poly = pk.Polygon(pts + shift)
+    a, b = poly.vertices[0], poly.vertices[1]
+    touch = a + size * (b - a) + eps * max(1.0, np.abs(poly.vertices).max()) * poly.normals[0]
+    lm = _rotation(contact) @ np.diag([0.5 * size, 0.2 + 0.3 * jitter[0]]) * min(axes)
+    reach = lm @ (lm.T @ poly.normals[0])
+    return poly, affine_disk(lm, touch - reach / np.linalg.norm(lm.T @ poly.normals[0]),
+                             (0.0, 0.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2),
+    st.floats(0.0, math.pi),
+    st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.1, 0.9),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=7),
+    st.just(0.0) | st.builds(lambda i, s: s * 10.0 ** (i / 1000.0), st.integers(-11000, -7000),
+                             st.sampled_from([-1.0, 1.0])),
+)
+def test_containment_agrees_with_a_decimal_reference(kind, shape, axes, shift, contact, size,
+                                                      jitter, eps):
+    """busemann_area refuses a region exactly when the domain's least depth over it is at
+    most -1e-9, outside a 1e-12 band about that margin.  The reference minimises over
+    the region's boundary in 50-digit decimals."""
+    dom, region = _near_tangent_pair(kind, shape, axes, shift, contact, size, jitter, eps)
+    ref = _reference_least_depth(dom, region)
+    try:
+        pk.busemann_area(dom, region, 10.0)  # only the decision counts: the coarsest quadrature
+        accepted = True
+    except pk.RegionNotContained:
+        accepted = False
+    if abs(ref + Decimal("1e-9")) > Decimal("1e-12"):
+        assert accepted == (ref > Decimal("-1e-9")), float(ref)
 
 
 class TestTriangleExperiment:
