@@ -159,13 +159,14 @@ class ConicOval(ConvexDomain):
         self.center = center
         self._quad = quad
         self._qmin = qmin
+        self._form = quad / -qmin  # one rounding, shared by every multiple of the conic
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
         (cx, cy), r = (float(v) for v in center), float(radius)
         if not (math.isfinite(cx) and math.isfinite(cy) and r * r < math.inf):
             raise ValueError("disk needs a finite centre and a radius whose square is finite")
-        # centred form: cx^2 + cy^2 - r^2 cancels; scaling r out would make A = I r^-2 subnormal
+        # centred: cx^2 + cy^2 - r^2 cancels.  Where r^2 overflows, A / -q_min = I r^-2 underflows
         oval = cls.__new__(cls)
         oval._init_centred(np.array([cx, cy]), np.eye(2), -(r * r))
         return oval
@@ -175,9 +176,9 @@ class ConicOval(ConvexDomain):
         return cls.disk((0.0, 0.0), 1.0)
 
     def _depth(self, pts):
-        """q / q_min = 1 + d^T A d / q_min at the offsets d = x - center: positive inside."""
+        """q / q_min = 1 - d^T (A / -q_min) d at the offsets d = x - center: positive inside."""
         d = pts - self.center
-        return 1.0 + ((d @ self._quad) * d).sum(axis=1) / self._qmin
+        return 1.0 - ((d @ self._form) * d).sum(axis=1)
 
     def _density(self, pts):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
@@ -188,7 +189,7 @@ class ConicOval(ConvexDomain):
     def _exits_paired(self, x, u):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
         # a = u^T A u / -q_min; each root is taken in the form free of cancellation
-        ua = (u @ self._quad) / -self._qmin
+        ua = u @ self._form
         a = (ua * u).sum(axis=1)
         h = (ua * (x - self.center)).sum(axis=1)
         depth = self._depth(x)
@@ -229,12 +230,6 @@ def _exits(dom: ConvexDomain, direction, *points):
     return pts, u, rho, float(t_fwd[0]), float(t_bwd[0])
 
 
-def _cross_ratio(t_fwd, t_bwd, rho):
-    """Cross ratio of p = x - t- u, x, x + rho u, q = x + t+ u, in which the norms of u
-    cancel; half its log is the Hilbert distance from x to x + rho u."""
-    return (t_bwd + rho) * t_fwd / (t_bwd * (t_fwd - rho))
-
-
 def chord(dom: ConvexDomain, x, y) -> Chord:
     """Boundary intersections of the line xy, ordered as p, x, y, q."""
     (x, _), u, _, t_fwd, t_bwd = _exits(dom, None, x, y)
@@ -260,8 +255,9 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     if z < 1.0:
         return 0.5 * math.log1p(z)
     t_fwd, t_bwd = t_fwd / rho, t_bwd / rho
-    # t+ > 1 here, so a zero t- (t+ - 1) has underflowed
-    ratio = _cross_ratio(t_fwd, t_bwd, 1.0) if t_bwd * (t_fwd - 1.0) else math.inf
+    # the cross ratio of p, x, y, q; t+ > 1 here, so a zero t- (t+ - 1) has underflowed
+    den = t_bwd * (t_fwd - 1.0)
+    ratio = (t_bwd + 1.0) * t_fwd / den if den else math.inf
     if ratio == math.inf:
         # past ~354.9 the cross ratio overflows; the logs of its factors (t- + 1) / t-
         # (as a difference: t- may be subnormal) and t+ / (t+ - 1) do not
@@ -314,7 +310,9 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
             t_fwd, t_bwd, _ = dom._exits_paired(x, u)
             # the region may touch the boundary: never leave the domain
             rho = np.minimum(region._exits_paired(x, u)[0], t_fwd)
-            s = 0.5 * np.log(_cross_ratio(t_fwd, t_bwd, rho))
+            # log1p of the cross ratio less 1, and expm1 below, keep a region of small
+            # Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose eps / s
+            s = 0.5 * np.log1p(rho * ((1.0 + t_fwd / t_bwd) / (t_fwd - rho)))
         return u, t_fwd[:, None], t_bwd[:, None], np.minimum(s, radius)
 
     radial_x, radial_w = _radial_rule()
@@ -325,11 +323,12 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
         half = 0.5 * np.where(finite, s_max, 0.0)[:, None]
         # the total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            grow = np.exp(2.0 * half * (1.0 + radial_x))  # e^{2s}, (m, N)
+            grow_m1 = np.expm1(2.0 * half * (1.0 + radial_x))  # e^{2s} - 1, (m, N)
+            grow = grow_m1 + 1.0
             # each exit divided by den first, so that no product of exits overflows
             den = tf + tb * grow
             near, far = tb / den, tf / den
-            rho = (grow - 1.0) * near * tf
+            rho = grow_m1 * near * tf
             drho = 2.0 * grow * near * far * (tb + tf)
             density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
             radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
@@ -399,8 +398,8 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     axes = vecs * np.sqrt(-region._qmin / w)
     if isinstance(dom, Polygon):
         reach = np.linalg.norm(dom.normals @ axes, axis=1)
-        return float((dom.offsets - dom.normals @ region.center - reach).min()) / dom._scale
-    ltm = axes.T @ dom._quad / -dom._qmin
+        return float((dom._slack(region.center[None, :])[0] - reach).min()) / dom._scale
+    ltm = axes.T @ dom._form
     b, vecs = np.linalg.eigh(ltm @ axes)
     g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
     # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out

@@ -85,23 +85,24 @@ class TestDomains:
         with pytest.raises(ValueError):
             pk.ConicOval([1, 0, 1, 0, 0, 1])
 
-    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1.0, 3.0, 1e170, 1e200])
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e-5, 1.0, 3.0, 11.0, 1e170, 1e200])
     def test_conic_coefficients_are_a_scale_class(self, s):
         """The unit circle's coefficients times s give the same distance and area, bit
-        for bit.  b^2 - 4ac underflowed to 0 for s <= 1e-170 ("not an oval"), and the
-        density overflowed to an infinite area for s >= 1e170."""
+        for bit.  b^2 - 4ac underflowed to 0 for s <= 1e-170 ("not an oval"), the
+        density overflowed to an infinite area for s >= 1e170, and with A and q_min
+        applied one after the other the area differed in its last bit at s = 1e-5, 11."""
         dom, unit = pk.ConicOval([s, 0.0, s, 0.0, 0.0, -s]), unit_circle()
         region = pk.ConicOval.disk((0.0, 0.0), 0.5)
         assert pk.hilbert_distance(dom, [0, 0], [0.5, 0]) == pk.hilbert_distance(unit, [0, 0], [0.5, 0])
         assert pk.busemann_area(dom, region, 0.01) == pk.busemann_area(unit, region, 0.01)
 
-    @pytest.mark.parametrize("a, f", [(1.0, -1e300), (1.3, -1.3e160)])
+    @pytest.mark.parametrize("a, f", [(1.0, -1e300), (1.3, -1.3e160), (1.0, -1.69e308)])
     def test_huge_disk_from_coefficients(self, a, f):
         """a (x^2 + y^2) + f = 0 is the disk of radius sqrt(-f / a).  Scaling the
         coefficients by the largest of all six took a and c toward underflow: at
         f = -1e300 4ac was 0 ("not an oval"), at f = -1.3e160 det A was subnormal and
         the density 2e-5 off.  The area of the radius-1e150 disk was inf: the radial
-        map overflowed."""
+        map overflowed; so did the cross ratio's product of exits at radius 1.3e154."""
         r = math.sqrt(-f / a)
         dom, disk = pk.ConicOval([a, 0.0, a, 0.0, 0.0, f]), pk.ConicOval.disk((0.0, 0.0), r)
         # the disk's constant term is the rounded r^2, not f / a
@@ -572,7 +573,20 @@ class TestBusemannArea:
         r, c = 1e-6, np.array([0.2, 0.2])
         tiny = pk.ConicOval.disk(c, r)
         exact = math.pi * r * r * (1.0 - c @ c) ** -1.5
-        assert pk.busemann_area(unit_circle(), tiny, 0.01) == pytest.approx(exact, rel=1e-5)
+        area = pk.busemann_area(unit_circle(), tiny, 0.01)
+        # abs=0.0: approx's default abs of 1e-12 is 28% of this area
+        assert area == pytest.approx(exact, rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-12, 1e-150])
+    def test_small_hilbert_size_to_rounding(self, r):
+        """Below r = 1e-9 the density varies by less than 1e-18 over the disk, so the
+        area is pi r^2 (1 - |c|^2)^-1.5 to rounding.  The log of a cross ratio near 1
+        and e^{2s} - 1 lost eps / s (1.7e-5 off at r = 1e-12); at r = 1e-150 a base
+        point off the centre by rounding overflowed the exits (inf), the centre gave 0.0."""
+        c = np.array([0.1, 0.2])
+        exact = math.pi * r * r * (1.0 - c @ c) ** -1.5
+        area = pk.busemann_area(unit_circle(), pk.ConicOval.disk(c, r), 0.01)
+        assert area == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_monotone_under_inclusion(self):
         small = pk.busemann_area(unit_circle(), pk.ConicOval.disk((0, 0), 0.3), 0.01)
