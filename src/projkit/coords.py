@@ -249,7 +249,8 @@ def all_parabolic_coords(s: float, t: float) -> tuple:
     """
     if not (s > 0.0 and t > 0.0):
         raise NonPositiveParameter("s and t must be positive")
-    return (math.log(s), math.log((s + 1.0) / t))
+    sigma1, _, tplus, _ = _convert((0.0,) * 3, (0.0,) * 3, math.log(s), math.log(t))
+    return (sigma1[0], float(tplus))
 
 
 def all_parabolic_recover(sigma1_b1: float, tplus: float) -> tuple:

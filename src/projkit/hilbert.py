@@ -36,26 +36,24 @@ _GK_X = np.concatenate([-_K15[0], _K15[0, -2::-1]])
 _GK_W, _G7_W = np.concatenate([_K15[1:], _K15[1:, -2::-1]], axis=1)
 
 # adaptive refinement limits: the narrowest panel (radians; its nodes stay far
-# enough from a break that a ray never meets a boundary point by rounding), the
-# panels split per round, and the panel count that ends refinement
+# enough from a break that a ray never meets a boundary point by rounding) and
+# the panel count that ends refinement
 _MIN_PANEL = 1e-8
-_MAX_SPLITS = 64
 _MAX_PANELS = 2048
 
 
 class ConvexDomain:
     """A properly convex region of the affine chart, supporting chord queries."""
 
-    def contains(self, pts, tol: float = 0.0):
-        """Interior test: each point's depth (``_depth``, per class) exceeds ``tol``.
+    def contains(self, pts):
+        """Interior test: each point's depth (``_depth``, per class) is positive.
 
-        The depth is positive inside and 0 on the boundary, and ``tol`` is a
-        relative margin: positive demands points at least that deep inside,
-        negative admits the closure up to ``|tol|``.  Returns a bool for a
-        single point, a boolean array for an (n, 2) batch.
+        The depth is positive inside and 0 on the boundary, relative to the
+        domain's scale.  Returns a bool for a single point, a boolean array
+        for an (n, 2) batch.
         """
         pts = np.asarray(pts, dtype=float)
-        inside = self._depth(pts.reshape(-1, 2)) > tol
+        inside = self._depth(pts.reshape(-1, 2)) > 0.0
         return bool(inside[0]) if pts.ndim == 1 else inside
 
     def _density(self, pts):
@@ -164,9 +162,10 @@ class ConicOval(ConvexDomain):
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
         (cx, cy), r = (float(v) for v in center), float(radius)
-        if not (math.isfinite(cx) and math.isfinite(cy) and r * r < math.inf):
-            raise ValueError("disk needs a finite centre and a radius whose square is finite")
-        # centred: cx^2 + cy^2 - r^2 cancels.  Where r^2 overflows, A / -q_min = I r^-2 underflows
+        if not (math.isfinite(cx) and math.isfinite(cy) and 2.0 ** -1022 <= r * r < math.inf):
+            raise ValueError(
+                f"disk needs a finite centre and a radius whose square is a normal float: {r!r}")
+        # centred: cx^2 + cy^2 - r^2 cancels.  r^2 is normal: q_min = -r^2 keeps its bits
         oval = cls.__new__(cls)
         oval._init_centred(np.array([cx, cy]), np.eye(2), -(r * r))
         return oval
@@ -369,15 +368,13 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     rows = evaluate(np.stack([edges[:-1], np.diff(edges), 0.0 * ends, ends, ends, ends], axis=1))
     while math.isfinite(total := math.fsum(rows[:, 4])) and np.sum(rows[:, 5]) > rtol * total:
         # split panels over their share of the error budget, unless at rounding level or
-        # the width floor; the caps bound the work where rounding noise exceeds the tolerance
+        # the width floor; the panel cap bounds the work where rounding noise exceeds rtol
         start, length, lo, hi, est, err = rows.T
         share = np.maximum(rtol * total * length * (hi - lo) / (2.0 * math.pi), 1e-14 * est)
         wide = length * (_smoothstep(hi) - _smoothstep(lo)) > _MIN_PANEL
-        over = np.nonzero((err > share) & wide)[0]
-        if len(over) == 0 or len(rows) >= _MAX_PANELS:
+        split = (err > share) & wide
+        if not split.any() or len(rows) >= _MAX_PANELS:
             break
-        split = np.zeros(len(rows), dtype=bool)
-        split[over[np.argsort(err[over])[-_MAX_SPLITS:]]] = True
         left, right = rows[split], rows[split]
         left[:, 3] = right[:, 2] = 0.5 * (left[:, 2] + left[:, 3])
         rows = np.concatenate([rows[~split], evaluate(np.concatenate([left, right]))])
@@ -426,7 +423,7 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
-    # a relative margin, as contains' tol: tangency may fall short of depth 0 by rounding
+    # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding
     if not _least_depth(dom, region) > -1e-9:
         raise RegionNotContained("integration region is not contained in the domain")
     return _polar_area(dom, region, math.inf, cellsize * cellsize)

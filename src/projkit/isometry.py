@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnimodular, WrongClass
-from .rp2 import Flag, ProjLine, ProjPoint
+from .rp2 import Flag, ProjLine, ProjPoint, _check_tol
 
 HYPERBOLIC = "hyperbolic"
 QUASI_HYPERBOLIC = "quasi_hyperbolic"
@@ -229,7 +229,7 @@ def _ranks(stack: np.ndarray, thresholds) -> list:
             zip(np.linalg.svd(stack, compute_uv=False).reshape(-1, 3).tolist(), thresholds)]
 
 
-def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> IsometryClass:
+def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     """Classify an SL(3,R) element as hyperbolic / quasi-hyperbolic / parabolic / other.
 
     ``tol`` drives all structural thresholds: singular values below
@@ -238,7 +238,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     ``tol^(1/3) * ||m||`` of 1 are candidates for the parabolic class.
 
     Raises :class:`NotUnimodular` when det(m) deviates from 1 by more than
-    ``det_tol`` relatively.
+    ``DET_TOL`` relatively, and ValueError unless ``tol`` is positive and finite.
 
     Everything before the rank tests is scalar Python arithmetic: the
     characteristic polynomial over exact integers, its roots as ratios of
@@ -246,6 +246,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     and ||m||_2 in closed form on m / c, c >= 1 a power of two, so that nothing
     overflows.  The rank tests make one SVD call each.
     """
+    _check_tol(tol)
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -259,12 +260,12 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL, det_tol: float = DET_TOL) -> 
     trace, minors, det, k = _char_poly(entries)
     d = det / (1 << 3 * (k + e))  # det(m / c), correctly rounded
 
-    # det gate |det m - 1| <= det_tol max(1, ||m||_F^2), divided through by c^3: an
+    # det gate |det m - 1| <= DET_TOL max(1, ||m||_F^2), divided through by c^3: an
     # entrywise perturbation of size eps moves the determinant by ~ eps ||m||^2
     frob2 = (p00 * p00 + p01 * p01 + p02 * p02 + p10 * p10 + p11 * p11 + p12 * p12
              + p20 * p20 + p21 * p21 + p22 * p22)
     ci3 = ci * ci * ci
-    if abs(d - ci3) > det_tol * max(ci3, frob2 * ci):
+    if abs(d - ci3) > DET_TOL * max(ci3, frob2 * ci):
         raise NotUnimodular(f"determinant {d * c * c * c:.12g} is not 1 within tolerance")
 
     # ||m / c||_2 from the largest eigenvalue of (m / c)^T (m / c)

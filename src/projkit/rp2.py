@@ -181,6 +181,7 @@ def _unit_rule(flags, tol: float):
     triple_det(points i, j, k), or None where that value divided by the norms
     of its vectors (unit points, unit line bivectors) is within ``tol`` of 0.
     """
+    _check_tol(tol)
     points = [f.point for f in flags]
     pn = [_norm(p.v) for p in points]
     ln = [_norm(f.line.normal) for f in flags]
@@ -199,7 +200,6 @@ def _unit_rule(flags, tol: float):
 
 def _is_generic(flags, tol: float) -> bool:
     """No pairing of a point with another flag's line and no triple of points vanishes."""
-    _check_tol(tol)
     pairing, triple = _unit_rule(flags, tol)
     n = len(flags)
     return all(

@@ -7,9 +7,14 @@ A change that adds, renames or removes one of them has to change this file.
 
 import argparse
 import inspect
+import math
 import types
 
+import numpy as np
+import pytest
+
 import projkit as pk
+from conftest import random_generic_quadruple
 from projkit import cli
 
 PUBLIC_NAMES = [
@@ -41,7 +46,7 @@ SIGNATURES = {
     "ConicOval.disk": ["center", "radius"],
     "ConicOval.unit_circle": [],
     "ConvexDomain": [],
-    "ConvexDomain.contains": ["self", "pts", "tol"],
+    "ConvexDomain.contains": ["self", "pts"],
     "DoubleRatios": ["d1", "d2"],
     "Flag": ["point", "line"],
     "Flag.from_json": ["data"],
@@ -69,7 +74,7 @@ SIGNATURES = {
     "bulging_matrix": ["v"],
     "busemann_area": ["dom", "region", "cellsize"],
     "chord": ["dom", "x", "y"],
-    "classify": ["m", "tol", "det_tol"],
+    "classify": ["m", "tol"],
     "double_ratios": ["e", "f", "g", "l", "tol"],
     "finsler_norm": ["dom", "x", "direction"],
     "goldman_lengths": ["c"],
@@ -133,6 +138,19 @@ def test_signatures():
                     method = getattr(obj, attr)
                     signatures[f"{name}.{attr}"] = list(inspect.signature(method).parameters)
     assert signatures == SIGNATURES
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(name for name, params in SIGNATURES.items()
+                                        if "tol" in params))
+def test_every_tolerance_is_positive_and_finite(name, tol):
+    """Every public tol setting is refused unless positive and finite; the other
+    arguments are valid: generic flags, shear index 1, the identity matrix."""
+    e, f, g, l = random_generic_quadruple(np.random.default_rng(5))
+    valid = {"e": e, "f": f, "g": g, "l": l, "i": 1, "m": np.eye(3)}
+    args = {param: valid[param] for param in SIGNATURES[name] if param != "tol"}
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        getattr(pk, name)(**args, tol=tol)
 
 
 def test_domain_attributes():

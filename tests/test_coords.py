@@ -169,6 +169,7 @@ def test_all_parabolic_conversion_closed_form(s, t):
     assert max(abs(x - float(log_s)) for x in bd.sigma1) <= 1e-15 * size
     assert max(abs(x + float(log_s)) for x in bd.sigma2) <= 1e-15 * size
     assert abs(bd.tplus - float(tplus)) <= 1e-15 * size
+    assert pk.all_parabolic_coords(s, t) == (bd.sigma1[0], bd.tplus)
 
 
 class TestAllParabolicRoundTrip:

@@ -125,13 +125,15 @@ class TestDomains:
 
     @pytest.mark.parametrize("center, radius", [
         ((0.0, 0.0), math.inf), ((math.nan, 0.0), 1.0), ((0.0, -math.inf), 1.0),
-        ((0.0, 0.0), 1e160),
+        ((0.0, 0.0), 1e160), ((0.0, 0.0), 1e-200), ((0.0, 0.0), 1e-155),
     ])
     def test_disk_refuses_what_it_cannot_hold(self, center, radius):
         """An infinite radius was accepted and its distances were nan, a non-finite
-        centre was accepted, and a radius past ~1.3e154 raised a bare OverflowError
-        from r ** 2."""
-        with pytest.raises(ValueError, match="finite"):
+        centre was accepted, a radius past ~1.3e154 raised a bare OverflowError
+        from r ** 2, one below ~1.5e-162, whose square underflows to 0, was
+        refused as an empty real locus, and one whose square is subnormal was
+        accepted with an overflowing A / -q_min."""
+        with pytest.raises(ValueError, match="finite.*radius"):
             pk.ConicOval.disk(center, radius)
 
     def test_sign_normalization(self):
