@@ -53,17 +53,40 @@ class ConvexDomain:
         for an (n, 2) batch.
         """
         pts = np.asarray(pts, dtype=float)
-        inside = self._depth(pts.reshape(-1, 2)) > 0.0
+        inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
         return bool(inside[0]) if pts.ndim == 1 else inside
 
     def _density(self, pts):
         """Busemann density pi / area(unit Finsler ball) at each of the (n, 2) points."""
         raise NotImplementedError
 
-    def _exits_paired(self, x, u):
-        """Forward/backward boundary parameters from x[i] along u[i], and the depth of x[i];
-        callers set the numpy error state (a direction along an edge divides by 0)."""
+    def _exits_paired(self, x0, x1, u0, u1):
+        """Forward/backward boundary parameters from x along u, and the depth of x, over
+        components that are all floats (scalar queries) or include (n,) arrays (the area
+        quadrature; callers set the numpy error state: an edge along u divides by 0)."""
         raise NotImplementedError
+
+
+# The chord kernels' branch, and the operations that raise on Python floats where numpy
+# returns inf or NaN: numpy's values on floats too, numpy's functions on arrays.
+
+def _where(cond, a, b):
+    return a if cond is True else b if cond is False else np.where(cond, a, b)
+
+
+def _minimum(a, b):  # NaN if either is NaN
+    less = b < a
+    return b if less is True else (a if b == b else b) if less is False else np.minimum(a, b)
+
+
+def _div(a, b):
+    zero = b == 0.0
+    return a * math.copysign(math.inf, b) if zero is True else a / b
+
+
+def _sqrt(v):
+    sign = v >= 0.0
+    return math.sqrt(v) if sign is True else math.nan if sign is False else np.sqrt(v)
 
 
 class Polygon(ConvexDomain):
@@ -92,13 +115,15 @@ class Polygon(ConvexDomain):
         self._scale = max(1.0, float(np.max(np.abs(v))))
         for arr in (self.vertices, self.normals, self.offsets):
             arr.setflags(write=False)
+        self._edges = [(*n, o) for n, o in zip(normals.tolist(), self.offsets.tolist())]
 
-    def _slack(self, pts):
-        return self.offsets[None, :] - pts @ self.normals.T
+    def _slacks(self, x0, x1):
+        """offset - n . x of each edge, by components."""
+        return [offset - (n0 * x0 + n1 * x1) for n0, n1, offset in self._edges]
 
-    def _depth(self, pts):
+    def _depth(self, x0, x1):
         # the least edge slack relative to the polygon's scale max(1, max |vertex|)
-        return self._slack(pts).min(axis=1) / self._scale
+        return functools.reduce(_minimum, self._slacks(x0, x1)) / self._scale
 
     def _density(self, pts):
         # F(w) = (g(w) + g(-w)) / 2 with the gauge g(w) = max_e n_e.w / slack_e is
@@ -107,21 +132,25 @@ class Polygon(ConvexDomain):
         rays = self.vertices[None, :, :] - pts[:, None, :]  # (n, E, 2)
         # ratio[e, k, i] = n_e.(v_i - x_k) / slack_e(x_k), edges first for the reductions
         ratio = (self.normals @ rays.reshape(-1, 2).T).reshape(-1, *rays.shape[:2])
-        ratio /= self._slack(pts).T[:, :, None]
+        ratio /= np.array(self._slacks(pts[:, 0], pts[:, 1]))[:, :, None]
         ball = (rays @ [1.0, 1j]) * (2.0 / (ratio.max(axis=0) - ratio.min(axis=0)))
         ball = np.concatenate([ball, -ball], axis=1)
         ball = np.take_along_axis(ball, np.argsort(np.angle(ball), axis=1), axis=1)
         # twice the shoelace area of the ball
         return 2.0 * math.pi / np.sum((ball.conj() * np.roll(ball, -1, axis=1)).imag, axis=1)
 
-    def _exits_paired(self, x, u):
-        slack = self._slack(x)  # (n, E)
-        den = u @ self.normals.T  # (n, E)
-        ratio = slack / den
-        # a NaN den (a non-finite direction) gives NaN exits, not an exit at infinity
-        t_fwd = np.where(den <= 0.0, np.inf, ratio).min(axis=1)
-        t_bwd = np.where(den >= 0.0, np.inf, -ratio).min(axis=1)
-        return t_fwd, t_bwd, slack.min(axis=1) / self._scale
+    def _exits_paired(self, x0, x1, u0, u1):
+        t_fwd = t_bwd = depth = math.inf
+        for n0, n1, offset in self._edges:
+            # the slack inline: a list of _slacks and a reduce cost the hexagon ~30%
+            slack = offset - (n0 * x0 + n1 * x1)
+            den = n0 * u0 + n1 * u1
+            ratio = _div(slack, den)
+            # a NaN den (a non-finite direction) gives NaN exits, not an exit at infinity
+            t_fwd = _minimum(t_fwd, _where(den <= 0.0, math.inf, ratio))
+            t_bwd = _minimum(t_bwd, _where(den >= 0.0, math.inf, -ratio))
+            depth = _minimum(depth, slack)
+        return t_fwd, t_bwd, depth / self._scale
 
 
 class ConicOval(ConvexDomain):
@@ -152,12 +181,18 @@ class ConicOval(ConvexDomain):
         self._init_centred(center, quad, f + 0.5 * (d * center[0] + e * center[1]))
 
     def _init_centred(self, center, quad, qmin: float) -> None:
+        qmin = float(qmin)
         if not qmin < 0.0:
             raise ValueError("conic has an empty real locus")
+        # one rounding, shared by every multiple of the conic; Python floats for the kernels
+        (f00, f01), (_, f11) = form = [[v / -qmin for v in row] for row in quad.tolist()]
+        if not all(map(math.isfinite, (qmin, f00, f01, f11))):
+            raise ValueError(f"conic's form A / -q_min is not finite: q_min = {qmin!r}")
         self.center = center
         self._quad = quad
         self._qmin = qmin
-        self._form = quad / -qmin  # one rounding, shared by every multiple of the conic
+        self._form = np.array(form)
+        self._entries = (f00, f01, f11, *center.tolist())
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
@@ -174,27 +209,30 @@ class ConicOval(ConvexDomain):
     def unit_circle(cls) -> "ConicOval":
         return cls.disk((0.0, 0.0), 1.0)
 
-    def _depth(self, pts):
+    def _depth(self, x0, x1):
         """q / q_min = 1 - d^T (A / -q_min) d at the offsets d = x - center: positive inside."""
-        d = pts - self.center
-        return 1.0 - ((d @ self._form) * d).sum(axis=1)
+        f00, f01, f11, c0, c1 = self._entries
+        d0, d1 = x0 - c0, x1 - c1
+        return 1.0 - ((d0 * f00 + d1 * f01) * d0 + (d0 * f01 + d1 * f11) * d1)
 
     def _density(self, pts):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
         # taking the unit disk onto {q < 0}
         (a, h), (_, c) = self._quad
-        return math.sqrt(a * c - h * h) / -self._qmin * self._depth(pts) ** -1.5
+        return math.sqrt(a * c - h * h) / -self._qmin * self._depth(pts[:, 0], pts[:, 1]) ** -1.5
 
-    def _exits_paired(self, x, u):
+    def _exits_paired(self, x0, x1, u0, u1):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
         # a = u^T A u / -q_min; each root is taken in the form free of cancellation
-        ua = u @ self._form
-        a = (ua * u).sum(axis=1)
-        h = (ua * (x - self.center)).sum(axis=1)
-        depth = self._depth(x)
-        w = np.abs(h) + np.sqrt(h * h + a * depth)
-        near, far = depth / w, w / a
-        return np.where(h < 0.0, far, near), np.where(h < 0.0, near, far), depth
+        f00, f01, f11, c0, c1 = self._entries
+        ua0, ua1 = u0 * f00 + u1 * f01, u0 * f01 + u1 * f11
+        a = ua0 * u0 + ua1 * u1
+        h = ua0 * (x0 - c0) + ua1 * (x1 - c1)
+        depth = self._depth(x0, x1)
+        w = abs(h) + _sqrt(h * h + a * depth)
+        near, far = _div(depth, w), _div(w, a)
+        t_fwd, t_bwd = _where(h < 0.0, (far, near), (near, far))
+        return t_fwd, t_bwd, depth
 
 
 @dataclass(frozen=True)
@@ -208,33 +246,42 @@ class Chord:
     q: np.ndarray
 
 
+def _coords(p) -> tuple:
+    """A point's two coordinates as floats; - 0.0 keeps -0.0 and refuses a string."""
+    x0, x1 = p.tolist() if isinstance(p, np.ndarray) else p
+    return float(x0 - 0.0), float(x1 - 0.0)
+
+
 def _exits(dom: ConvexDomain, direction, *points):
     """Interior check and exit solve of the scalar chord queries, in one kernel call.
 
     The solve runs on u / rho (u given, or y - x), rho the power of two that brings
     u's largest entry into [1, 2): exact, so no query depends on the size of u.  x is
     interior when its depth is positive, y = x + u when t+ > rho; one solve decides
-    both.  Raises PointOutsideDomain naming the first exterior point.  Returns the
-    points, u / rho, rho and the exits (t+, t-) from x along u / rho.
+    both.  Raises PointOutsideDomain naming the first exterior point.  Returns x,
+    u / rho, rho and the exits (t+, t-) from x along u / rho, all Python floats: the
+    kernel runs on floats, where it gives numpy's values at a fraction of the cost.
     """
-    pts = np.array([np.asarray(p, dtype=float).reshape(2) for p in points])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = pts[1] - pts[0] if direction is None else np.asarray(direction, dtype=float).reshape(2)
-        rho = math.ldexp(1.0, math.frexp(float(np.abs(u).max()))[1] - 1)
-        u = u / rho
-        t_fwd, t_bwd, depth = dom._exits_paired(pts[:1], u[None, :])
-    for k, inside in enumerate([depth[0] > 0.0, t_fwd[0] > rho][: len(pts)]):
-        if not inside:
-            raise PointOutsideDomain(f"point {'xy'[k]} = {pts[k].tolist()} is not interior")
-    return pts, u, rho, float(t_fwd[0]), float(t_bwd[0])
+    pts = list(map(_coords, points))
+    (x0, x1), y = pts[0], pts[-1]
+    u0, u1 = (y[0] - x0, y[1] - x1) if direction is None else _coords(direction)
+    rho = math.ldexp(1.0, math.frexp(max(abs(u0), abs(u1)))[1] - 1)
+    u0, u1 = u0 / rho, u1 / rho
+    t_fwd, t_bwd, depth = dom._exits_paired(x0, x1, u0, u1)
+    if not depth > 0.0:
+        raise PointOutsideDomain(f"point x = {[x0, x1]} is not interior")
+    if len(pts) > 1 and not t_fwd > rho:
+        raise PointOutsideDomain(f"point y = {list(y)} is not interior")
+    return (x0, x1), (u0, u1), rho, t_fwd, t_bwd
 
 
 def chord(dom: ConvexDomain, x, y) -> Chord:
     """Boundary intersections of the line xy, ordered as p, x, y, q."""
-    (x, _), u, _, t_fwd, t_bwd = _exits(dom, None, x, y)
-    if not u.any():
+    (x0, x1), (u0, u1), _, t_fwd, t_bwd = _exits(dom, None, x, y)
+    if not (u0 or u1):
         raise CoincidentPoints("chord endpoints coincide")
-    return Chord(p=x - t_bwd * u, q=x + t_fwd * u)
+    return Chord(p=np.array([x0 - t_bwd * u0, x1 - t_bwd * u1]),
+                 q=np.array([x0 + t_fwd * u0, x1 + t_fwd * u1]))
 
 
 def hilbert_distance(dom: ConvexDomain, x, y) -> float:
@@ -243,8 +290,8 @@ def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     Symmetric, zero exactly when x = y, and equal to the Klein-model
     hyperbolic distance when the domain boundary is a conic.
     """
-    _, u, rho, t_fwd, t_bwd = _exits(dom, None, x, y)
-    if not u.any():
+    _, (u0, u1), rho, t_fwd, t_bwd = _exits(dom, None, x, y)
+    if not (u0 or u1):
         return 0.0
     # The cross ratio less 1 is z = (t+ + t-) / (t- (t+ - 1)) along y - x.  Below z = 1,
     # log1p(z) keeps short distances to rounding, where the log of the rounded cross
@@ -271,8 +318,8 @@ def finsler_norm(dom: ConvexDomain, x, direction) -> float:
     the domain; the norm is first-order consistent with hilbert_distance and
     homogeneous of degree 1 in the direction.
     """
-    _, u, rho, t_fwd, t_bwd = _exits(dom, direction, x)
-    if not (u.any() and np.isfinite(u).all()):
+    _, (u0, u1), rho, t_fwd, t_bwd = _exits(dom, direction, x)
+    if not ((u0 or u1) and math.isfinite(u0) and math.isfinite(u1)):
         raise ValueError("direction must be finite and nonzero")
     return 0.5 * (1.0 / t_fwd + 1.0 / t_bwd) * rho
 
@@ -301,25 +348,26 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     t+ and t-), and where the region exit and the radius trade places.
     """
     base = region.center if isinstance(region, ConicOval) else region.vertices.mean(axis=0)
+    b0, b1 = base.tolist()
 
-    def exits(theta):
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        x = np.broadcast_to(base, u.shape)
+    def exits(u0, u1):
+        # the exits t+- from base along u and the distance s to the region's exit
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_fwd, t_bwd, _ = dom._exits_paired(x, u)
+            t_fwd, t_bwd, _ = dom._exits_paired(b0, b1, u0, u1)
             # the region may touch the boundary: never leave the domain
-            rho = np.minimum(region._exits_paired(x, u)[0], t_fwd)
+            rho = _minimum(region._exits_paired(b0, b1, u0, u1)[0], t_fwd)
             # log1p of the cross ratio less 1, and expm1 below, keep a region of small
             # Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose eps / s
-            s = 0.5 * np.log1p(rho * ((1.0 + t_fwd / t_bwd) / (t_fwd - rho)))
-        return u, t_fwd[:, None], t_bwd[:, None], np.minimum(s, radius)
+            s = 0.5 * np.log1p(rho * _div(1.0 + _div(t_fwd, t_bwd), t_fwd - rho))
+        return t_fwd, t_bwd, s
 
     radial_x, radial_w = _radial_rule()
 
     def radial_integral(theta):
-        u, tf, tb, s_max = exits(theta)
-        finite = np.isfinite(s_max)
-        half = 0.5 * np.where(finite, s_max, 0.0)[:, None]
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        tf, tb, s_max = (v[:, None] for v in exits(*u.T))
+        finite = np.isfinite(s_max := np.minimum(s_max, radius))
+        half = 0.5 * np.where(finite, s_max, 0.0)
         # the total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grow_m1 = np.expm1(2.0 * half * (1.0 + radial_x))  # e^{2s} - 1, (m, N)
@@ -331,7 +379,7 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
             drho = 2.0 * grow * near * far * (tb + tf)
             density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
             radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
-        return np.where(finite, half[:, 0] * radial, np.inf)
+        return np.where(finite[:, 0], half[:, 0] * radial, np.inf)
 
     def evaluate(rows):
         # row (start, length, lo, hi, estimate, error): t in [lo, hi] of the break panel
@@ -353,15 +401,18 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     angles = np.arctan2(rays[:, 1], rays[:, 0]) % (2.0 * math.pi)
     edges = np.unique(np.append(angles, 2.0 * math.pi))
     if math.isfinite(radius):
-        # bisect each sign change of (region exit - radius) between breaks to rounding
-        inside = exits(edges)[3] < radius
-        idx = np.nonzero(inside[:-1] != inside[1:])[0]
-        lo, hi = edges[idx], edges[idx + 1]
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            same = (exits(mid)[3] < radius) == inside[idx]
-            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        edges = np.sort(np.concatenate([edges, 0.5 * (lo + hi)]))
+        # bisect each sign change of (region exit - radius) between breaks to rounding,
+        # one at a time on floats
+        inside = exits(np.cos(edges), np.sin(edges))[2] < radius
+        cuts = []
+        for k in np.nonzero(inside[:-1] != inside[1:])[0]:
+            lo, hi = edges[k].item(), edges[k + 1].item()
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                same = (exits(math.cos(mid), math.sin(mid))[2] < radius) == inside[k]
+                lo, hi = (mid, hi) if same else (lo, mid)
+            cuts.append(0.5 * (lo + hi))
+        edges = np.sort(np.concatenate([edges, cuts]))
     edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
 
     ends = np.ones(len(edges) - 1)
@@ -390,12 +441,12 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     g_i^2 / (lambda - b_i) over lambda > max b (More & Sorensen 1983), each an upper bound.
     """
     if isinstance(region, Polygon):
-        return float(dom._depth(region.vertices).min())
+        return float(dom._depth(*region.vertices.T).min())
     w, vecs = np.linalg.eigh(region._quad)
     axes = vecs * np.sqrt(-region._qmin / w)
     if isinstance(dom, Polygon):
         reach = np.linalg.norm(dom.normals @ axes, axis=1)
-        return float((dom._slack(region.center[None, :])[0] - reach).min()) / dom._scale
+        return float((np.array(dom._slacks(*region.center.tolist())) - reach).min()) / dom._scale
     ltm = axes.T @ dom._form
     b, vecs = np.linalg.eigh(ltm @ axes)
     g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
@@ -407,7 +458,7 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
         mid = 0.5 * (lo + nu)
         lo, nu = (mid, nu) if sum((gi / (mid + gap)) ** 2 for gi, gap in terms) > 1 else (lo, mid)
     excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
-    return float(dom._depth(region.center[None, :])[0]) - b[-1] - norm * excess
+    return dom._depth(*region.center.tolist()) - b[-1] - norm * excess
 
 
 def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> float:

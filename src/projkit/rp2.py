@@ -39,7 +39,7 @@ def _as_vector(coords, what: str) -> np.ndarray:
     v = np.asarray(coords, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{what} needs exactly 3 coordinates, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{what} has non-finite coordinates: {v}")
     return v
 

@@ -136,6 +136,14 @@ class TestDomains:
         with pytest.raises(ValueError, match="finite.*radius"):
             pk.ConicOval.disk(center, radius)
 
+    def test_subnormal_q_min(self):
+        """At q_min = -1e-310, A / -q_min overflowed (a numpy warning) and the conic
+        refused its own centre; a subnormal q_min whose form is finite still works."""
+        with pytest.raises(ValueError, match="q_min"):
+            pk.ConicOval([1, 0, 1, 0, 0, -1e-310])
+        tiny = pk.ConicOval([1, 0, 1, 0, 0, -2e-308])
+        assert pk.hilbert_distance(tiny, (0, 0), (1e-160, 0)) == 7.071067811866653e-07
+
     def test_sign_normalization(self):
         dom = pk.ConicOval([-1, 0, -1, 0, 0, 1])  # negated unit circle
         assert dom.contains([0.0, 0.0])
@@ -188,7 +196,7 @@ class TestChord:
         relative 1e-15 threshold on |y - x| used to refuse it as coincident."""
         x = np.array(x)
         c = pk.chord(unit_circle(), x, np.nextafter(x, 1.0))
-        assert np.all(np.abs(unit_circle()._depth(np.stack([c.p, c.q]))) <= 1e-12)
+        assert np.all(np.abs(unit_circle()._depth(*np.stack([c.p, c.q]).T)) <= 1e-12)
 
     def test_outside_point(self):
         with pytest.raises(pk.PointOutsideDomain):
@@ -482,6 +490,88 @@ class TestFinslerNorm:
         for dom in (unit_circle(), unit_square()):
             with pytest.raises(ValueError, match="finite and nonzero"):
                 pk.finsler_norm(dom, [0.0, 0.0], direction)
+
+
+_KERNEL_DOMAINS = [
+    unit_circle(), pk.ConicOval.disk((3e5, -2e5), 1.0), affine_disk(*_ELLIPSE),
+    unit_square(), standard_triangle(), pk.Polygon(_hexagon()),
+]
+
+
+def _same(a, b):
+    """Equal floats with the same sign, or both NaN."""
+    return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+_COORD = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.integers(0, len(_KERNEL_DOMAINS) - 1),
+    st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD, st.integers(-1, 5)), min_size=1, max_size=6),
+)
+def test_float_kernel_is_the_array_kernel(k, rows):
+    """The chord kernel on Python floats gives row i of the same kernel on (n,)
+    arrays, bit for bit: inside and outside, for zero, non-finite and edge-parallel
+    steps (an index e >= 0 takes the step along the polygon's edge e)."""
+    dom = _KERNEL_DOMAINS[k]
+    if isinstance(dom, pk.Polygon):
+        edges = np.roll(dom.vertices, -1, axis=0) - dom.vertices
+        rows = [(x0, x1, *edges[e % len(edges)].tolist()) if e >= 0 else (x0, x1, u0, u1)
+                for x0, x1, u0, u1, e in rows]
+    cols = [np.array(c) for c in zip(*[row[:4] for row in rows])]
+    with np.errstate(all="ignore"):
+        batch = dom._exits_paired(*cols)
+    for i, row in enumerate(rows):
+        scalar = dom._exits_paired(*row[:4])
+        assert all(type(v) is float for v in scalar)
+        assert all(_same(v, col[i]) for v, col in zip(scalar, batch)), (row, scalar)
+
+
+@pytest.mark.parametrize("dom", _KERNEL_DOMAINS, ids=lambda d: type(d).__name__)
+class TestFloatKernelOutcomes:
+    """The scalar queries' answers where a float operation raises and numpy did not."""
+
+    def test_coincident_points(self, dom):
+        x = rim(dom).mean(axis=0).tolist()
+        with pytest.raises(pk.CoincidentPoints):
+            pk.chord(dom, x, x)
+        assert pk.hilbert_distance(dom, x, list(x)) == 0.0
+
+    @pytest.mark.parametrize("direction", [[0.0, 0.0], [-0.0, 0.0], [math.nan, 1.0], [0.0, math.inf]])
+    def test_zero_or_non_finite_direction(self, dom, direction):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            pk.finsler_norm(dom, rim(dom).mean(axis=0), direction)
+
+    @pytest.mark.parametrize("x, y", [
+        ([math.nan, 0.0], None), (None, [math.nan, 0.0]), ([math.inf, 0.0], None),
+        (None, [0.0, -math.inf]), ([1e6, 1e6], None), (None, [-1e6, 3.0]),
+    ])
+    def test_nan_or_exterior_point(self, dom, x, y):
+        centre = rim(dom).mean(axis=0).tolist()
+        named = "x" if x is not None else "y"
+        x, y = x or centre, y or centre
+        for query in (pk.chord, pk.hilbert_distance):
+            with pytest.raises(pk.PointOutsideDomain, match=f"point {named} = "):
+                query(dom, x, y)
+        if named == "x":
+            with pytest.raises(pk.PointOutsideDomain):
+                pk.finsler_norm(dom, x, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("dom", [unit_square(), pk.Polygon(_hexagon())], ids=["square", "hexagon"])
+def test_direction_along_an_edge(dom):
+    """A step parallel to an edge never meets it (a float division by 0 raised): the
+    answers are those of a direction 1e-9 off the edge, to first order."""
+    x = dom.vertices.mean(axis=0)
+    u = dom.vertices[1] - dom.vertices[0]
+    off = u + np.array([-u[1], u[0]]) * 1e-9
+    c, ref = pk.chord(dom, x, x + 0.25 * u), pk.chord(dom, x, x + 0.25 * off)
+    assert np.allclose(c.p, ref.p, atol=1e-8) and np.allclose(c.q, ref.q, atol=1e-8)
+    assert pk.finsler_norm(dom, x, u) == pytest.approx(pk.finsler_norm(dom, x, off), rel=1e-8)
+    assert pk.hilbert_distance(dom, x, x + 0.25 * u) == pytest.approx(
+        pk.hilbert_distance(dom, x, x + 0.25 * off), rel=1e-8)
 
 
 class TestDensity:
