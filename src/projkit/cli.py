@@ -19,7 +19,7 @@ import numpy as np
 
 from . import coords, hilbert, invariants, isometry
 from .errors import NonFiniteResult, ProjKitError
-from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _check_tol
+from .rp2 import DEFAULT_GENERICITY_TOL, Flag
 
 _ENV_TOL = "PROJKIT_TOL"
 
@@ -88,12 +88,11 @@ def _load_input(source: str, what: str = "input"):
 
 
 def _default_tol(args, fallback: float) -> float:
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get(_ENV_TOL)
-        tol = float(env) if env else fallback
-    _check_tol(tol)
-    return tol
+    """--tol, else $PROJKIT_TOL, else the fallback; the library call that reads it checks it."""
+    if args.tol is not None:
+        return args.tol
+    env = os.environ.get(_ENV_TOL)
+    return float(env) if env else fallback
 
 
 def _parse_domain(data: dict) -> hilbert.ConvexDomain:
@@ -117,20 +116,15 @@ def _parse_boundary(data: dict) -> coords.BoundaryData:
     return coords.BoundaryData(lam, float(data["tau"]), kind)
 
 
-def _shears(flags, tol: float):
-    """The double ratios of four flags and their logs (sigma1, sigma2), each computed once."""
-    d = invariants.double_ratios(*flags, tol=tol)
-    return d, [invariants._positive_log(value, i) for i, value in ((1, d.d1), (2, d.d2))]
-
-
 def _cmd_invariants(args, out) -> int:
     tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
     flags = [Flag.from_json(item) for item in _load_input(args.input)]
     if len(flags) == 3:
         t = invariants.triple_ratio(*flags, tol=tol).value
-        record = {"T": t, "tau111": invariants._positive_log(t)}
+        record = {"T": t, "tau111": invariants.tau111(*flags, tol=tol)}
     elif len(flags) == 4:
-        d, (sigma1, sigma2) = _shears(flags, tol)
+        d = invariants.double_ratios(*flags, tol=tol)
+        sigma1, sigma2 = (invariants.shear(*flags, i, tol=tol) for i in (1, 2))
         record = {"D1": d.d1, "D2": d.d2, "sigma1": sigma1, "sigma2": sigma2}
     else:
         raise ValueError("expected a JSON array of 3 or 4 flags")
@@ -221,51 +215,16 @@ def _cmd_convert(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     data = _load_input(args.input)
     g = _parse_goldman(data)
-    steps = args.steps
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if isinstance(g, coords.PantsGoldman):
-        surface, boundaries, index = "pants", g.boundaries, args.boundary - 1
-        if index not in (0, 1, 2):
-            raise ValueError("pants boundary index must be 1, 2 or 3")
-    else:
-        surface, boundaries, index = "torus", (g.b, g.c, g.c), 0
-        if args.boundary != 1:
-            raise ValueError("only the torus boundary curve (index 1) can be pinched")
-    start = boundaries[index]
-    if start.kind != coords.HYPERBOLIC:
-        raise ValueError("the pinched boundary must start hyperbolic")
-
-    # every row in one kernel call, checked before the first line is written
-    frac = np.arange(steps + 1) / steps
-    lam = start.lam * (1.0 - frac) + frac
-    log_lam = [math.log(b.lam) for b in boundaries]
-    log_mu = [math.log(b.mu) for b in boundaries]
-    # keep mu < nu along the whole path: pinch the ratio nu/mu to 1, in log
-    # space so that nu/mu beyond the float range (tau ~ 1e160) stays finite.
-    # mu^2 = 1 / (lambda nu/mu) ends at (lambda, mu) = (1, 1), the parabolic row.
-    log_ratio0 = math.log(start.tau - start.mu) - math.log(start.mu)
-    log_lam[index] = np.log(lam)
-    log_mu[index] = -0.5 * (log_lam[index] + log_ratio0 * (1.0 - frac))
-    mu = np.exp(log_mu[index])
-    tau = mu + 1.0 / (lam * mu)
-    sigma1, sigma2, tplus, tminus = coords._convert(log_lam, log_mu, math.log(g.s), math.log(g.t))
-    names = [f"sigma{j}_B{i}" for j in (1, 2) for i in (1, 2, 3)] + ["tplus", "tminus"]
-    columns = [*sigma1, *sigma2, tplus, tminus]
-    gluing = {}
-    if surface == "torus":
-        gluing = dict(zip(("sigmaC1", "sigmaC2"), isometry.shear_shift(g.u, g.u, g.v)))
-    _require_finite([("tau", tau), *zip(names, columns), *gluing.items()])
-
-    out.write(
-        "# config: sweep surface={} boundary={} steps={} start_lambda={} start_tau={}\n".format(
-            surface, args.boundary, steps, _fmt(start.lam), _fmt(start.tau)
-        )
-    )
-    out.write(",".join(["step,frac,lambda,tau,kind", *names, *gluing]) + "\n")
+    # every row in one call, checked before the first line is written
+    start, columns, gluing = coords._pinch(g, args.boundary, args.steps)
+    _require_finite([*columns.items(), *gluing.items()])
+    out.write(f"# config: sweep surface={data['surface']} boundary={args.boundary} steps="
+              f"{args.steps} start_lambda={_fmt(start.lam)} start_tau={_fmt(start.tau)}\n")
+    names = list(columns)
+    out.write(",".join(["step", *names[:3], "kind", *names[3:], *gluing]) + "\n")
     tail = "".join("," + _fmt(x) for x in gluing.values())
-    for k, row in enumerate(zip(frac, lam, tau, *columns)):
-        kind = coords.PARABOLIC if k == steps else coords.HYPERBOLIC
+    for k, row in enumerate(zip(*columns.values())):
+        kind = coords.PARABOLIC if k == args.steps else coords.HYPERBOLIC
         values = [_fmt(v) for v in row]
         out.write(f"{k},{','.join(values[:3])},{kind},{','.join(values[3:])}{tail}\n")
     return 0
@@ -279,9 +238,9 @@ def _cmd_bulge(args, out) -> int:
         if len(flags) != 4:
             raise ValueError("bulge needs exactly 4 flags")
         tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
-        before = _shears(flags, tol)[1]
+        before = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
         flags[3] = flags[3].transform(isometry.bulging_matrix(v))
-        after = _shears(flags, tol)[1]
+        after = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
         record = {
             "sigma1_before": before[0],
             "sigma2_before": before[1],

@@ -225,20 +225,58 @@ def pants_goldman_to_bd(g: PantsGoldman) -> PantsBD:
     return PantsBD(*_convert(log_lam, log_mu, math.log(g.s), math.log(g.t)))
 
 
-def torus_goldman_to_bd(g: TorusGoldman) -> TorusBD:
-    """Convert Goldman torus parameters to Bonahon-Dreyer coordinates.
+def _torus_cut(g: TorusGoldman) -> tuple:
+    """The torus cut open along C: the pants (B, C, C), forcing lambda2 = lambda3 and
+    mu2 = mu3, and the gluing shears along C, (u - 3v, u + 3v): (u, u) bulged by v."""
+    return PantsGoldman((g.b, g.c, g.c), g.s, g.t), shear_shift(g.u, g.u, g.v)
 
-    The cut-open pants has boundaries (B, C, C), forcing lambda2 = lambda3
-    and mu2 = mu3; the gluing parameters only enter the two shears along C,
-    (u - 3v, u + 3v): the shears (u, u) bulged by v.
-    """
-    pants = pants_goldman_to_bd(
-        PantsGoldman((g.b, g.c, g.c), g.s, g.t)
-    )
-    shears = shear_shift(g.u, g.u, g.v)
+
+def torus_goldman_to_bd(g: TorusGoldman) -> TorusBD:
+    """Convert Goldman torus parameters to Bonahon-Dreyer coordinates, by ``_torus_cut``."""
+    pants, shears = _torus_cut(g)
+    pants = pants_goldman_to_bd(pants)
     if not all(map(math.isfinite, shears)):
         raise NonFiniteResult("gluing shears are not finite")
     return TorusBD(pants, *shears)
+
+
+def _pinch(g, boundary: int, steps: int) -> tuple:
+    """Pinch one hyperbolic boundary of a pants or torus record to parabolic.
+
+    ``boundary`` counts from 1 (a torus pinches B, index 1).  lambda moves to 1 in
+    ``steps`` equal steps and ends at the parabolic row (lambda, mu) = (1, 1).  Returns
+    the start data of that boundary, the columns frac, lambda, tau, sigma1_B1..sigma2_B3,
+    tplus and tminus over the steps + 1 rows, and the torus gluing shears sigmaC1,
+    sigmaC2, fixed along the path (none for a pants), none checked to be finite.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    shears = ()
+    if isinstance(g, TorusGoldman):
+        if boundary != 1:
+            raise ValueError("only the torus boundary curve (index 1) can be pinched")
+        g, shears = _torus_cut(g)
+    elif boundary not in (1, 2, 3):
+        raise ValueError("pants boundary index must be 1, 2 or 3")
+    index = boundary - 1
+    start = g.boundaries[index]
+    if start.kind != HYPERBOLIC:
+        raise ValueError("the pinched boundary must start hyperbolic")
+    frac = np.arange(steps + 1) / steps
+    lam = start.lam * (1.0 - frac) + frac
+    log_lam = [math.log(b.lam) for b in g.boundaries]
+    log_mu = [math.log(b.mu) for b in g.boundaries]
+    # keep mu < nu along the whole path: pinch the ratio nu/mu to 1, in log space so
+    # that nu/mu beyond the float range (tau ~ 1e160) stays finite; mu^2 = 1 / (lambda nu/mu)
+    log_ratio0 = math.log(start.tau - start.mu) - math.log(start.mu)
+    log_lam[index] = np.log(lam)
+    log_mu[index] = -0.5 * (log_lam[index] + log_ratio0 * (1.0 - frac))
+    mu = np.exp(log_mu[index])
+    columns = {"frac": frac, "lambda": lam, "tau": mu + 1.0 / (lam * mu)}
+    names = [f"sigma{j}_B{i}" for j in (1, 2) for i in (1, 2, 3)] + ["tplus", "tminus"]
+    sigma1, sigma2, *taus = _convert(log_lam, log_mu, math.log(g.s), math.log(g.t))
+    columns.update(zip(names, [*sigma1, *sigma2, *taus]))
+    return start, columns, dict(zip(("sigmaC1", "sigmaC2"), shears))
 
 
 def all_parabolic_coords(s: float, t: float) -> tuple:

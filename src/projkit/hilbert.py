@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoints, PointOutsideDomain, RegionNotContained
+from .errors import CoincidentPoints, NonFiniteResult, PointOutsideDomain, RegionNotContained
 
 # Gauss-Kronrod (7, 15) rule on [-1, 1] (QUADPACK, Piessens et al. 1983): the
 # nonnegative Kronrod nodes, their weights, and the weights of the Gauss nodes
@@ -53,7 +53,8 @@ class ConvexDomain:
         for an (n, 2) batch.
         """
         pts = np.asarray(pts, dtype=float)
-        inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
+        with np.errstate(over="ignore"):  # an overflowed slack keeps its sign
+            inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
         return bool(inside[0]) if pts.ndim == 1 else inside
 
     def _density(self, pts):
@@ -112,18 +113,21 @@ class Polygon(ConvexDomain):
         self.vertices = v
         self.normals = normals
         self.offsets = np.einsum("ij,ij->i", normals, v)
-        self._scale = max(1.0, float(np.max(np.abs(v))))
         for arr in (self.vertices, self.normals, self.offsets):
             arr.setflags(write=False)
-        self._edges = [(*n, o) for n, o in zip(normals.tolist(), self.offsets.tolist())]
+        # each edge's slack at the vertex mean, the vertices divided first: their sum overflows
+        mean = self.offsets - normals @ (v / len(v)).sum(axis=0)
+        self._edges = list(zip(*normals.T.tolist(), self.offsets.tolist(), mean.tolist()))
 
     def _slacks(self, x0, x1):
         """offset - n . x of each edge, by components."""
-        return [offset - (n0 * x0 + n1 * x1) for n0, n1, offset in self._edges]
+        return [offset - (n0 * x0 + n1 * x1) for n0, n1, offset, _ in self._edges]
 
     def _depth(self, x0, x1):
-        # the least edge slack relative to the polygon's scale max(1, max |vertex|)
-        return functools.reduce(_minimum, self._slacks(x0, x1)) / self._scale
+        # the least ratio slack_e(x) / slack_e(vertex mean): 1 there, 0 on the boundary and
+        # unchanged by affine maps, as a conic's q / q_min
+        return functools.reduce(_minimum, [
+            (offset - (n0 * x0 + n1 * x1)) / mean for n0, n1, offset, mean in self._edges])
 
     def _density(self, pts):
         # F(w) = (g(w) + g(-w)) / 2 with the gauge g(w) = max_e n_e.w / slack_e is
@@ -141,7 +145,7 @@ class Polygon(ConvexDomain):
 
     def _exits_paired(self, x0, x1, u0, u1):
         t_fwd = t_bwd = depth = math.inf
-        for n0, n1, offset in self._edges:
+        for n0, n1, offset, mean in self._edges:
             # the slack inline: a list of _slacks and a reduce cost the hexagon ~30%
             slack = offset - (n0 * x0 + n1 * x1)
             den = n0 * u0 + n1 * u1
@@ -149,8 +153,8 @@ class Polygon(ConvexDomain):
             # a NaN den (a non-finite direction) gives NaN exits, not an exit at infinity
             t_fwd = _minimum(t_fwd, _where(den <= 0.0, math.inf, ratio))
             t_bwd = _minimum(t_bwd, _where(den >= 0.0, math.inf, -ratio))
-            depth = _minimum(depth, slack)
-        return t_fwd, t_bwd, depth / self._scale
+            depth = _minimum(depth, slack / mean)
+        return t_fwd, t_bwd, depth
 
 
 class ConicOval(ConvexDomain):
@@ -258,7 +262,10 @@ def _exits(dom: ConvexDomain, direction, *points):
     The solve runs on u / rho (u given, or y - x), rho the power of two that brings
     u's largest entry into [1, 2): exact, so no query depends on the size of u.  x is
     interior when its depth is positive, y = x + u when t+ > rho; one solve decides
-    both.  Raises PointOutsideDomain naming the first exterior point.  Returns x,
+    both.  Raises PointOutsideDomain naming the first exterior point, and
+    NonFiniteResult where the float range is passed: at an infinite exit along a finite
+    nonzero step (a bounded domain has none), or where y - x of finite points
+    overflows; the check falls between those of x and y.  Returns x,
     u / rho, rho and the exits (t+, t-) from x along u / rho, all Python floats: the
     kernel runs on floats, where it gives numpy's values at a fraction of the cost.
     """
@@ -270,6 +277,10 @@ def _exits(dom: ConvexDomain, direction, *points):
     t_fwd, t_bwd, depth = dom._exits_paired(x0, x1, u0, u1)
     if not depth > 0.0:
         raise PointOutsideDomain(f"point x = {[x0, x1]} is not interior")
+    finite = math.isfinite(u0 + u1)  # u / rho lies in [-2, 2]^2 unless u is not finite
+    if (finite and (u0 or u1) and not (t_fwd < math.inf and t_bwd < math.inf)) or (
+            not finite and direction is None and all(map(math.isfinite, y))):
+        raise NonFiniteResult(f"the chord from x = {[x0, x1]} passes the float range")
     if len(pts) > 1 and not t_fwd > rho:
         raise PointOutsideDomain(f"point y = {list(y)} is not interior")
     return (x0, x1), (u0, u1), rho, t_fwd, t_bwd
@@ -446,7 +457,8 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     axes = vecs * np.sqrt(-region._qmin / w)
     if isinstance(dom, Polygon):
         reach = np.linalg.norm(dom.normals @ axes, axis=1)
-        return float((np.array(dom._slacks(*region.center.tolist())) - reach).min()) / dom._scale
+        mean = np.array([edge[3] for edge in dom._edges])
+        return float(((np.array(dom._slacks(*region.center.tolist())) - reach) / mean).min())
     ltm = axes.T @ dom._form
     b, vecs = np.linalg.eigh(ltm @ axes)
     g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
@@ -474,8 +486,11 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
-    # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding
-    if not _least_depth(dom, region) > -1e-9:
+    # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding,
+    # and an overflowed depth keeps its sign
+    with np.errstate(over="ignore"):
+        contained = _least_depth(dom, region) > -1e-9
+    if not contained:
         raise RegionNotContained("integration region is not contained in the domain")
     return _polar_area(dom, region, math.inf, cellsize * cellsize)
 

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import projkit as pk
 
@@ -30,6 +31,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 # ---------------------------------------------------------------------------
 # flag builders
+
+
+def assert_refuses(make, error, message: str) -> None:
+    """make() raises exactly ``error`` (not a subclass), its message starting with ``message``."""
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value).startswith(message), repr(exc.value)
 
 
 def standard_triangle_flags(alpha: float):

@@ -445,6 +445,15 @@ class TestContract:
         assert (code, out) == (1, "")
         assert err.startswith("error: NonFiniteResult: ")
 
+    def test_chord_past_the_float_range_exit_1(self):
+        """A chord exit past the float range is NonFiniteResult, not a NaN distance."""
+        square = [[-1.5e308, -1.5e308], [1.5e308, -1.5e308], [1.5e308, 1.5e308],
+                  [-1.5e308, 1.5e308]]
+        record = json.dumps({"domain": {"polygon": square}, "x": [-5e307, 0], "y": [5e307, 0]})
+        code, out, err = run_main("distance", "--input", record)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: NonFiniteResult: the chord from x = ")
+
     def test_sweep_through_double_root(self):
         """Rows next to the double root tau^2 = 4/lambda: mu comes from the path, not
         back from a rounded tau (this exited 1 with ComplexEigenvalues after 9,999 rows)."""

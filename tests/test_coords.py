@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
-from conftest import random_boundary, random_hyperbolic_boundary, random_pants
+from conftest import assert_refuses, random_boundary, random_hyperbolic_boundary, random_pants
+from projkit import coords
 
 
 class TestBoundaryData:
@@ -405,3 +406,65 @@ class TestStrata:
             pk.stratum_parameters("pants", ("parabolic", "parabolic", "hyperbolic"))
         with pytest.raises(ValueError):
             pk.stratum_parameters("sphere", ("hyperbolic",))
+
+
+_PARABOLIC = pk.BoundaryData.parabolic()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: pk.BoundaryData(1.5, 2.0 / math.sqrt(1.5), "quasi_hyperbolic"), ValueError,
+     "quasi-hyperbolic boundary needs lambda < 1"),
+    (lambda: pk.PantsGoldman((_PARABOLIC,) * 2, 1.0, 1.0), ValueError,
+     "a pair of pants has exactly 3 boundary curves"),
+    (lambda: pk.TorusGoldman(_PARABOLIC, pk.BoundaryData.hyperbolic(0.2, 5.0), 0.0, 1.0, 0.0, 0.0),
+     pk.NonPositiveParameter, "internal parameters s, t must be positive"),
+    (lambda: pk.PantsBD((0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0), ValueError,
+     "sigma1 and sigma2 each need 3 entries"),
+    (lambda: pk.TorusBD(pk.PantsBD((0.0,) * 3, (0.0,) * 3, 0.0, 0.0), math.inf, 0.0), ValueError,
+     "gluing shears must be finite"),
+    (lambda: pk.torus_parabolic_recover((0.0, 0.0), 0.0), ValueError,
+     "expected the three shears sigma1(B1..B3)"),
+], ids=["quasi-lambda-above-1", "pants-of-2", "torus-s-0", "pants-bd-of-2", "torus-bd-inf",
+        "recover-of-2"])
+def test_refusals(make, error, message):
+    """Refusals that no other test reaches raise their own error and message."""
+    assert_refuses(make, error, message)
+
+
+_PINCHED = {
+    "pants-A1": pk.PantsGoldman((pk.BoundaryData.hyperbolic(0.3, 4.5),
+                                 pk.BoundaryData.hyperbolic(0.2, 6.0),
+                                 pk.BoundaryData.hyperbolic(0.6, 2.7)), 1.5, 0.7),
+    "torus": pk.TorusGoldman(pk.BoundaryData.hyperbolic(0.3, 4.0),
+                             pk.BoundaryData.hyperbolic(0.2, 5.0), 2.0, 1.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("g", _PINCHED.values(), ids=_PINCHED)
+def test_pinch_starts_at_convert_and_ends_on_the_parabolic_stratum(g):
+    """The pinching path behind ``projkit sweep``: its first row is the conversion of the
+    record, and its last row, with the pinched boundary parabolic, satisfies both
+    relations of the A1-parabolic stratum (one_parabolic_residuals)."""
+    steps = 100
+    start, columns, gluing = coords._pinch(g, 1, steps)
+
+    def row(k):
+        return pk.PantsBD([columns[f"sigma1_B{i}"][k] for i in (1, 2, 3)],
+                          [columns[f"sigma2_B{i}"][k] for i in (1, 2, 3)],
+                          columns["tplus"][k], columns["tminus"][k])
+
+    def flat(bd):
+        return [*bd.sigma1, *bd.sigma2, bd.tplus, bd.tminus]
+
+    if isinstance(g, pk.TorusGoldman):
+        bd = pk.torus_goldman_to_bd(g)
+        ref = bd.pants
+        assert (start, gluing) == (g.b, {"sigmaC1": bd.sigma_c1, "sigmaC2": bd.sigma_c2})
+    else:
+        ref = pk.pants_goldman_to_bd(g)
+        assert (start, gluing) == (g.boundaries[0], {})
+    assert (columns["lambda"][0], columns["tau"][0]) == pytest.approx((start.lam, start.tau),
+                                                                     rel=1e-14)
+    assert max(abs(a - b) for a, b in zip(flat(row(0)), flat(ref))) <= 1e-14
+    assert (columns["lambda"][steps], columns["tau"][steps]) == (1.0, 2.0)
+    assert all(abs(r) <= 1e-12 for r in pk.one_parabolic_residuals(row(steps)))

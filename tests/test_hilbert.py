@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
+from conftest import assert_refuses
 
 
 def unit_circle():
@@ -560,6 +561,45 @@ class TestFloatKernelOutcomes:
                 pk.finsler_norm(dom, x, [1.0, 0.0])
 
 
+class TestFloatRange:
+    """The square with vertices +-1.5e308, where a chord's slack or step passes the float
+    range: a named error, not a wrong number."""
+
+    SQUARE = pk.Polygon([[-1.5e308, -1.5e308], [1.5e308, -1.5e308], [1.5e308, 1.5e308],
+                         [-1.5e308, 1.5e308]])
+
+    def test_overflowing_exit(self):
+        """The slack 2e308 of the far edge overflows: the distance was NaN (exact log 2),
+        the chord's q [inf, nan] and the norm 5e-309 (exact 7.5e-309)."""
+        x, y = (-5e307, 0.0), (5e307, 0.0)
+        for query, *args in ((pk.hilbert_distance, x, y), (pk.chord, x, y),
+                             (pk.finsler_norm, x, (1.0, 0.0))):
+            with pytest.raises(pk.NonFiniteResult, match="passes the float range"):
+                query(self.SQUARE, *args)
+
+    def test_overflowing_step(self):
+        """y - x = 2e308 overflowed and y was called exterior."""
+        for query in (pk.hilbert_distance, pk.chord):
+            with pytest.raises(pk.NonFiniteResult, match="passes the float range"):
+                query(self.SQUARE, (-1e308, 0.0), (1e308, 0.0))
+
+    def test_in_range_queries(self):
+        """contains ignores numpy's overflow warning (an error in this suite): an overflowed
+        slack keeps its sign.  Queries whose exits stay in range still answer."""
+        assert self.SQUARE.contains([-5e307, 0.0])
+        assert self.SQUARE.contains([[1.4e308, -1.4e308], [-1.6e308, 0.0]]).tolist() == [True, False]
+        assert pk.hilbert_distance(self.SQUARE, (0.0, 0.0), (1e307, 0.0)) == pytest.approx(
+            math.atanh(1.0 / 15.0), rel=1e-14)
+        assert pk.finsler_norm(self.SQUARE, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(
+            1.0 / 1.5e308, rel=1e-14)
+
+
+def test_refusals():
+    """Refusals that no other test reaches raise their own error and message."""
+    assert_refuses(lambda: pk.Polygon([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]]), ValueError,
+                   "polygon vertices must be finite")
+
+
 @pytest.mark.parametrize("dom", [unit_square(), pk.Polygon(_hexagon())], ids=["square", "hexagon"])
 def test_direction_along_an_edge(dom):
     """A step parallel to an edge never meets it (a float division by 0 raised): the
@@ -703,6 +743,18 @@ class TestBusemannArea:
         quad = pk.Polygon([d * n - 3.0 * t, d * n + 3.0 * t, [-4.0, 3.0], [-4.0, -3.0]])
         with pytest.raises(pk.RegionNotContained):
             pk.busemann_area(quad, unit_circle(), 0.01)
+
+    @pytest.mark.parametrize("s, p, shift", [(1e-3, 1e-6, 0.0), (1e-6, 1e-4, 0.0),
+                                             (1.0, 1e-4, 1e6)], ids=["small", "tiny", "far"])
+    def test_polygon_margin_is_relative(self, s, p, shift):
+        """A triangle leaving the square [-s, s]^2 + (shift, 0) by p of its size: with the
+        depth's old scale max(1, max |vertex|) the margin was absolute below size 1 and
+        grew with the distance from the origin, and the areas came out 1.37, inf, inf."""
+        r = s * (1.0 + p)
+        square = pk.Polygon([[shift - s, -s], [shift + s, -s], [shift + s, s], [shift - s, s]])
+        tri = pk.Polygon([[shift - r, -r / 2], [shift + r, -r / 2], [shift, r / 2]])
+        with pytest.raises(pk.RegionNotContained):
+            pk.busemann_area(square, tri, 0.01)
 
     def test_deterministic(self):
         region = pk.ConicOval.disk((0.1, 0), 0.4)

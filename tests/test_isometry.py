@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
-from conftest import NORMAL_FORMS, random_conjugator
+from conftest import NORMAL_FORMS, assert_refuses, random_conjugator
 
 EPS = 2.0**-52
 
@@ -365,3 +365,13 @@ class TestBulging:
     def test_configuration_validates_vertex(self):
         with pytest.raises(ValueError):
             pk.bulging_configuration(0.0, 1.0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: pk.classify(np.eye(2)), ValueError, "expected a 3x3 matrix, got shape (2, 2)"),
+    (lambda: pk.IsometryClass.hyperbolic(2.0, 1.0, 0.4), ValueError,
+     "hyperbolic eigenvalues must multiply to 1, got 0.8"),
+], ids=["2x2-matrix", "product-0.8"])
+def test_refusals(make, error, message):
+    """Refusals that no other test reaches raise their own error and message."""
+    assert_refuses(make, error, message)

@@ -10,7 +10,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
-from conftest import random_flag, random_generic_triple, standard_triangle_flags
+from conftest import assert_refuses, random_flag, random_generic_triple, standard_triangle_flags
 
 
 def line(u, w):
@@ -224,3 +224,16 @@ def test_genericity_rule(n, tol, coords, i, shift, kind, log_ratio, log_angle, s
         ratio = pk.triple_ratio if n == 3 else pk.double_ratios
         ratio(*flags, tol=tol)
         ratio(*rescaled, tol=tol)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: pk.ProjPoint([math.nan, 0.0, 1.0]), ValueError,
+     "projective point has non-finite coordinates"),
+    (lambda: pk.ProjLine([math.inf, 0.0, 0.0], [0.0, 1.0, 0.0]), ValueError,
+     "line spanning vector has non-finite coordinates"),
+    (lambda: pk.ProjLine.from_normal([0.0, 0.0, 0.0]), ValueError,
+     "line normal cannot be the zero vector"),
+], ids=["nan-point", "infinite-line", "zero-normal"])
+def test_refusals(make, error, message):
+    """Refusals that no other test reaches raise their own error and message."""
+    assert_refuses(make, error, message)
