@@ -6,10 +6,12 @@ linear solves for polygons, one quadratic per direction for conics.  The
 Hilbert distance is the half-log cross ratio of a chord.
 
 The area density is pi over the Euclidean area of the unit ball of the Finsler
-norm, in closed form for both domain types (Alvarez Paiva & Thompson, "Volumes
-on normed and Finsler spaces", 2004).  Areas are integrated in polar
-coordinates: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
-distance along each ray, in which the integrand stays smooth up to the boundary.
+norm F(u) = (1/t+ + 1/t-) / 2 (Alvarez Paiva & Thompson, "Volumes on normed and
+Finsler spaces", 2004).  A polygon's ball is spanned by the rays to its vertices,
+F read from the chord kernel; a conic's density is in closed form.  Areas are
+integrated in polar coordinates, the density in units of the radius: adaptive
+Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert distance along each
+ray, in which the integrand stays smooth up to the boundary.
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ class ConvexDomain:
         for an (n, 2) batch.
         """
         pts = np.asarray(pts, dtype=float)
-        with np.errstate(over="ignore"):  # an overflowed slack keeps its sign
+        # an overflowed slack keeps its sign; a non-finite coordinate gives a NaN depth
+        with np.errstate(over="ignore", invalid="ignore"):
             inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
         return bool(inside[0]) if pts.ndim == 1 else inside
 
-    def _density(self, pts):
-        """Busemann density pi / area(unit Finsler ball) at each of the (n, 2) points."""
+    def _density(self, pts, w):
+        """Busemann density pi / area(unit Finsler ball) at the (n, 2) points times w^2, w
+        (n,) lengths; callers set the numpy error state, as for ``_exits_paired``."""
         raise NotImplementedError
 
     def _exits_paired(self, x0, x1, u0, u1):
@@ -119,26 +123,21 @@ class Polygon(ConvexDomain):
         mean = self.offsets - normals @ (v / len(v)).sum(axis=0)
         self._edges = list(zip(*normals.T.tolist(), self.offsets.tolist(), mean.tolist()))
 
-    def _slacks(self, x0, x1):
-        """offset - n . x of each edge, by components."""
-        return [offset - (n0 * x0 + n1 * x1) for n0, n1, offset, _ in self._edges]
-
     def _depth(self, x0, x1):
         # the least ratio slack_e(x) / slack_e(vertex mean): 1 there, 0 on the boundary and
         # unchanged by affine maps, as a conic's q / q_min
         return functools.reduce(_minimum, [
             (offset - (n0 * x0 + n1 * x1)) / mean for n0, n1, offset, mean in self._edges])
 
-    def _density(self, pts):
-        # F(w) = (g(w) + g(-w)) / 2 with the gauge g(w) = max_e n_e.w / slack_e is
-        # linear between the rays +-(v_i - x), so the unit ball is the polygon
-        # with vertices +-(v_i - x) / F(v_i - x)
-        rays = self.vertices[None, :, :] - pts[:, None, :]  # (n, E, 2)
-        # ratio[e, k, i] = n_e.(v_i - x_k) / slack_e(x_k), edges first for the reductions
-        ratio = (self.normals @ rays.reshape(-1, 2).T).reshape(-1, *rays.shape[:2])
-        ratio /= np.array(self._slacks(pts[:, 0], pts[:, 1]))[:, :, None]
-        ball = (rays @ [1.0, 1j]) * (2.0 / (ratio.max(axis=0) - ratio.min(axis=0)))
-        ball = np.concatenate([ball, -ball], axis=1)
+    def _density(self, pts, w):
+        # F(v_i - x) = (1/t+ + 1/t-) / 2 from the chord kernel, as in finsler_norm.  F is
+        # linear between the rays +-(v_i - x), so the unit ball is the polygon with vertices
+        # +-(v_i - x) / F(v_i - x), here taken in units of w
+        x0, x1 = pts.T
+        u0, u1 = self.vertices[:, :1] - x0, self.vertices[:, 1:] - x1  # (E, n)
+        t_fwd, t_bwd, _ = self._exits_paired(x0, x1, u0, u1)
+        ball = (u0 + 1j * u1) / w * (2.0 / (1.0 / t_fwd + 1.0 / t_bwd))
+        ball = np.concatenate([ball, -ball]).T
         ball = np.take_along_axis(ball, np.argsort(np.angle(ball), axis=1), axis=1)
         # twice the shoelace area of the ball
         return 2.0 * math.pi / np.sum((ball.conj() * np.roll(ball, -1, axis=1)).imag, axis=1)
@@ -146,7 +145,7 @@ class Polygon(ConvexDomain):
     def _exits_paired(self, x0, x1, u0, u1):
         t_fwd = t_bwd = depth = math.inf
         for n0, n1, offset, mean in self._edges:
-            # the slack inline: a list of _slacks and a reduce cost the hexagon ~30%
+            # the slack inline: a list of slacks and a reduce cost the hexagon ~30%
             slack = offset - (n0 * x0 + n1 * x1)
             den = n0 * u0 + n1 * u1
             ratio = _div(slack, den)
@@ -219,11 +218,11 @@ class ConicOval(ConvexDomain):
         d0, d1 = x0 - c0, x1 - c1
         return 1.0 - ((d0 * f00 + d1 * f01) * d0 + (d0 * f01 + d1 * f11) * d1)
 
-    def _density(self, pts):
+    def _density(self, pts, w):
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
         # taking the unit disk onto {q < 0}
         (a, h), (_, c) = self._quad
-        return math.sqrt(a * c - h * h) / -self._qmin * self._depth(pts[:, 0], pts[:, 1]) ** -1.5
+        return math.sqrt(a * c - h * h) / -self._qmin * w * w * self._depth(*pts.T) ** -1.5
 
     def _exits_paired(self, x0, x1, u0, u1):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
@@ -352,7 +351,7 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     base is the region's centre (a conic) or vertex mean (a polygon).  Along the
     ray base + rho u the Hilbert distance from base is s, with
     rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s}) for the chord exits t+-, so
-    the radial integral of density * rho drho is taken in s, where the
+    the radial integral of (density rho^2) drho / rho is taken in s, where the
     integrand stays smooth up to the boundary.  In the angle, Gauss-Kronrod
     panels break where the integrand has kinks: at the directions of the
     region's and the domain's vertices and their opposites (kinks of the exits
@@ -387,9 +386,10 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
             den = tf + tb * grow
             near, far = tb / den, tf / den
             rho = grow_m1 * near * tf
-            drho = 2.0 * grow * near * far * (tb + tf)
-            density = dom._density((base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2))
-            radial = (density.reshape(rho.shape) * rho * drho) @ radial_w
+            # d rho / rho = 2 e^{2s} (t+ + t-) / ((e^{2s} - 1) den): the density in units of rho
+            dlog = 2.0 * grow * (near + far) / grow_m1
+            pts = (base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2)
+            radial = (dom._density(pts, rho.ravel()).reshape(rho.shape) * dlog) @ radial_w
         return np.where(finite[:, 0], half[:, 0] * radial, np.inf)
 
     def evaluate(rows):
@@ -457,8 +457,8 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     axes = vecs * np.sqrt(-region._qmin / w)
     if isinstance(dom, Polygon):
         reach = np.linalg.norm(dom.normals @ axes, axis=1)
-        mean = np.array([edge[3] for edge in dom._edges])
-        return float(((np.array(dom._slacks(*region.center.tolist())) - reach) / mean).min())
+        (c0, c1), (n0, n1, offset, mean) = region.center, np.array(dom._edges).T
+        return float(((offset - (n0 * c0 + n1 * c1) - reach) / mean).min())
     ltm = axes.T @ dom._form
     b, vecs = np.linalg.eigh(ltm @ axes)
     g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
@@ -480,9 +480,13 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     the region by polar quadrature about an interior point of the region.
     ``cellsize`` sets the accuracy: the relative tolerance is ``cellsize**2``,
     the error a midpoint grid of that cell size has on a smooth integrand.
-    The region may touch the domain boundary; it has finite area when it
-    touches it only at points, and ``math.inf`` means only that it shares a
-    boundary arc: a region that leaves the domain raises RegionNotContained.
+    The region may touch the domain boundary.  It has finite area when it
+    touches it only at points of a conic or of a polygon's edges.  ``math.inf``
+    means that it shares a boundary arc, or that it has a vertex at a corner of
+    a polygon domain: near a corner the Hilbert geometry is a simplex's, a
+    normed plane in log coordinates (de la Harpe, "On Hilbert's metric for
+    simplices", 1993), where a wedge at the corner is an infinite half-strip.
+    A region that leaves the domain raises RegionNotContained.
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
@@ -492,6 +496,9 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
         contained = _least_depth(dom, region) > -1e-9
     if not contained:
         raise RegionNotContained("integration region is not contained in the domain")
+    if isinstance(dom, Polygon) and isinstance(region, Polygon) and (
+            region.vertices[:, None] == dom.vertices).all(axis=2).any():
+        return math.inf  # a vertex at a corner, as floats: exact
     return _polar_area(dom, region, math.inf, cellsize * cellsize)
 
 

@@ -306,6 +306,20 @@ class TestSweepAreaBulge:
         assert len(rows) == 2
         assert float(rows[1][3]) > float(rows[0][3])
 
+    def test_area_defaults_golden(self):
+        """The five default areas keep every printed digit."""
+        result = run_cli("area")
+        assert result.returncode == 0
+        assert result.stdout == (
+            "# config: area alphas=0.5,0.25,0.1,0.05,0.01 truncation=5 cellsize=0.002\n"
+            "alpha,truncation,cellsize,area\n"
+            "0.5,5,0.002,1.2918569293390896\n"
+            "0.25,5,0.002,1.4498173419798617\n"
+            "0.10000000000000001,5,0.002,1.9236981770033719\n"
+            "0.050000000000000003,5,0.002,2.4264643797531025\n"
+            "0.01,5,0.002,4.0544537842594517\n"
+        )
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -27,6 +27,11 @@ def standard_triangle():
     return pk.Polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def regular_hexagon():
+    angles = math.pi / 3.0 * np.arange(6)
+    return pk.Polygon(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
 def affine_disk(m, shift, center, radius):
     """The conic m . disk(center, radius) + shift."""
     inv = np.linalg.inv(m)
@@ -163,6 +168,15 @@ class TestDomains:
         assert not sq.contains([1.0, 0.0])  # boundary is not interior
         flags = sq.contains(np.array([[0.0, 0.0], [2.0, 2.0]]))
         assert list(flags) == [True, False]
+
+    @pytest.mark.parametrize("dom", [unit_square(), unit_circle()], ids=["square", "disk"])
+    def test_contains_non_finite(self, dom):
+        """A NaN or infinite coordinate is not interior, as the chord queries' refusal
+        has it; inf times a zero normal entry raised numpy's invalid-value warning."""
+        for p in ([math.inf, 0.0], [-math.inf, 0.0], [0.0, math.nan], [math.nan, -math.inf]):
+            assert dom.contains(p) is False
+        assert dom.contains([[0.0, 0.0], [math.inf, 0.0], [0.0, math.nan]]).tolist() == [
+            True, False, False]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -624,12 +638,26 @@ class TestDensity:
         x, y = pts[:, 0], pts[:, 1]
         exact = math.pi / (12.0 * x * y * (1.0 - x - y))
         # 1e-5 from an edge, either formula loses ~eps / 1e-5 to the slack
-        assert standard_triangle()._density(pts) == pytest.approx(exact, rel=1e-10)
+        assert standard_triangle()._density(pts, 1.0) == pytest.approx(exact, rel=1e-10)
 
     def test_klein_disk(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, -0.6], [0.0, 0.99]])
         exact = (1.0 - np.sum(pts**2, axis=1)) ** -1.5
-        assert unit_circle()._density(pts) == pytest.approx(exact, rel=1e-12)
+        assert unit_circle()._density(pts, 1.0) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("half", [
+        [[math.cos(a), math.sin(a)] for a in math.pi / 3.0 * np.arange(3)],
+        [[2.0, 0.0], [1.5, 1.0], [0.5, 1.5], [-1.0, 1.5]],
+    ], ids=["regular-hexagon", "octagon"])
+    def test_centre_of_a_symmetric_polygon(self, half):
+        """At the centre of a centrally symmetric polygon the unit ball is the polygon
+        itself, so the density is pi / area.  In the octagon the ray to (2, 0) is
+        parallel to an edge: the kernel divides by 0 there, under the caller's state."""
+        v = np.array(half + [[-x, -y] for x, y in half])
+        area = 0.5 * math.fsum(v[k - 1, 0] * v[k, 1] - v[k, 0] * v[k - 1, 1] for k in range(len(v)))
+        with np.errstate(divide="ignore"):
+            density = pk.Polygon(v)._density(np.zeros((1, 2)), np.ones(1))[0]
+        assert density == pytest.approx(math.pi / area, rel=4e-16, abs=0.0)
 
 
 class TestBusemannArea:
@@ -783,6 +811,43 @@ class TestBusemannArea:
         # the truncation at Hilbert radius 12 leaves out less than 1e-9 of it
         truncated = pk.triangle_area_experiment(0.25, 12.0, 0.001)
         assert area == pytest.approx(truncated, rel=1e-6)
+
+    def test_vertex_at_a_corner_is_infinite(self):
+        """The triangle on alternate vertices of a regular hexagon: near a corner the
+        geometry is a simplex's, in which a wedge at the corner is an infinite
+        half-strip.  The quadrature stopped at its panel cap at 36.1 (cellsize 1e-5).
+        Pulled in by 1 - eps the area is finite and grows ~2.5 per decade of eps."""
+        hexagon = regular_hexagon()
+        tri = hexagon.vertices[::2]
+        assert pk.busemann_area(hexagon, pk.Polygon(tri), 1e-5) == math.inf
+        near, far = (pk.busemann_area(hexagon, pk.Polygon((1.0 - eps) * tri), 1e-3)
+                     for eps in (1e-4, 1e-2))
+        assert far + 5.0 < near < math.inf
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e153, 1e154,
+                                   1e155, 1e200, 1e300])
+    def test_polygon_area_at_every_scale(self, s):
+        """The square [-s, s]^2 and a triangle in it.  In absolute units the density
+        (~1 / s^2) and the ball's shoelace (~s^2) left the float range: the area was inf
+        at s = 1e-160 and from 1e155 on, 0.0 at 1e154.  In units of the radius it keeps
+        its value to 4 ulp."""
+        def area(s):
+            square = pk.Polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
+            return pk.busemann_area(square, pk.Polygon([[-s / 2, -s / 4], [s / 2, -s / 4],
+                                                        [0.0, s / 4]]), 1e-3)
+        unit = area(1.0)
+        assert abs(area(s) - unit) <= 4.0 * math.ulp(unit)
+
+    def test_refinement_ends_with_nothing_left_to_split(self, monkeypatch):
+        """At cellsize 1e-300 the tolerance is 0, so refinement ends where every panel's
+        error is at rounding level or its width at the floor, before the panel cap: a cap
+        4 times as high gives the same bits, and the value is the converged one."""
+        hexagon = regular_hexagon()
+        quad = pk.Polygon([[-0.5, -0.3], [0.4, -0.5], [0.6, 0.4], [-0.3, 0.5]])
+        area = pk.busemann_area(hexagon, quad, 1e-300)
+        monkeypatch.setattr(pk.hilbert, "_MAX_PANELS", 4 * pk.hilbert._MAX_PANELS)
+        assert pk.busemann_area(hexagon, quad, 1e-300) == area
+        assert area == pytest.approx(pk.busemann_area(hexagon, quad, 1e-6), rel=1e-15, abs=0.0)
 
     def test_shared_boundary_arc_is_infinite(self):
         tri = standard_triangle()
