@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnimodular, WrongClass
+from .errors import NonFiniteResult, NotUnimodular, WrongClass
 from .rp2 import Flag, ProjLine, ProjPoint, _check_tol
 
 HYPERBOLIC = "hyperbolic"
@@ -121,25 +121,6 @@ def _sqrt_ratio(p: int, q: int) -> float:
     return math.ldexp(math.sqrt(r), j) if j < 1024 else math.inf
 
 
-def _symmetric_max_eigenvalue(s00, s11, s22, s01, s02, s12) -> float:
-    """Largest eigenvalue of a symmetric 3x3 matrix, in closed form (trigonometric).
-
-    With q = tr S / 3 and w the rms size of S - qI, the eigenvalues are
-    q + 2w cos(phi + 2 pi k / 3), 3 phi = acos(det((S - qI) / w) / 2); the
-    largest (k = 0) is well conditioned.
-    """
-    q = (s00 + s11 + s22) / 3.0
-    d0, d1, d2 = s00 - q, s11 - q, s22 - q
-    w2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12)) / 6.0
-    if w2 == 0.0:
-        return q
-    w = math.sqrt(w2)
-    d0, d1, d2, s01, s02, s12 = d0 / w, d1 / w, d2 / w, s01 / w, s02 / w, s12 / w
-    half_det = 0.5 * (d0 * (d1 * d2 - s12 * s12) - s01 * (s01 * d2 - s12 * s02)
-                      + s02 * (s01 * s12 - d1 * s02))
-    return q + 2.0 * w * math.cos(math.acos(max(-1.0, min(1.0, half_det))) / 3.0)
-
-
 def _simple_root(a, b, d) -> float:
     """A simple root of x^3 - a x^2 + b x - d, with a, b and d of size <= 1.
 
@@ -232,10 +213,11 @@ def _ranks(stack: np.ndarray, thresholds) -> list:
 def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     """Classify an SL(3,R) element as hyperbolic / quasi-hyperbolic / parabolic / other.
 
-    ``tol`` drives all structural thresholds: singular values below
-    ``tol * ||m||`` are treated as zero in rank tests, eigenvalue pairs within
-    ``sqrt(tol) * ||m||`` are treated as repeated, and triples within
-    ``tol^(1/3) * ||m||`` of 1 are candidates for the parabolic class.
+    ``tol`` drives all structural thresholds, each in units of
+    ``max(1, ||m||_F)``: singular values below ``tol`` are treated as zero in
+    rank tests, eigenvalue pairs within ``sqrt(tol)`` are treated as repeated
+    (a complex pair that close to the real axis counts as its real part twice),
+    and triples within ``tol^(1/3)`` of 1 are candidates for the parabolic class.
 
     Raises :class:`NotUnimodular` when det(m) deviates from 1 by more than
     ``DET_TOL`` relatively, and ValueError unless ``tol`` is positive and finite.
@@ -243,7 +225,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     Everything before the rank tests is scalar Python arithmetic: the
     characteristic polynomial over exact integers, its roots as ratios of
     integers (one float root, the rest from exact deflation), each rounded once,
-    and ||m||_2 in closed form on m / c, c >= 1 a power of two, so that nothing
+    and ||m||_F from one hypot on m / c, c >= 1 a power of two, so that nothing
     overflows.  The rank tests make one SVD call each.
     """
     _check_tol(tol)
@@ -256,25 +238,19 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     e = _unit_exponent(entries)
     c = math.ldexp(1.0, e)
     ci = 1.0 / c
-    p00, p01, p02, p10, p11, p12, p20, p21, p22 = (x * ci for x in entries)
+    # ||m / c||_F: every entry of m / c is below 2 in size, so nothing overflows
+    frob = math.hypot(*(x * ci for x in entries))
     trace, minors, det, k = _char_poly(entries)
     d = det / (1 << 3 * (k + e))  # det(m / c), correctly rounded
 
     # det gate |det m - 1| <= DET_TOL max(1, ||m||_F^2), divided through by c^3: an
     # entrywise perturbation of size eps moves the determinant by ~ eps ||m||^2
-    frob2 = (p00 * p00 + p01 * p01 + p02 * p02 + p10 * p10 + p11 * p11 + p12 * p12
-             + p20 * p20 + p21 * p21 + p22 * p22)
     ci3 = ci * ci * ci
-    if abs(d - ci3) > DET_TOL * max(ci3, frob2 * ci):
+    if abs(d - ci3) > DET_TOL * max(ci3, frob * frob * ci):
         raise NotUnimodular(f"determinant {d * c * c * c:.12g} is not 1 within tolerance")
 
-    # ||m / c||_2 from the largest eigenvalue of (m / c)^T (m / c)
-    norm2 = math.sqrt(_symmetric_max_eigenvalue(
-        p00 * p00 + p10 * p10 + p20 * p20, p01 * p01 + p11 * p11 + p21 * p21,
-        p02 * p02 + p12 * p12 + p22 * p22, p00 * p01 + p10 * p11 + p20 * p21,
-        p00 * p02 + p10 * p12 + p20 * p22, p01 * p02 + p11 * p12 + p21 * p22))
-    # the thresholds of max(1, ||m||_2), in units of c
-    scale = max(ci, norm2)
+    # the thresholds of max(1, ||m||_F), in units of c
+    scale = max(ci, frob)
     rank_thr = tol * scale
     pair_tol = math.sqrt(tol) * scale
     triple_tol = tol ** (1.0 / 3.0) * scale
@@ -358,18 +334,36 @@ def goldman_lengths(c: IsometryClass) -> GoldmanLengths:
     return GoldmanLengths(l1, l2, l1 + l2)
 
 
+def _bulge_entry(v: float, k: float, y: float = 1.0) -> float:
+    """e^{kv} y, raising NonFiniteResult where it leaves the float range: where it
+    overflows, or underflows to 0 from a nonzero y."""
+    try:
+        r = math.exp(k * v) * y
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r) or (r == 0.0 and y != 0.0):
+        raise NonFiniteResult(f"bulging by v = {v!r} leaves the float range")
+    return r
+
+
 def bulging_matrix(v: float) -> np.ndarray:
     """Bulging deformation along a geodesic, in its adapted basis.
 
     The basis is l(-inf) = (1,0,0), l_perp = (0,1,0), l(inf) = (0,0,1); the
-    deformation is diag(e^-v, e^2v, e^-v).
+    deformation is diag(e^-v, e^2v, e^-v).  Raises NonFiniteResult where an
+    entry overflows or underflows to 0 (v >= 354.9 or v <= -372.6).
     """
-    return np.diag([math.exp(-v), math.exp(2.0 * v), math.exp(-v)])
+    a = _bulge_entry(v, -1.0)
+    return np.diag([a, _bulge_entry(v, 2.0), a])
 
 
 def bulge_vertex(y: float, x: float, v: float) -> np.ndarray:
-    """Image (1, e^{3v} y, x) of the right-side triangle vertex (1, y, x)."""
-    return np.array([1.0, math.exp(3.0 * v) * y, x])
+    """Image (1, e^{3v} y, x) of the right-side triangle vertex (1, y, x).
+
+    Raises NonFiniteResult where e^{3v} y overflows, or underflows to 0 from a
+    nonzero y.
+    """
+    return np.array([1.0, _bulge_entry(v, 3.0, y), x])
 
 
 def shear_shift(s1: float, s2: float, v: float) -> tuple:

@@ -443,6 +443,17 @@ class TestContract:
         assert result.stdout == ""
         assert result.stderr == "error: NonFiniteResult: sigma1 is not finite\n"
 
+    @pytest.mark.parametrize("v", [400, -400])
+    def test_bulge_flags_past_the_float_range_exit_1(self, v):
+        """The bulging matrix leaves the float range: a named error, not a traceback
+        from math.exp (v = 400) or shears of a singular matrix (v = -400)."""
+        record = json.dumps({"flags": [f.to_json() for f in pk.bulging_configuration()], "v": v})
+        result = run_cli("bulge", "--input", record)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: NonFiniteResult: ")
+        assert "Traceback" not in result.stderr
+
     def test_sweep_non_finite_writes_nothing(self):
         """The gluing shears u -+ 3v overflow: the sweep writes no line, not even its header."""
         record = HYPERBOLIC_TORUS.replace('"v": 0.5', '"v": 1e308')

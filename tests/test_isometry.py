@@ -81,6 +81,17 @@ class TestClassify:
     def test_diagonalizable_repeated_is_other(self):
         assert pk.classify(np.diag([2.0, 2.0, 0.25])).kind == "other"
 
+    def test_near_real_pair_merged_without_jordan_block(self):
+        """0.5 R(1e-6) + 4: the pair's imaginary part 5e-7 is below pair_tol, so it
+        counts as its real part twice; the rank test finds no Jordan block and the
+        tied values fall through to the last branch, ``other``."""
+        t = 1e-6
+        m = np.diag([0.0, 0.0, 4.0])
+        m[:2, :2] = 0.5 * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        c = pk.classify(m)
+        assert c.kind == "other"
+        assert c.eigenvalues == (4.0, 0.49999999999975, 0.49999999999975)
+
     def test_rotation_is_other(self):
         t = 0.7
         rot = np.array(
@@ -361,6 +372,26 @@ class TestBulging:
         assert (after[1] - after[0]) - (before[1] - before[0]) == pytest.approx(
             6.0 * v, abs=1e-9
         )
+
+    @pytest.mark.parametrize("v", [354.9, 400.0, 1e308, -372.6, -400.0, -709.8, -1e308])
+    def test_matrix_past_the_float_range(self, v):
+        """e^2v overflows from v = 354.9 and underflows to 0 from v = -372.6, where the
+        matrix was singular; e^-v overflowed with a bare OverflowError."""
+        with pytest.raises(pk.NonFiniteResult):
+            pk.bulging_matrix(v)
+
+    def test_matrix_at_the_edges_of_the_float_range(self):
+        for v in (354.8, -372.5):
+            entries = pk.bulging_matrix(v).diagonal()
+            assert np.all(np.isfinite(entries)) and np.all(entries > 0.0)
+
+    def test_vertex_past_the_float_range(self):
+        """e^3v y overflows from v = 236.6; a zero y stays 0 however small e^3v is."""
+        assert math.isfinite(pk.bulge_vertex(1.0, 1.0, 236.5)[1])
+        for v, y in ((236.6, 1.0), (1e308, 1.0), (-300.0, 1.0), (1.0, 1e308)):
+            with pytest.raises(pk.NonFiniteResult):
+                pk.bulge_vertex(y, 1.0, v)
+        assert pk.bulge_vertex(0.0, 1.0, -300.0).tolist() == [1.0, 0.0, 1.0]
 
     def test_configuration_validates_vertex(self):
         with pytest.raises(ValueError):

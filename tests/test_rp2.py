@@ -94,6 +94,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             pk.Flag(point(1, 0, 0), line([0, 1, 0], [0, 0, 1]))
 
+    def test_flag_from_raw_coordinates(self):
+        """Flag(p, (u, w)) with plain lists wraps them itself, bit for bit as the
+        wrapped form, and checks incidence the same way."""
+        raw = pk.Flag([1, 2, 1], ([1, 2, 1], [0, 1, 0]))
+        wrapped = pk.Flag(point(1, 2, 1), line([1, 2, 1], [0, 1, 0]))
+        for a, b in ((raw.point.v, wrapped.point.v), (raw.line.u, wrapped.line.u),
+                     (raw.line.w, wrapped.line.w), (raw.line.normal, wrapped.line.normal)):
+            assert a.tobytes() == b.tobytes()
+        assert_refuses(lambda: pk.Flag([0, 0, 1], ([1, 0, 0], [0, 1, 0])), ValueError,
+                       "flag point does not lie on its line")
+
     def test_incidence_residual_is_own_pairing(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
