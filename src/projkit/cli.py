@@ -19,7 +19,7 @@ import numpy as np
 
 from . import coords, hilbert, invariants, isometry
 from .errors import NonFiniteResult, ProjKitError
-from .rp2 import DEFAULT_GENERICITY_TOL, Flag
+from .rp2 import Flag
 
 _ENV_TOL = "PROJKIT_TOL"
 
@@ -67,8 +67,8 @@ def _emit_record(record: dict, fmt: str, out) -> None:
 
 
 def _load_input(source: str, what: str = "input"):
-    """The JSON of --input, every number a float; NaN, infinities and literals
-    beyond the float range are malformed."""
+    """The JSON of --input, every number a float; NaN, infinities, literals
+    beyond the float range and true/false (Python's 1 and 0) are malformed."""
 
     def finite(text: str) -> float:
         value = float(text)
@@ -84,15 +84,23 @@ def _load_input(source: str, what: str = "input"):
     elif not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text, parse_float=finite, parse_int=finite, parse_constant=finite)
+    data = json.loads(text, parse_float=finite, parse_int=finite, parse_constant=finite)
+    nodes = [data]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, bool):
+            raise ValueError(f"{what} has true/false entries where numbers belong")
+        nodes.extend(node.values() if isinstance(node, dict) else
+                     node if isinstance(node, list) else ())
+    return data
 
 
-def _default_tol(args, fallback: float) -> float:
-    """--tol, else $PROJKIT_TOL, else the fallback; the library call that reads it checks it."""
-    if args.tol is not None:
-        return args.tol
+def _default_tol(args) -> dict:
+    """The tol= keyword of the library calls: --tol, else $PROJKIT_TOL, else none, so
+    the library's default holds; the library call that reads it checks it."""
     env = os.environ.get(_ENV_TOL)
-    return float(env) if env else fallback
+    tol = args.tol if args.tol is not None else float(env) if env else None
+    return {} if tol is None else {"tol": tol}
 
 
 def _parse_domain(data: dict) -> hilbert.ConvexDomain:
@@ -117,14 +125,14 @@ def _parse_boundary(data: dict) -> coords.BoundaryData:
 
 
 def _cmd_invariants(args, out) -> int:
-    tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
+    tol_kw = _default_tol(args)
     flags = [Flag.from_json(item) for item in _load_input(args.input)]
     if len(flags) == 3:
-        t = invariants.triple_ratio(*flags, tol=tol).value
-        record = {"T": t, "tau111": invariants.tau111(*flags, tol=tol)}
+        t = invariants.triple_ratio(*flags, **tol_kw).value
+        record = {"T": t, "tau111": invariants.tau111(*flags, **tol_kw)}
     elif len(flags) == 4:
-        d = invariants.double_ratios(*flags, tol=tol)
-        sigma1, sigma2 = (invariants.shear(*flags, i, tol=tol) for i in (1, 2))
+        d = invariants.double_ratios(*flags, **tol_kw)
+        sigma1, sigma2 = (invariants.shear(*flags, i, **tol_kw) for i in (1, 2))
         record = {"D1": d.d1, "D2": d.d2, "sigma1": sigma1, "sigma2": sigma2}
     else:
         raise ValueError("expected a JSON array of 3 or 4 flags")
@@ -133,12 +141,12 @@ def _cmd_invariants(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    tol = _default_tol(args, isometry.DEFAULT_CLASSIFY_TOL)
+    tol_kw = _default_tol(args)
     entries = _load_input(args.input, "matrix")
     m = np.asarray(entries, dtype=float)
     if m.size != 9:
         raise ValueError("expected a row-major array of 9 numbers")
-    c = isometry.classify(m.reshape(3, 3), tol=tol)
+    c = isometry.classify(m.reshape(3, 3), **tol_kw)
     record = {"kind": c.kind}
     if c.kind == isometry.HYPERBOLIC:
         record["eigenvalues"] = [float(v) for v in c.eigenvalues]
@@ -237,10 +245,10 @@ def _cmd_bulge(args, out) -> int:
         flags = [Flag.from_json(item) for item in data["flags"]]
         if len(flags) != 4:
             raise ValueError("bulge needs exactly 4 flags")
-        tol = _default_tol(args, DEFAULT_GENERICITY_TOL)
-        before = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
+        tol_kw = _default_tol(args)
+        before = [invariants.shear(*flags, i, **tol_kw) for i in (1, 2)]
         flags[3] = flags[3].transform(isometry.bulging_matrix(v))
-        after = [invariants.shear(*flags, i, tol=tol) for i in (1, 2)]
+        after = [invariants.shear(*flags, i, **tol_kw) for i in (1, 2)]
         record = {
             "sigma1_before": before[0],
             "sigma2_before": before[1],

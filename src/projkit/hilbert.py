@@ -37,9 +37,10 @@ _K15 = np.array([
 _GK_X = np.concatenate([-_K15[0], _K15[0, -2::-1]])
 _GK_W, _G7_W = np.concatenate([_K15[1:], _K15[1:, -2::-1]], axis=1)
 
-# adaptive refinement limits: the narrowest panel (radians; its nodes stay far
-# enough from a break that a ray never meets a boundary point by rounding) and
-# the panel count that ends refinement
+# adaptive refinement limits: the narrowest panel refinement may split (radians,
+# in theta; the smoothstep map still packs nodes closer than this to a break, where
+# a ray can round onto a boundary vertex: ROADMAP item 2) and the panel count that
+# ends refinement
 _MIN_PANEL = 1e-8
 _MAX_PANELS = 2048
 
@@ -60,14 +61,15 @@ class ConvexDomain:
             inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
         return bool(inside[0]) if pts.ndim == 1 else inside
 
-    def _density(self, pts, w):
-        """Busemann density pi / area(unit Finsler ball) at the (n, 2) points times w^2, w
-        (n,) lengths; callers set the numpy error state, as for ``_exits_paired``."""
+    def _density(self, x0, x1, w):
+        """Busemann density pi / area(unit Finsler ball) at x times w^2, over components
+        and lengths w that are arrays of one shape (the quadrature's rays by radial
+        nodes); callers set the numpy error state, as for ``_exits_paired``."""
         raise NotImplementedError
 
     def _exits_paired(self, x0, x1, u0, u1):
         """Forward/backward boundary parameters from x along u, and the depth of x, over
-        components that are all floats (scalar queries) or include (n,) arrays (the area
+        components that are all floats (scalar queries) or include arrays (the area
         quadrature; callers set the numpy error state: an edge along u divides by 0)."""
         raise NotImplementedError
 
@@ -129,18 +131,17 @@ class Polygon(ConvexDomain):
         return functools.reduce(_minimum, [
             (offset - (n0 * x0 + n1 * x1)) / mean for n0, n1, offset, mean in self._edges])
 
-    def _density(self, pts, w):
+    def _density(self, x0, x1, w):
         # F(v_i - x) = (1/t+ + 1/t-) / 2 from the chord kernel, as in finsler_norm.  F is
         # linear between the rays +-(v_i - x), so the unit ball is the polygon with vertices
         # +-(v_i - x) / F(v_i - x), here taken in units of w
-        x0, x1 = pts.T
-        u0, u1 = self.vertices[:, :1] - x0, self.vertices[:, 1:] - x1  # (E, n)
+        u0, u1 = (np.subtract.outer(v, x) for v, x in zip(self.vertices.T, (x0, x1)))  # (E, ...)
         t_fwd, t_bwd, _ = self._exits_paired(x0, x1, u0, u1)
         ball = (u0 + 1j * u1) / w * (2.0 / (1.0 / t_fwd + 1.0 / t_bwd))
-        ball = np.concatenate([ball, -ball]).T
-        ball = np.take_along_axis(ball, np.argsort(np.angle(ball), axis=1), axis=1)
+        ball = np.moveaxis(np.concatenate([ball, -ball]), 0, -1)
+        ball = np.take_along_axis(ball, np.argsort(np.angle(ball)), axis=-1)
         # twice the shoelace area of the ball
-        return 2.0 * math.pi / np.sum((ball.conj() * np.roll(ball, -1, axis=1)).imag, axis=1)
+        return 2.0 * math.pi / np.sum((ball.conj() * np.roll(ball, -1, axis=-1)).imag, axis=-1)
 
     def _exits_paired(self, x0, x1, u0, u1):
         t_fwd = t_bwd = depth = math.inf
@@ -192,10 +193,12 @@ class ConicOval(ConvexDomain):
         if not all(map(math.isfinite, (qmin, f00, f01, f11))):
             raise ValueError(f"conic's form A / -q_min is not finite: q_min = {qmin!r}")
         self.center = center
-        self._quad = quad
-        self._qmin = qmin
         self._form = np.array(form)
         self._entries = (f00, f01, f11, *center.tolist())
+        # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map taking
+        # the unit disk onto {q < 0} has the factor sqrt(det A) / -q_min
+        (a, h), (_, c) = quad.tolist()
+        self._density_factor = math.sqrt(a * c - h * h) / -qmin
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
@@ -218,11 +221,8 @@ class ConicOval(ConvexDomain):
         d0, d1 = x0 - c0, x1 - c1
         return 1.0 - ((d0 * f00 + d1 * f01) * d0 + (d0 * f01 + d1 * f11) * d1)
 
-    def _density(self, pts, w):
-        # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map
-        # taking the unit disk onto {q < 0}
-        (a, h), (_, c) = self._quad
-        return math.sqrt(a * c - h * h) / -self._qmin * w * w * self._depth(*pts.T) ** -1.5
+    def _density(self, x0, x1, w):
+        return self._density_factor * w * w * self._depth(x0, x1) ** -1.5
 
     def _exits_paired(self, x0, x1, u0, u1):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
@@ -362,35 +362,31 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
 
     def exits(u0, u1):
         # the exits t+- from base along u and the distance s to the region's exit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_fwd, t_bwd, _ = dom._exits_paired(b0, b1, u0, u1)
-            # the region may touch the boundary: never leave the domain
-            rho = _minimum(region._exits_paired(b0, b1, u0, u1)[0], t_fwd)
-            # log1p of the cross ratio less 1, and expm1 below, keep a region of small
-            # Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose eps / s
-            s = 0.5 * np.log1p(rho * _div(1.0 + _div(t_fwd, t_bwd), t_fwd - rho))
+        t_fwd, t_bwd, _ = dom._exits_paired(b0, b1, u0, u1)
+        # the region may touch the boundary: never leave the domain
+        rho = _minimum(region._exits_paired(b0, b1, u0, u1)[0], t_fwd)
+        # log1p of the cross ratio less 1, and expm1 below, keep a region of small
+        # Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose eps / s
+        s = 0.5 * np.log1p(rho * _div(1.0 + _div(t_fwd, t_bwd), t_fwd - rho))
         return t_fwd, t_bwd, s
 
     radial_x, radial_w = _radial_rule()
 
     def radial_integral(theta):
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        tf, tb, s_max = (v[:, None] for v in exits(*u.T))
+        u0, u1 = np.cos(theta), np.sin(theta)
+        tf, tb, s_max = (v[:, None] for v in exits(u0, u1))
         finite = np.isfinite(s_max := np.minimum(s_max, radius))
         half = 0.5 * np.where(finite, s_max, 0.0)
-        # the total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            grow_m1 = np.expm1(2.0 * half * (1.0 + radial_x))  # e^{2s} - 1, (m, N)
-            grow = grow_m1 + 1.0
-            # each exit divided by den first, so that no product of exits overflows
-            den = tf + tb * grow
-            near, far = tb / den, tf / den
-            rho = grow_m1 * near * tf
-            # d rho / rho = 2 e^{2s} (t+ + t-) / ((e^{2s} - 1) den): the density in units of rho
-            dlog = 2.0 * grow * (near + far) / grow_m1
-            pts = (base + rho[:, :, None] * u[:, None, :]).reshape(-1, 2)
-            radial = (dom._density(pts, rho.ravel()).reshape(rho.shape) * dlog) @ radial_w
-        return np.where(finite[:, 0], half[:, 0] * radial, np.inf)
+        grow_m1 = np.expm1(2.0 * half * (1.0 + radial_x))  # e^{2s} - 1, (m, N)
+        grow = grow_m1 + 1.0
+        # each exit divided by den first, so that no product of exits overflows
+        den = tf + tb * grow
+        near, far = tb / den, tf / den
+        rho = grow_m1 * near * tf
+        # d rho / rho = 2 e^{2s} (t+ + t-) / ((e^{2s} - 1) den): the density in units of rho
+        dlog = 2.0 * grow * (near + far) / grow_m1
+        density = dom._density(b0 + rho * u0[:, None], b1 + rho * u1[:, None], rho)
+        return np.where(finite[:, 0], half[:, 0] * ((density * dlog) @ radial_w), np.inf)
 
     def evaluate(rows):
         # row (start, length, lo, hi, estimate, error): t in [lo, hi] of the break panel
@@ -400,8 +396,7 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
         t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_X
         vals = radial_integral((start + length * _smoothstep(t)).ravel()).reshape(t.shape)
         vals *= 0.5 * (hi - lo) * length * 6.0 * t * (1.0 - t)
-        with np.errstate(invalid="ignore"):
-            rows[:, 4], rows[:, 5] = vals @ _GK_W, np.abs(vals @ (_GK_W - _G7_W))
+        rows[:, 4], rows[:, 5] = vals @ _GK_W, np.abs(vals @ (_GK_W - _G7_W))
         return rows
 
     # break at the directions +-(v - base) of all vertices, and at the axes so
@@ -411,35 +406,38 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     rays = np.concatenate([rays, -rays])
     angles = np.arctan2(rays[:, 1], rays[:, 0]) % (2.0 * math.pi)
     edges = np.unique(np.append(angles, 2.0 * math.pi))
-    if math.isfinite(radius):
-        # bisect each sign change of (region exit - radius) between breaks to rounding,
-        # one at a time on floats
-        inside = exits(np.cos(edges), np.sin(edges))[2] < radius
-        cuts = []
-        for k in np.nonzero(inside[:-1] != inside[1:])[0]:
-            lo, hi = edges[k].item(), edges[k + 1].item()
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                same = (exits(math.cos(mid), math.sin(mid))[2] < radius) == inside[k]
-                lo, hi = (mid, hi) if same else (lo, mid)
-            cuts.append(0.5 * (lo + hi))
-        edges = np.sort(np.concatenate([edges, cuts]))
-    edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
+    # one error state for the quadrature: an edge along u divides by 0 in the exits, and the
+    # total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if math.isfinite(radius):
+            # bisect each sign change of (region exit - radius) between breaks to rounding,
+            # one at a time on floats
+            inside = exits(np.cos(edges), np.sin(edges))[2] < radius
+            cuts = []
+            for k in np.nonzero(inside[:-1] != inside[1:])[0]:
+                lo, hi = edges[k].item(), edges[k + 1].item()
+                for _ in range(50):
+                    mid = 0.5 * (lo + hi)
+                    same = (exits(math.cos(mid), math.sin(mid))[2] < radius) == inside[k]
+                    lo, hi = (mid, hi) if same else (lo, mid)
+                cuts.append(0.5 * (lo + hi))
+            edges = np.sort(np.concatenate([edges, cuts]))
+        edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
 
-    ends = np.ones(len(edges) - 1)
-    rows = evaluate(np.stack([edges[:-1], np.diff(edges), 0.0 * ends, ends, ends, ends], axis=1))
-    while math.isfinite(total := math.fsum(rows[:, 4])) and np.sum(rows[:, 5]) > rtol * total:
-        # split panels over their share of the error budget, unless at rounding level or
-        # the width floor; the panel cap bounds the work where rounding noise exceeds rtol
-        start, length, lo, hi, est, err = rows.T
-        share = np.maximum(rtol * total * length * (hi - lo) / (2.0 * math.pi), 1e-14 * est)
-        wide = length * (_smoothstep(hi) - _smoothstep(lo)) > _MIN_PANEL
-        split = (err > share) & wide
-        if not split.any() or len(rows) >= _MAX_PANELS:
-            break
-        left, right = rows[split], rows[split]
-        left[:, 3] = right[:, 2] = 0.5 * (left[:, 2] + left[:, 3])
-        rows = np.concatenate([rows[~split], evaluate(np.concatenate([left, right]))])
+        ends = np.ones(len(edges) - 1)
+        rows = evaluate(np.stack([edges[:-1], np.diff(edges), 0.0 * ends, ends, ends, ends], 1))
+        while math.isfinite(total := math.fsum(rows[:, 4])) and np.sum(rows[:, 5]) > rtol * total:
+            # split panels over their share of the error budget, unless at rounding level or
+            # the width floor; the panel cap bounds the work where rounding noise exceeds rtol
+            start, length, lo, hi, est, err = rows.T
+            share = np.maximum(rtol * total * length * (hi - lo) / (2.0 * math.pi), 1e-14 * est)
+            wide = length * (_smoothstep(hi) - _smoothstep(lo)) > _MIN_PANEL
+            split = (err > share) & wide
+            if not split.any() or len(rows) >= _MAX_PANELS:
+                break
+            left, right = rows[split], rows[split]
+            left[:, 3] = right[:, 2] = 0.5 * (left[:, 2] + left[:, 3])
+            rows = np.concatenate([rows[~split], evaluate(np.concatenate([left, right]))])
     return total if math.isfinite(total) else math.inf
 
 
@@ -453,8 +451,8 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     """
     if isinstance(region, Polygon):
         return float(dom._depth(*region.vertices.T).min())
-    w, vecs = np.linalg.eigh(region._quad)
-    axes = vecs * np.sqrt(-region._qmin / w)
+    w, vecs = np.linalg.eigh(region._form)
+    axes = vecs / np.sqrt(w)
     if isinstance(dom, Polygon):
         reach = np.linalg.norm(dom.normals @ axes, axis=1)
         (c0, c1), (n0, n1, offset, mean) = region.center, np.array(dom._edges).T

@@ -61,7 +61,7 @@ class IsometryClass:
         if not (l1 > l2 > l3 > 0.0):
             raise ValueError("hyperbolic eigenvalues must satisfy l1 > l2 > l3 > 0")
         product = l1 * l2 * l3
-        if abs(product - 1.0) > 1e-9 * max(1.0, abs(product)):
+        if abs(product - 1.0) > DET_TOL * max(1.0, abs(product)):
             raise ValueError(f"hyperbolic eigenvalues must multiply to 1, got {product:g}")
         return cls(HYPERBOLIC, eigenvalues=(l1, l2, l3))
 

@@ -410,6 +410,13 @@ MIXED_PANTS = json.dumps({
                    {"kind": "hyperbolic", "lambda": 0.4, "tau": 3.5}],
 })
 
+# A2 parabolic and A3 quasi-hyperbolic: neither can be pinched
+PARABOLIC_QUASI_PANTS = json.dumps({
+    "surface": "pants", "s": 0.7, "t": 3.1,
+    "boundaries": [{"kind": "hyperbolic", "lambda": 0.2, "tau": 5}, {"kind": "parabolic"},
+                   {"kind": "quasi_hyperbolic", "lambda": 0.3}],
+})
+
 
 class TestContract:
     @pytest.mark.parametrize(
@@ -435,6 +442,38 @@ class TestContract:
         assert result.stdout == ""
         assert result.stderr.startswith("error: MalformedInput:")
         assert "Traceback" not in result.stderr and "math domain" not in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, "x": [0, 0], '
+         '"y": [0.5, false]}'),
+        ("convert", "--input", ALL_PARABOLIC.replace('"s": 2', '"s": true')),
+        ("classify", "--input", "[true,0,0,0,1,0,0,0,1]"),
+        ("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": true}'),
+        ("sweep", "--input", HYPERBOLIC_TORUS.replace('"t": 1', '"t": true')),
+        ("invariants", "--input", triangle_flags_json(0.25).replace("[0.0, 0.5, 1.0]",
+                                                                    "[0.0, 0.5, true]")),
+    ], ids=["distance", "convert", "classify", "bulge", "sweep", "invariants"])
+    def test_boolean_input_exit_2(self, args):
+        """JSON true and false are not numbers: each subcommand read them as 1 and 0
+        and exited 0."""
+        code, out, err = run_main(*args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MalformedInput:")
+
+    @pytest.mark.parametrize("record, argv, message", [
+        (HYPERBOLIC_TORUS, ("--steps", "0"), "steps must be at least 1"),
+        (HYPERBOLIC_TORUS, ("--steps", "-3"), "steps must be at least 1"),
+        (MIXED_PANTS, ("--boundary", "0"), "pants boundary index must be 1, 2 or 3"),
+        (MIXED_PANTS, ("--boundary", "4"), "pants boundary index must be 1, 2 or 3"),
+        (PARABOLIC_QUASI_PANTS, ("--boundary", "2"), "the pinched boundary must start hyperbolic"),
+        (PARABOLIC_QUASI_PANTS, ("--boundary", "3"), "the pinched boundary must start hyperbolic"),
+    ])
+    def test_sweep_refusals_exit_2(self, record, argv, message):
+        code, out, err = run_main("sweep", "--input", record, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MalformedInput:") and message in err
 
     def test_non_finite_result_exit_1(self):
         """sigma1 - v and sigma2 + v overflow: nothing is printed (it printed -inf and inf)."""

@@ -343,8 +343,8 @@ def rim(dom):
     eccentric angle."""
     if isinstance(dom, pk.Polygon):
         return dom.vertices
-    w, vecs = np.linalg.eigh(dom._quad)
-    radii = np.sqrt(-dom._qmin / w)
+    w, vecs = np.linalg.eigh(dom._form)
+    radii = 1.0 / np.sqrt(w)
     phi = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     circle = np.stack([radii[0] * np.cos(phi), radii[1] * np.sin(phi)], axis=1)
     return dom.center[None, :] + circle @ vecs.T
@@ -638,12 +638,12 @@ class TestDensity:
         x, y = pts[:, 0], pts[:, 1]
         exact = math.pi / (12.0 * x * y * (1.0 - x - y))
         # 1e-5 from an edge, either formula loses ~eps / 1e-5 to the slack
-        assert standard_triangle()._density(pts, 1.0) == pytest.approx(exact, rel=1e-10)
+        assert standard_triangle()._density(*pts.T, 1.0) == pytest.approx(exact, rel=1e-10)
 
     def test_klein_disk(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, -0.6], [0.0, 0.99]])
         exact = (1.0 - np.sum(pts**2, axis=1)) ** -1.5
-        assert unit_circle()._density(pts, 1.0) == pytest.approx(exact, rel=1e-12)
+        assert unit_circle()._density(*pts.T, 1.0) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("half", [
         [[math.cos(a), math.sin(a)] for a in math.pi / 3.0 * np.arange(3)],
@@ -656,7 +656,7 @@ class TestDensity:
         v = np.array(half + [[-x, -y] for x, y in half])
         area = 0.5 * math.fsum(v[k - 1, 0] * v[k, 1] - v[k, 0] * v[k - 1, 1] for k in range(len(v)))
         with np.errstate(divide="ignore"):
-            density = pk.Polygon(v)._density(np.zeros((1, 2)), np.ones(1))[0]
+            density = pk.Polygon(v)._density(np.zeros(1), np.zeros(1), np.ones(1))[0]
         assert density == pytest.approx(math.pi / area, rel=4e-16, abs=0.0)
 
 
@@ -864,7 +864,7 @@ def _reference_least_depth(dom, region):
     refined by golden-section search.  Depth is concave, so it is least on the
     boundary.  A polygon region's vertices are samples; a conic region's boundary
     point in direction u is c + u sqrt(-q_min / u^T A u), u running round the square
-    [-1, 1]^2."""
+    [-1, 1]^2.  A conic is read as its stored form A / -q_min, so q_min = -1."""
 
     def dec(a):
         return [dec(x) for x in a] if isinstance(a, list) else Decimal(a)
@@ -880,7 +880,7 @@ def _reference_least_depth(dom, region):
                 return [a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])]
         else:
             (rc0, rc1), ((ra, rh), (_, rb)), rq = dec(region.center.tolist()), dec(
-                region._quad.tolist()), Decimal(region._qmin)
+                region._form.tolist()), Decimal(-1)
 
             def rim(t):
                 k = int(8 * t) // 2
@@ -898,7 +898,7 @@ def _reference_least_depth(dom, region):
                 return min((dx * (x[1] - p[1]) - dy * (x[0] - p[0])) / n for p, dx, dy, n in edges)
         else:
             (c0, c1), ((a, h), (_, b)), q = dec(dom.center.tolist()), dec(
-                dom._quad.tolist()), Decimal(dom._qmin)
+                dom._form.tolist()), Decimal(-1)
 
             def depth(x):
                 d0, d1 = x[0] - c0, x[1] - c1
