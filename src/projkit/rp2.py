@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,95 +25,219 @@ DEFAULT_GENERICITY_TOL = 1e-12
 DEFAULT_INCIDENCE_TOL = 1e-9
 
 
-def _cross(a, b) -> np.ndarray:
-    """Cross product a x b of two 3-vectors, by components in numpy's order of operations."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+# Range of the largest cross-product term |u_i w_j| + |u_j w_i| in which a line's
+# normal is u x w as given: no term overflows, and a normal that passes either
+# independence test lies far above the subnormal range.  Outside it, u and w are
+# first scaled by powers of two.
+_TERM_RANGE = (2.0**-900, 2.0**900)
+
+# Coordinate types read without numpy: numpy's float64 scalar is a float subclass.
+_REALS = (float, int, np.float64)
+
+
+def _cross(a, b) -> tuple:
+    """Cross product a x b of two float 3-tuples, by components in numpy's order of operations."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _largest_term(a, b) -> float:
+    """The largest |a_i b_j| + |a_j b_i| over the components of a x b."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return max(abs(a1 * b2) + abs(a2 * b1), abs(a2 * b0) + abs(a0 * b2),
+               abs(a0 * b1) + abs(a1 * b0))
+
+
+def _dot(a, b) -> float:
+    """a . b of two float 3-tuples: the three rounded products, summed exactly and rounded once.
+
+    ``math.fsum`` refuses a sum of opposite infinities or one that overflows on the
+    way; there the plain left-to-right sum gives numpy's inf or nan.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    try:
+        return math.fsum((a0 * b0, a1 * b1, a2 * b2))
+    except (ValueError, OverflowError):
+        return a0 * b0 + a1 * b1 + a2 * b2
 
 
 def _norm(v) -> float:
     """Euclidean norm of a 3-vector; ``math.hypot`` scales, so it never overflows."""
-    return math.hypot(*v.tolist())
+    return math.hypot(*v)
 
 
-def _as_vector(coords, what: str) -> np.ndarray:
+def _unit_scaled(v) -> tuple:
+    """v times the power of two that brings its largest |component| into [0.5, 1); exact
+    except for components that fall below the normal range."""
+    e = math.frexp(max(map(abs, v)))[1]
+    return tuple(math.ldexp(x, -e) for x in v)
+
+
+def _as_vector(coords, what: str) -> tuple:
+    """The three coordinates as a tuple of Python floats, or ValueError.
+
+    A list or tuple of three ``_REALS``, all finite, is read directly;
+    anything else goes through ``np.asarray(coords, dtype=float)`` and its
+    shape and finiteness checks, whose messages print that array.
+    """
+    if type(coords) in (list, tuple) and len(coords) == 3:
+        x, y, z = coords
+        if type(x) in _REALS and type(y) in _REALS and type(z) in _REALS:
+            c = (float(x), float(y), float(z))
+            if math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2]):
+                return c
     v = np.asarray(coords, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{what} needs exactly 3 coordinates, got shape {v.shape}")
-    if not all(map(math.isfinite, v.tolist())):
+    c = tuple(v.tolist())
+    if not all(map(math.isfinite, c)):
         raise ValueError(f"{what} has non-finite coordinates: {v}")
-    return v
+    return c
 
 
-@dataclass(frozen=True, eq=False)
+_PACK3 = struct.Struct("3d").pack
+
+
+def _frozen(c) -> np.ndarray:
+    """A read-only float64 array of the float 3-tuple c: a view of its packed
+    bytes, which are immutable, built faster than ``np.array`` and ``setflags``."""
+    return np.frombuffer(_PACK3(*c))
+
+
+# ProjPoint and ProjLine use slots: without an instance dict, and with their float
+# tuples the only containers they hold, building many flags triggers fewer
+# collections of the cyclic garbage collector.
+@dataclass(frozen=True, eq=False, slots=True)
 class ProjPoint:
-    """A point of RP^2, stored as a nonzero homogeneous representative."""
+    """A point of RP^2, stored as a nonzero homogeneous representative.
+
+    The components are kept as a tuple of Python floats, which the kernels
+    read; ``v`` is a read-only float64 array of the same numbers.
+    """
 
     v: np.ndarray
+    _c: tuple = field(repr=False)
+    _size: float = field(repr=False)  # |c|
 
     def __init__(self, coords):
-        v = _as_vector(coords, "projective point")
-        if not v.any():
+        c = _as_vector(coords, "projective point")
+        if not any(c):
             raise ValueError("projective point cannot be the zero vector")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_size", _norm(c))
+        object.__setattr__(self, "v", _frozen(c))
 
     def __repr__(self):
-        return f"ProjPoint({self.v.tolist()})"
+        return f"ProjPoint({list(self._c)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProjLine:
     """A line of RP^2, stored as an ordered pair of spanning 3-vectors.
 
     The line is the scale class of the wedge ``u ^ v``; ``normal`` caches the
-    cross product, whose direction is the Euclidean normal of the plane.
+    cross product, whose direction is the Euclidean normal of the plane.  It
+    is ``u x w`` unless the largest term of that product leaves
+    ``_TERM_RANGE``; then it is the cross product of u and w scaled by powers
+    of two, a positive multiple of ``u x w``.
     """
 
     u: np.ndarray
     w: np.ndarray
     normal: np.ndarray
+    _u: tuple = field(repr=False)
+    _w: tuple = field(repr=False)
+    _n: tuple = field(repr=False)
+    _size: float = field(repr=False)  # |_n|
+    _span: float = field(repr=False)  # |u| |w| of the pair whose cross product is _n
 
     def __init__(self, u, w):
+        self._store(u, w, image=False)
+
+    @classmethod
+    def _mapped(cls, u, w) -> "ProjLine":
+        """The image of a line under an invertible map, spanned by the images u, w."""
+        line = object.__new__(cls)
+        line._store(u, w, image=True)
+        return line
+
+    def _store(self, u, w, image: bool) -> None:
+        """Store the line spanned by u and w, or raise ValueError if they are dependent.
+
+        A pair given by the caller is dependent when ``|u x w| <= 1e-12 |u| |w|``:
+        they are parallel to within 1e-12.  An image under ``Flag.transform`` is a
+        line whatever that angle (a diagonal map such as a bulging matrix scales
+        its spanning vectors apart), so it is refused only when ``u x w`` cancels
+        to within 1e-12 of its largest term ``|u_i w_j| + |u_j w_i|``, the size
+        its rounding is relative to: when the map was singular.
+        """
         u = _as_vector(u, "line spanning vector")
         w = _as_vector(w, "line spanning vector")
-        normal = _cross(u, w)
-        scale = _norm(u) * _norm(w)
-        if scale == 0.0 or _norm(normal) <= 1e-12 * scale:
+        pair = (u, w)
+        term = _largest_term(u, w)
+        if not _TERM_RANGE[0] <= term <= _TERM_RANGE[1]:
+            pair = (_unit_scaled(u), _unit_scaled(w))
+            term = _largest_term(*pair)
+        normal = _cross(*pair)
+        size = _norm(normal)
+        span = _norm(pair[0]) * _norm(pair[1])
+        if size <= 1e-12 * (term if image else span):
             raise ValueError("line spanning vectors must be linearly independent")
-        for name, vec in (("u", u), ("w", w), ("normal", normal)):
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "_u", u)
+        setattr_(self, "_w", w)
+        setattr_(self, "_n", normal)
+        setattr_(self, "_size", size)
+        setattr_(self, "_span", span)
+        setattr_(self, "u", _frozen(u))
+        setattr_(self, "w", _frozen(w))
+        setattr_(self, "normal", _frozen(normal))
 
     @classmethod
     def from_normal(cls, normal) -> "ProjLine":
         """Line {p : normal . p = 0}, with an arbitrary spanning pair."""
         n = _as_vector(normal, "line normal")
-        if not n.any():
+        if not any(n):
             raise ValueError("line normal cannot be the zero vector")
-        # any vector not parallel to n gives a first spanning vector
-        u = _cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
+        # any vector not parallel to n gives a first spanning vector: the axis of
+        # n's smallest |component| (the first, on a tie)
+        magnitudes = [abs(x) for x in n]
+        k = magnitudes.index(min(magnitudes))
+        u = _cross(n, tuple(1.0 if i == k else 0.0 for i in range(3)))
         return cls(u, _cross(n, u))
 
     def __repr__(self):
-        return f"ProjLine({self.u.tolist()}, {self.w.tolist()})"
+        return f"ProjLine({list(self._u)}, {list(self._w)})"
 
 
 def pairing13(p: ProjPoint, line: ProjLine) -> float:
     """Determinant pairing of a point with a line.
 
     Returns det of the matrix whose columns are the point representative and
-    the two spanning vectors of the line.  Scales multiplicatively under any
-    rescaling of the three vectors and vanishes exactly when the point lies
-    on the line.
+    the two spanning vectors of the line, as ``p . normal``: a Python float.
+    Scales multiplicatively under any rescaling of the three vectors and
+    vanishes exactly when the point lies on the line.
     """
-    return p.v @ line.normal  # det(p, u, w) = p . (u x w)
+    return _dot(p._c, line._n)  # det(p, u, w) = p . (u x w)
 
 
 def triple_det(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> float:
     """Determinant of the matrix with columns the three point representatives."""
-    x, y, z = _cross(b.v, c.v)
-    return a.v[0] * x + a.v[1] * y + a.v[2] * z  # a . (b x c)
+    return _dot(a._c, _cross(b._c, c._c))  # a . (b x c)
+
+
+def _matvec(rows, c) -> tuple:
+    """m c for the rows of m and a vector c, as float 3-tuples."""
+    r0, r1, r2 = rows
+    return (_dot(r0, c), _dot(r1, c), _dot(r2, c))
+
+
+def _scaled(s, c) -> tuple:
+    """s c for a scalar s and a float 3-tuple c."""
+    return (s * c[0], s * c[1], s * c[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +253,7 @@ class Flag:
         if not isinstance(line, ProjLine):
             line = ProjLine(*line)
         residual = pairing13(point, line)
-        bound = DEFAULT_INCIDENCE_TOL * (_norm(point.v) * _norm(line.u) * _norm(line.w))
+        bound = DEFAULT_INCIDENCE_TOL * (point._size * line._span)
         if abs(residual) > bound:
             raise ValueError(
                 f"flag point does not lie on its line (residual {residual:g})"
@@ -147,18 +272,25 @@ class Flag:
     def transform(self, m) -> "Flag":
         """Image of the flag under an invertible 3x3 matrix."""
         m = np.asarray(m, dtype=float)
+        if m.shape != (3, 3):
+            raise ValueError(f"transform needs a 3x3 matrix, got shape {m.shape}")
+        rows = m.tolist()
+        line = self.line
         return Flag._incident(
-            ProjPoint(m @ self.point.v), ProjLine(m @ self.line.u, m @ self.line.w))
+            ProjPoint(_matvec(rows, self.point._c)),
+            ProjLine._mapped(_matvec(rows, line._u), _matvec(rows, line._w)))
 
     def rescaled(self, cp: float, cu: float, cw: float) -> "Flag":
         """Same flag with representatives rescaled by nonzero scalars."""
+        line = self.line
         return Flag._incident(
-            ProjPoint(cp * self.point.v), ProjLine(cu * self.line.u, cw * self.line.w))
+            ProjPoint(_scaled(cp, self.point._c)),
+            ProjLine(_scaled(cu, line._u), _scaled(cw, line._w)))
 
     def to_json(self) -> dict:
         return {
-            "point": self.point.v.tolist(),
-            "line": [self.line.u.tolist(), self.line.w.tolist()],
+            "point": list(self.point._c),
+            "line": [list(self.line._u), list(self.line._w)],
         }
 
     @classmethod
@@ -175,19 +307,21 @@ def _check_tol(tol: float) -> None:
 
 
 def _unit_rule(flags, tol: float):
-    """The unit-representative rule for a tuple of flags, each norm taken once.
+    """The unit-representative rule for a tuple of flags, on the norms stored at construction.
 
     Returns pairing(i, j) = pairing13(point i, line j) and triple(i, j, k) =
-    triple_det(points i, j, k), or None where that value divided by the norms
-    of its vectors (unit points, unit line bivectors) is within ``tol`` of 0.
+    triple_det(points i, j, k), or None where that value is at most ``tol``
+    times the norms of its vectors (unit points, unit line bivectors); the
+    product, not the quotient, so norms whose product underflows to 0 clear
+    only a value of exactly 0.
     """
     _check_tol(tol)
     points = [f.point for f in flags]
-    pn = [_norm(p.v) for p in points]
-    ln = [_norm(f.line.normal) for f in flags]
+    pn = [p._size for p in points]
+    ln = [f.line._size for f in flags]
 
     def cleared(value, scale):
-        return None if abs(value) / scale <= tol else value
+        return None if abs(value) <= tol * scale else value
 
     def pairing(i, j):
         return cleared(pairing13(points[i], flags[j].line), pn[i] * ln[j])

@@ -475,6 +475,20 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: MalformedInput:") and message in err
 
+    @pytest.mark.parametrize("v", [10, 100, 300])
+    def test_bulge_flags_far_out_is_not_malformed(self, v):
+        """A valid configuration bulged from v = 10 on exited 2 as MalformedInput
+        ("linearly independent"); the genericity rule may still refuse it (exit 1),
+        and a tolerance below its unit pairing gives the shift (-3v, 3v)."""
+        record = json.dumps({"flags": [f.to_json() for f in pk.bulging_configuration()],
+                             "v": v})
+        code, out, err = run_main("bulge", "--input", record)
+        assert code in (0, 1) and "MalformedInput" not in err
+        if v < 300:
+            code, out, err = run_main("bulge", "--input", record, "--tol", "1e-300")
+            assert code == 0
+            assert out.splitlines()[-2:] == [f"delta_sigma1 = {-3 * v}", f"delta_sigma2 = {3 * v}"]
+
     def test_non_finite_result_exit_1(self):
         """sigma1 - v and sigma2 + v overflow: nothing is printed (it printed -inf and inf)."""
         result = run_cli("bulge", "--input", '{"sigma1": 0, "sigma2": 0, "v": 1e308}')

@@ -373,6 +373,24 @@ class TestBulging:
             6.0 * v, abs=1e-9
         )
 
+    @pytest.mark.parametrize("v", [10.0, 100.0, 300.0])
+    def test_bulged_flag_far_out(self, v):
+        """From v = 10 transform refused the bulged right-side flag ("linearly
+        independent"), whose spanning vectors bulging_matrix scales apart by e^3v.
+        The image is a flag on the image line, whose normal is m^-T times the
+        line's; below v = 300 a tolerance under the unit pairing e2^l1 (9.4e-14
+        at v = 10) gives the shears' shift of (-3v, 3v)."""
+        e, f, g, l = pk.bulging_configuration(1.0, 1.0)
+        m = pk.bulging_matrix(v)
+        bulged = l.transform(m)
+        assert isinstance(bulged, pk.Flag)
+        normal, expected = bulged.line.normal, np.diag(1.0 / np.diag(m)) @ l.line.normal
+        assert (normal / normal[0]).tolist() == pytest.approx(
+            (expected / expected[0]).tolist(), rel=1e-12)
+        if v < 300.0:
+            shifts = [pk.shear(e, f, g, bulged, i, tol=1e-300) for i in (1, 2)]
+            assert shifts == pytest.approx([-3.0 * v, 3.0 * v], rel=1e-12)
+
     @pytest.mark.parametrize("v", [354.9, 400.0, 1e308, -372.6, -400.0, -709.8, -1e308])
     def test_matrix_past_the_float_range(self, v):
         """e^2v overflows from v = 354.9 and underflows to 0 from v = -372.6, where the
