@@ -76,10 +76,13 @@ class BoundaryData:
         if self.kind == HYPERBOLIC:
             if not self.lam < 1.0:
                 raise ValueError("hyperbolic boundary needs lambda in (0, 1)")
-            disc = 1.0 - 4.0 / (self.lam * self.tau) / self.tau  # (tau^2 - 4/lambda) / tau^2
+            lam_tau = self.lam * self.tau
+            # (tau^2 - 4/lambda) / tau^2; where lambda tau underflows to 0 (tau = 5e-324),
+            # tau^2 lambda = (lambda tau)^2 / lambda is far below 4
+            disc = 1.0 - 4.0 / lam_tau / self.tau if lam_tau > 0.0 else -math.inf
             if not disc > 0.0:
                 raise ComplexEigenvalues("hyperbolic boundary needs tau^2 > 4/lambda")
-            mu = 2.0 / (self.lam * self.tau) / (1.0 + math.sqrt(disc))
+            mu = 2.0 / lam_tau / (1.0 + math.sqrt(disc))
         elif self.kind == PARABOLIC:
             if abs(self.lam - 1.0) > _DATA_TOL or abs(self.tau - 2.0) > _DATA_TOL:
                 raise ValueError("parabolic boundary must have (lambda, tau) = (1, 2)")
@@ -147,36 +150,43 @@ class TorusGoldman:
 
 @dataclass(frozen=True)
 class PantsBD:
-    """Bonahon-Dreyer coordinates of a pair of pants."""
+    """Bonahon-Dreyer coordinates of a pair of pants, stored as Python floats."""
 
     sigma1: tuple
     sigma2: tuple
     tplus: float
     tminus: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma1", tuple(float(x) for x in self.sigma1))
-        object.__setattr__(self, "sigma2", tuple(float(x) for x in self.sigma2))
-        object.__setattr__(self, "tplus", float(self.tplus))
-        object.__setattr__(self, "tminus", float(self.tminus))
-        if len(self.sigma1) != 3 or len(self.sigma2) != 3:
+    def __init__(self, sigma1, sigma2, tplus, tminus):
+        sigma1, sigma2 = tuple(map(float, sigma1)), tuple(map(float, sigma2))
+        tplus, tminus = float(tplus), float(tminus)
+        if len(sigma1) != 3 or len(sigma2) != 3:
             raise ValueError("sigma1 and sigma2 each need 3 entries")
-        for x in (*self.sigma1, *self.sigma2, self.tplus, self.tminus):
-            if not math.isfinite(x):
-                raise ValueError("Bonahon-Dreyer coordinates must be finite")
+        if not all(map(math.isfinite, (*sigma1, *sigma2, tplus, tminus))):
+            raise ValueError("Bonahon-Dreyer coordinates must be finite")
+        setattr_ = object.__setattr__  # frozen: each field is converted, checked and set once
+        setattr_(self, "sigma1", sigma1)
+        setattr_(self, "sigma2", sigma2)
+        setattr_(self, "tplus", tplus)
+        setattr_(self, "tminus", tminus)
 
 
 @dataclass(frozen=True)
 class TorusBD:
-    """Bonahon-Dreyer coordinates of a once-punctured torus."""
+    """Bonahon-Dreyer coordinates of a once-punctured torus; the gluing shears are floats."""
 
     pants: PantsBD
     sigma_c1: float
     sigma_c2: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma_c1) and math.isfinite(self.sigma_c2)):
+    def __init__(self, pants, sigma_c1, sigma_c2):
+        sigma_c1, sigma_c2 = float(sigma_c1), float(sigma_c2)
+        if not (math.isfinite(sigma_c1) and math.isfinite(sigma_c2)):
             raise ValueError("gluing shears must be finite")
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "pants", pants)
+        setattr_(self, "sigma_c1", sigma_c1)
+        setattr_(self, "sigma_c2", sigma_c2)
 
 
 def middle_eigenvalue(b: BoundaryData) -> float:
@@ -185,8 +195,18 @@ def middle_eigenvalue(b: BoundaryData) -> float:
 
 
 def _softplus(x):
-    """log(1 + e^x), finite for every finite x (a float or an array)."""
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x), finite for every finite x: ``np.logaddexp(0, x)``.
+
+    A Python float takes logaddexp's own branches with ``math``, which give its
+    bits: x + log1p(e^-x) above 0, log1p(e^x) below, log 2 at +-0; NaN passes.
+    """
+    if type(x) is not float:
+        return np.logaddexp(0.0, x)
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    if x < 0.0:
+        return math.log1p(math.exp(x))
+    return math.log(2.0) if x == 0.0 else x
 
 
 def _shears(log_lam, log_mu, log_s: float) -> tuple:
@@ -211,7 +231,7 @@ def _tau_core(sigma1, sigma2) -> float:
 def _convert(log_lam, log_mu, log_s, log_t) -> tuple:
     """(sigma1, sigma2, tau111(T+), tau111(T-)) from the logs of lambda_i, mu_i, s and t.
 
-    Entries are floats, or arrays of one shape for a batch of rows.
+    Entries are Python floats, or arrays of one shape for a batch of rows.
     """
     sigma1, sigma2 = _shears(log_lam, log_mu, log_s)
     core = _tau_core(sigma1, sigma2)
@@ -288,7 +308,7 @@ def all_parabolic_coords(s: float, t: float) -> tuple:
     if not (s > 0.0 and t > 0.0):
         raise NonPositiveParameter("s and t must be positive")
     sigma1, _, tplus, _ = _convert((0.0,) * 3, (0.0,) * 3, math.log(s), math.log(t))
-    return (sigma1[0], float(tplus))
+    return (sigma1[0], tplus)
 
 
 def all_parabolic_recover(sigma1_b1: float, tplus: float) -> tuple:
@@ -356,7 +376,7 @@ def torus_parabolic_recover(sigma1, tplus: float) -> TorusParabolicRecovery:
     0 < lambda2 < mu2 and mu2^2 lambda2 < 1 (mu2 the middle eigenvalue of
     the hyperbolic gluing curve; together they give lambda2 < 1).
     """
-    sigma1 = tuple(float(x) for x in sigma1)
+    sigma1 = tuple(map(float, sigma1))
     if len(sigma1) != 3:
         raise ValueError("expected the three shears sigma1(B1..B3)")
     log_s, log_mu2, log_lam2 = sigma1[1], sigma1[2] - sigma1[1], sigma1[0] - sigma1[2]

@@ -181,8 +181,10 @@ class ConicOval(ConvexDomain):
             a, b, c, d, e, f = (-a, -b, -c, -d, -e, -f)
         quad = np.array([[a, b / 2.0], [b / 2.0, c]])
         center = np.linalg.solve(2.0 * quad, -np.array([d, e]))
-        # q(center) = f + (d, e) . center / 2, since 2 A center = -(d, e)
-        self._init_centred(center, quad, f + 0.5 * (d * center[0] + e * center[1]))
+        # q(center) = f + (d, e) . center / 2, since 2 A center = -(d, e); on Python
+        # floats, so an overflow reaches the finiteness check without a numpy warning
+        cx, cy = center.tolist()
+        self._init_centred(center, quad, f + 0.5 * (d * cx + e * cy))
 
     def _init_centred(self, center, quad, qmin: float) -> None:
         qmin = float(qmin)

@@ -31,6 +31,11 @@ DEFAULT_INCIDENCE_TOL = 1e-9
 # first scaled by powers of two.
 _TERM_RANGE = (2.0**-900, 2.0**900)
 
+# Range of the largest |component| of a normal that ``ProjLine.from_normal`` uses as
+# given: its spanning vectors, of sizes |n| and |n|^2, neither underflow nor overflow.
+# Outside it, n is first scaled by a power of two.
+_NORMAL_RANGE = (2.0**-500, 2.0**500)
+
 # Coordinate types read without numpy: numpy's float64 scalar is a float subclass.
 _REALS = (float, int, np.float64)
 
@@ -202,9 +207,11 @@ class ProjLine:
         n = _as_vector(normal, "line normal")
         if not any(n):
             raise ValueError("line normal cannot be the zero vector")
+        magnitudes = [abs(x) for x in n]
+        if not _NORMAL_RANGE[0] <= max(magnitudes) <= _NORMAL_RANGE[1]:
+            n = _unit_scaled(n)
         # any vector not parallel to n gives a first spanning vector: the axis of
         # n's smallest |component| (the first, on a tie)
-        magnitudes = [abs(x) for x in n]
         k = magnitudes.index(min(magnitudes))
         u = _cross(n, tuple(1.0 if i == k else 0.0 for i in range(3)))
         return cls(u, _cross(n, u))

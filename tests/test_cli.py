@@ -236,6 +236,16 @@ class TestDistance:
         assert float(out.removeprefix("distance = ")) == pytest.approx(
             355.298697288858688913370002956, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [1.8961503816218355e+154, 2.6815615859885194e+154])
+    def test_conic_whose_minimum_overflows(self, d):
+        """q_min = f + (d, e) . center / 2 overflows: the conic is refused with one error
+        line, and no numpy overflow warning on stderr before it."""
+        record = {"domain": {"conic": [1, 0, 1, d, 0, -1]}, "x": [0, 0], "y": [0.5, 0]}
+        result = run_cli("distance", "--input", json.dumps(record))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: MalformedInput: ")
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("conic, y, expected", [
         ([1, 0, 1, 0, 0, -1], 1e-160, 1e-160),
         ([1, 0, 1, 0, 0, -1], 1e-300, 1e-300),
@@ -416,6 +426,29 @@ PARABOLIC_QUASI_PANTS = json.dumps({
     "boundaries": [{"kind": "hyperbolic", "lambda": 0.2, "tau": 5}, {"kind": "parabolic"},
                    {"kind": "quasi_hyperbolic", "lambda": 0.3}],
 })
+
+
+@pytest.mark.parametrize("record, argv, expected", [
+    (MIXED_PANTS, (),
+     '{"surface": "pants", "sigma1": [-0.61208775582172792, -0.69404573277244519, '
+     '-0.70324853421870503], "sigma2": [0.70324853421870515, -0.30420297605242719, '
+     '-0.26837791734676131], "tplus": 0.15957293145214324, "tminus": 0.76592060186827138}\n'),
+    (HYPERBOLIC_TORUS, ("--format", "csv"),
+     "surface,torus\n"
+     "sigma1,0.0092028014462599561 0.2596398173146629 0.41466790955442401\n"
+     "sigma2,-1.3770915596736306 -0.97162645156546645 -1.1266545438052278\n"
+     "tplus,1.7781753083620977\n"
+     "tminus,-0.96268200712951835\n"
+     "sigmaC1,-0.5\n"
+     "sigmaC2,2.5\n"),
+    (ALL_PARABOLIC, (),
+     '{"surface": "pants", "sigma1": [0.69314718055994529, 0.69314718055994529, '
+     '0.69314718055994529], "sigma2": [-0.69314718055994529, -0.69314718055994529, '
+     '-0.69314718055994529], "tplus": 1.0986122886681096, "tminus": -1.0986122886681096}\n'),
+], ids=["mixed-pants", "torus-csv", "all-parabolic"])
+def test_convert_golden(record, argv, expected):
+    """Every printed digit of three conversions stays fixed."""
+    assert run_main("convert", "--input", record, *argv) == (0, expected, "")
 
 
 class TestContract:

@@ -58,8 +58,11 @@ class TestBoundaryData:
             big_l, big_t = Decimal(lam), Decimal(tau)
             ref = 2 / (big_l * (big_t + (big_t * big_t - 4 / big_l).sqrt()))
             assert abs(Decimal(pk.BoundaryData.hyperbolic(lam, tau).mu) / ref - 1) < Decimal(1e-15)
-        with pytest.raises(pk.ComplexEigenvalues, match=r"^hyperbolic boundary needs tau\^2 > 4/lambda$"):
-            pk.BoundaryData.hyperbolic(0.013455242339538934, 17.24186473183254)
+        for lam, tau in [(0.013455242339538934, 17.24186473183254), (0.2, 5e-324), (1e-300, 1e-30)]:
+            # lambda tau underflows to 0 in the last two, which raised ZeroDivisionError
+            with pytest.raises(pk.ComplexEigenvalues,
+                               match=r"^hyperbolic boundary needs tau\^2 > 4/lambda$"):
+                pk.BoundaryData.hyperbolic(lam, tau)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -468,3 +471,65 @@ def test_pinch_starts_at_convert_and_ends_on_the_parabolic_stratum(g):
     assert max(abs(a - b) for a, b in zip(flat(row(0)), flat(ref))) <= 1e-14
     assert (columns["lambda"][steps], columns["tau"][steps]) == (1.0, 2.0)
     assert all(abs(r) <= 1e-12 for r in pk.one_parabolic_residuals(row(steps)))
+
+
+# ---------------------------------------------------------------------------
+# one kernel on Python floats and on arrays: the scalar conversions take the float
+# branch of each step, the sweep the array one, with the same bits
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+def test_softplus_float_branch_is_logaddexp(x):
+    """The float softplus is np.logaddexp(0, x) bit for bit, signed zeros, subnormals,
+    infinities and NaN included, and it is a Python float."""
+    with np.errstate(invalid="ignore"):  # numpy flags a NaN operand
+        expected = np.logaddexp(0.0, x)
+    got = coords._softplus(x)
+    assert type(got) is float
+    assert repr(got) == repr(float(expected))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-800.0, 800.0), min_size=8, max_size=8),
+       st.lists(st.booleans(), min_size=8, max_size=8))
+def test_convert_floats_equal_one_element_arrays(logs, as_array):
+    """_convert on Python floats gives, entry by entry, the bits of _convert with any
+    of its inputs as 1-element arrays, the form of a sweep row."""
+    inputs = [np.array([x]) if a else x for x, a in zip(logs, as_array)]
+
+    def flat(out):
+        sigma1, sigma2, tplus, tminus = out
+        return [*sigma1, *sigma2, tplus, tminus]
+
+    scalar = flat(coords._convert(logs[:3], logs[3:6], logs[6], logs[7]))
+    batch = flat(coords._convert(inputs[:3], inputs[3:6], inputs[6], inputs[7]))
+    assert all(type(x) is float for x in scalar)
+    assert [repr(x) for x in scalar] == [repr(float(np.asarray(x).item())) for x in batch]
+
+
+def test_scalar_results_are_python_floats():
+    """Every number of a PantsBD, TorusBD, TorusParabolicRecovery and
+    all_parabolic_coords result is a Python float, not a numpy scalar."""
+    rng = np.random.default_rng(113)
+
+    def floats(bd):
+        return [*bd.sigma1, *bd.sigma2, bd.tplus, bd.tminus]
+
+    numbers = []
+    for kinds in (None, ["quasi_hyperbolic"] * 3, ["parabolic"] * 3):
+        for _ in range(20):
+            numbers += floats(pk.pants_goldman_to_bd(random_pants(rng, kinds)))
+    b, c = random_boundary(rng, "parabolic"), random_hyperbolic_boundary(rng)
+    tbd = pk.torus_goldman_to_bd(pk.TorusGoldman(b, c, 2.0, 1.0, np.float64(1.0), np.float64(0.5)))
+    numbers += [*floats(tbd.pants), tbd.sigma_c1, tbd.sigma_c2]
+    rec = pk.torus_parabolic_recover(np.array(tbd.pants.sigma1), np.float64(tbd.pants.tplus))
+    numbers += [*rec[:4], *floats(rec.bd)]
+    numbers += [*pk.all_parabolic_coords(2.0, 3.0), *pk.all_parabolic_coords(1, 1)]
+    assert {type(x) for x in numbers} == {float}

@@ -116,6 +116,30 @@ class TestConstruction:
             u, w = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-130, 130, size=(2, 1))
             assert line(u, w).normal.tobytes() == np.cross(u, w).tobytes()
 
+    @pytest.mark.parametrize("normal, on", [
+        ([1e-200, 1e-200, 0], [1, -1, 0]),
+        ([1e-170, 2e-170, 1e-170], [1, 0, -1]),
+        ([1e160, 1e160, 0], [1, -1, 0]),
+        ([1e200, 1, 0], [1, -1e200, 0]),
+    ])
+    def test_from_normal_far_from_unit_size(self, normal, on):
+        """The second spanning vector n x (n x e_k) has the size |n|^2, so these lines
+        were refused as dependent (1e-200, 1e-170) or non-finite (1e160, 1e200).  n is
+        first scaled by a power of two: the line's normal is a positive multiple of n."""
+        l = pk.ProjLine.from_normal(normal)
+        assert pk.pairing13(point(*on), l) == 0.0
+        assert float(np.dot(l.normal, normal)) > 0.0
+
+    def test_from_normal_in_range_keeps_its_spanning_vectors(self):
+        """A normal whose largest |component| lies in [2^-500, 2^500] is used as given:
+        the spanning vectors are n x e_k and n x (n x e_k), bit for bit."""
+        rng = np.random.default_rng(10)
+        for _ in range(500):
+            n = rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150)
+            u = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+            l = pk.ProjLine.from_normal(n)
+            assert (l.u.tobytes(), l.w.tobytes()) == (u.tobytes(), np.cross(n, u).tobytes())
+
     def test_independence_of_given_pairs_and_of_images(self):
         """A given pair is dependent when |u x w| <= 1e-12 |u||w|.  An image under
         transform is refused only when u x w cancels to within 1e-12 of its largest
