@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import coords, hilbert, invariants, isometry
 from .errors import NonFiniteResult, ProjKitError
 from .rp2 import Flag
@@ -40,11 +38,23 @@ def _json_text(obj) -> str:
     return _fmt(obj)
 
 
+def _finite(value) -> bool:
+    """Whether a number, or every number in nested lists and arrays, is finite: numbers
+    and lists by ``math.isfinite``, without numpy; arrays by ``np.isfinite``."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    if isinstance(value, (float, int)):
+        return math.isfinite(value)
+    import numpy as np
+
+    return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+
+
 def _require_finite(items) -> None:
     """Refuse output with a NaN or infinite number before any of it is written;
     items are (name, value) pairs, a value a string or nested numbers."""
     for name, value in items:
-        if not isinstance(value, str) and not np.isfinite(np.asarray(value, dtype=float)).all():
+        if not isinstance(value, str) and not _finite(value):
             raise NonFiniteResult(f"{name} is not finite")
 
 
@@ -143,6 +153,8 @@ def _cmd_invariants(args, out) -> int:
 def _cmd_classify(args, out) -> int:
     tol_kw = _default_tol(args)
     entries = _load_input(args.input, "matrix")
+    import numpy as np
+
     m = np.asarray(entries, dtype=float)
     if m.size != 9:
         raise ValueError("expected a row-major array of 9 numbers")
@@ -247,7 +259,9 @@ def _cmd_bulge(args, out) -> int:
             raise ValueError("bulge needs exactly 4 flags")
         tol_kw = _default_tol(args)
         before = [invariants.shear(*flags, i, **tol_kw) for i in (1, 2)]
-        flags[3] = flags[3].transform(isometry.bulging_matrix(v))
+        # bulging_matrix(v), as the rows of floats Flag.transform reads without numpy
+        a, b, c = isometry._bulging_diagonal(v)
+        flags[3] = flags[3].transform(((a, 0.0, 0.0), (0.0, b, 0.0), (0.0, 0.0, c)))
         after = [invariants.shear(*flags, i, **tol_kw) for i in (1, 2)]
         record = {
             "sigma1_before": before[0],

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     ComplexEigenvalues,
     InconsistentStratum,
@@ -201,6 +199,8 @@ def _softplus(x):
     bits: x + log1p(e^-x) above 0, log1p(e^x) below, log 2 at +-0; NaN passes.
     """
     if type(x) is not float:
+        import numpy as np
+
         return np.logaddexp(0.0, x)
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
@@ -282,6 +282,8 @@ def _pinch(g, boundary: int, steps: int) -> tuple:
     start = g.boundaries[index]
     if start.kind != HYPERBOLIC:
         raise ValueError("the pinched boundary must start hyperbolic")
+    import numpy as np
+
     frac = np.arange(steps + 1) / steps
     lam = start.lam * (1.0 - frac) + frac
     log_lam = [math.log(b.lam) for b in g.boundaries]
@@ -311,10 +313,32 @@ def all_parabolic_coords(s: float, t: float) -> tuple:
     return (sigma1[0], tplus)
 
 
+def _exp(x: float) -> float:
+    """e^x, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _in_range(value: float, what: str) -> float:
+    """A recovered positive parameter, or NonFiniteResult where it overflowed or underflowed
+    to 0: where it left the float range."""
+    if value == 0.0 or value == math.inf:
+        raise NonFiniteResult(f"recovered {what} leaves the float range")
+    return value
+
+
 def all_parabolic_recover(sigma1_b1: float, tplus: float) -> tuple:
-    """Inverse of :func:`all_parabolic_coords`: (s, t) from the two coordinates."""
-    s = math.exp(sigma1_b1)
-    t = (s + 1.0) * math.exp(-tplus)
+    """Inverse of :func:`all_parabolic_coords`: (s, t) from the two coordinates.
+
+    Raises :class:`NonFiniteResult` where s or t leaves the float range.
+    """
+    s = _in_range(_exp(sigma1_b1), "s")
+    t = (s + 1.0) * _exp(-tplus)
+    if t == 0.0 or t == math.inf:
+        # e^-tplus alone left the float range, or the product did: t from its log
+        t = _in_range(_exp(math.log1p(s) - tplus), "t")
     return (s, t)
 
 
@@ -374,13 +398,15 @@ def torus_parabolic_recover(sigma1, tplus: float) -> TorusParabolicRecovery:
     formulas.  Raises :class:`InconsistentStratum` when the recovered
     parameters cannot come from a parabolic-boundary torus, i.e. unless
     0 < lambda2 < mu2 and mu2^2 lambda2 < 1 (mu2 the middle eigenvalue of
-    the hyperbolic gluing curve; together they give lambda2 < 1).
+    the hyperbolic gluing curve; together they give lambda2 < 1), and
+    :class:`NonFiniteResult` where s or t leaves the float range.
     """
     sigma1 = tuple(map(float, sigma1))
     if len(sigma1) != 3:
         raise ValueError("expected the three shears sigma1(B1..B3)")
     log_s, log_mu2, log_lam2 = sigma1[1], sigma1[2] - sigma1[1], sigma1[0] - sigma1[2]
-    s, mu2, lam2 = math.exp(log_s), math.exp(log_mu2), math.exp(log_lam2)
+    # an overflowed lambda2 or mu2 is off the stratum, which bounds both
+    s, mu2, lam2 = _in_range(_exp(log_s), "s"), _exp(log_mu2), _exp(log_lam2)
     if not (lam2 > 0.0 and log_lam2 < log_mu2 and 2.0 * log_mu2 + log_lam2 < 0.0):
         raise InconsistentStratum(
             f"recovered lambda2 = {lam2:g}, mu2 = {mu2:g} are not the two smaller "
@@ -388,7 +414,7 @@ def torus_parabolic_recover(sigma1, tplus: float) -> TorusParabolicRecovery:
         )
     log_mu = (0.0, log_mu2, log_mu2)
     sigma2 = _shears((0.0, log_lam2, log_lam2), log_mu, log_s)[1]
-    t = math.exp(_tau_core(sigma1, sigma2) - tplus)
+    t = _in_range(_exp(_tau_core(sigma1, sigma2) - tplus), "t")
     # tau111(T+) + tau111(T-) = log(mu1 mu2 mu3)
     bd = PantsBD(sigma1, sigma2, tplus, sum(log_mu) - tplus)
     return TorusParabolicRecovery(s, lam2, mu2, t, bd)

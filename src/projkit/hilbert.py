@@ -20,22 +20,10 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CoincidentPoints, NonFiniteResult, PointOutsideDomain, RegionNotContained
 
-# Gauss-Kronrod (7, 15) rule on [-1, 1] (QUADPACK, Piessens et al. 1983): the
-# nonnegative Kronrod nodes, their weights, and the weights of the Gauss nodes
-_K15 = np.array([
-    [0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
-     0.586087235467691130, 0.405845151377397167, 0.207784955007898468, 0.0],
-    [0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
-     0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828],
-    [0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
-     0.0, 0.381830050505118945, 0.0, 0.417959183673469388],
-])
-_GK_X = np.concatenate([-_K15[0], _K15[0, -2::-1]])
-_GK_W, _G7_W = np.concatenate([_K15[1:], _K15[1:, -2::-1]], axis=1)
+# numpy is imported inside the functions that make or take arrays, so that importing
+# projkit and the scalar queries do not pay for it
 
 # adaptive refinement limits: the narrowest panel refinement may split (radians,
 # in theta; the smoothstep map still packs nodes closer than this to a break, where
@@ -55,6 +43,8 @@ class ConvexDomain:
         domain's scale.  Returns a bool for a single point, a boolean array
         for an (n, 2) batch.
         """
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         # an overflowed slack keeps its sign; a non-finite coordinate gives a NaN depth
         with np.errstate(over="ignore", invalid="ignore"):
@@ -78,12 +68,24 @@ class ConvexDomain:
 # returns inf or NaN: numpy's values on floats too, numpy's functions on arrays.
 
 def _where(cond, a, b):
-    return a if cond is True else b if cond is False else np.where(cond, a, b)
+    if cond is True:
+        return a
+    if cond is False:
+        return b
+    import numpy as np
+
+    return np.where(cond, a, b)
 
 
 def _minimum(a, b):  # NaN if either is NaN
     less = b < a
-    return b if less is True else (a if b == b else b) if less is False else np.minimum(a, b)
+    if less is True:
+        return b
+    if less is False:
+        return a if b == b else b
+    import numpy as np
+
+    return np.minimum(a, b)
 
 
 def _div(a, b):
@@ -93,13 +95,21 @@ def _div(a, b):
 
 def _sqrt(v):
     sign = v >= 0.0
-    return math.sqrt(v) if sign is True else math.nan if sign is False else np.sqrt(v)
+    if sign is True:
+        return math.sqrt(v)
+    if sign is False:
+        return math.nan
+    import numpy as np
+
+    return np.sqrt(v)
 
 
 class Polygon(ConvexDomain):
     """Strictly convex polygon with counterclockwise vertices."""
 
     def __init__(self, vertices):
+        import numpy as np
+
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs an (n, 2) vertex array with n >= 3")
@@ -135,6 +145,8 @@ class Polygon(ConvexDomain):
         # F(v_i - x) = (1/t+ + 1/t-) / 2 from the chord kernel, as in finsler_norm.  F is
         # linear between the rays +-(v_i - x), so the unit ball is the polygon with vertices
         # +-(v_i - x) / F(v_i - x), here taken in units of w
+        import numpy as np
+
         u0, u1 = (np.subtract.outer(v, x) for v, x in zip(self.vertices.T, (x0, x1)))  # (E, ...)
         t_fwd, t_bwd, _ = self._exits_paired(x0, x1, u0, u1)
         ball = (u0 + 1j * u1) / w * (2.0 / (1.0 / t_fwd + 1.0 / t_bwd))
@@ -168,6 +180,8 @@ class ConicOval(ConvexDomain):
     """
 
     def __init__(self, coeffs):
+        import numpy as np
+
         coeffs = np.array([float(x) for x in coeffs])
         # a scale class: an exact power of two brings the largest of a, b, c into [1, 2)
         with np.errstate(over="ignore"):
@@ -187,6 +201,8 @@ class ConicOval(ConvexDomain):
         self._init_centred(center, quad, f + 0.5 * (d * cx + e * cy))
 
     def _init_centred(self, center, quad, qmin: float) -> None:
+        import numpy as np
+
         qmin = float(qmin)
         if not qmin < 0.0:
             raise ValueError("conic has an empty real locus")
@@ -209,6 +225,8 @@ class ConicOval(ConvexDomain):
             raise ValueError(
                 f"disk needs a finite centre and a radius whose square is a normal float: {r!r}")
         # centred: cx^2 + cy^2 - r^2 cancels.  r^2 is normal: q_min = -r^2 keeps its bits
+        import numpy as np
+
         oval = cls.__new__(cls)
         oval._init_centred(np.array([cx, cy]), np.eye(2), -(r * r))
         return oval
@@ -253,7 +271,12 @@ class Chord:
 
 def _coords(p) -> tuple:
     """A point's two coordinates as floats; - 0.0 keeps -0.0 and refuses a string."""
-    x0, x1 = p.tolist() if isinstance(p, np.ndarray) else p
+    if type(p) not in (list, tuple):
+        import numpy as np
+
+        if isinstance(p, np.ndarray):
+            p = p.tolist()
+    x0, x1 = p
     return float(x0 - 0.0), float(x1 - 0.0)
 
 
@@ -292,6 +315,8 @@ def chord(dom: ConvexDomain, x, y) -> Chord:
     (x0, x1), (u0, u1), _, t_fwd, t_bwd = _exits(dom, None, x, y)
     if not (u0 or u1):
         raise CoincidentPoints("chord endpoints coincide")
+    import numpy as np
+
     return Chord(p=np.array([x0 - t_bwd * u0, x1 - t_bwd * u1]),
                  q=np.array([x0 + t_fwd * u0, x1 + t_fwd * u1]))
 
@@ -337,9 +362,30 @@ def finsler_norm(dom: ConvexDomain, x, direction) -> float:
 
 
 @functools.cache
+def _kronrod_rule():
+    """Gauss-Kronrod (7, 15) rule on [-1, 1] (QUADPACK, Piessens et al. 1983): the 15
+    nodes, their Kronrod weights and the weights of the 7 Gauss nodes (0 elsewhere)."""
+    import numpy as np
+
+    # the nonnegative Kronrod nodes, their weights, and the weights of the Gauss nodes
+    k15 = np.array([
+        [0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
+         0.586087235467691130, 0.405845151377397167, 0.207784955007898468, 0.0],
+        [0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+         0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828],
+        [0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+         0.0, 0.381830050505118945, 0.0, 0.417959183673469388],
+    ])
+    nodes = np.concatenate([-k15[0], k15[0, -2::-1]])
+    kronrod, gauss = np.concatenate([k15[1:], k15[1:, -2::-1]], axis=1)
+    return nodes, kronrod, gauss
+
+
+@functools.cache
 def _radial_rule():
-    """Gauss-Legendre rule in the Hilbert distance along a ray, loaded on first
-    use so that importing projkit does not pay for importing numpy.polynomial."""
+    """Gauss-Legendre rule in the Hilbert distance along a ray."""
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(24)
 
 
@@ -359,6 +405,8 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     region's and the domain's vertices and their opposites (kinks of the exits
     t+ and t-), and where the region exit and the radius trade places.
     """
+    import numpy as np
+
     base = region.center if isinstance(region, ConicOval) else region.vertices.mean(axis=0)
     b0, b1 = base.tolist()
 
@@ -373,6 +421,7 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
         return t_fwd, t_bwd, s
 
     radial_x, radial_w = _radial_rule()
+    gk_x, gk_w, g7_w = _kronrod_rule()
 
     def radial_integral(theta):
         u0, u1 = np.cos(theta), np.sin(theta)
@@ -395,10 +444,10 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
         # theta = start + length * smoothstep(t), flat at t = 0 and 1, so the growth towards
         # a vertex touching the boundary (1/sqrt on a conic) becomes smooth in t
         start, length, lo, hi = rows.T[:4, :, None]
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_X
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gk_x
         vals = radial_integral((start + length * _smoothstep(t)).ravel()).reshape(t.shape)
         vals *= 0.5 * (hi - lo) * length * 6.0 * t * (1.0 - t)
-        rows[:, 4], rows[:, 5] = vals @ _GK_W, np.abs(vals @ (_GK_W - _G7_W))
+        rows[:, 4], rows[:, 5] = vals @ gk_w, np.abs(vals @ (gk_w - g7_w))
         return rows
 
     # break at the directions +-(v - base) of all vertices, and at the axes so
@@ -453,6 +502,8 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     """
     if isinstance(region, Polygon):
         return float(dom._depth(*region.vertices.T).min())
+    import numpy as np
+
     w, vecs = np.linalg.eigh(region._form)
     axes = vecs / np.sqrt(w)
     if isinstance(dom, Polygon):
@@ -490,6 +541,8 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
+    import numpy as np
+
     # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding,
     # and an overflowed depth keeps its sign
     with np.errstate(over="ignore"):

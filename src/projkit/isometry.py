@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonFiniteResult, NotUnimodular, WrongClass
 from .rp2 import Flag, ProjLine, ProjPoint, _check_tol
 
@@ -36,7 +34,6 @@ DET_TOL = 1e-9
 # tol^(1/3) scales respectively.
 DEFAULT_CLASSIFY_TOL = 1e-8
 
-_EYE = np.eye(3)
 _PI_3 = math.pi / 3.0
 
 
@@ -203,9 +200,11 @@ def _cubic_roots(x1: float, trace: int, minors: int, det: int, s: int):
     return root, (n, half), x3, None
 
 
-def _ranks(stack: np.ndarray, thresholds) -> list:
+def _ranks(stack, thresholds) -> list:
     """Numerical ranks of a stack of matrices, each the count of its singular values
     above its threshold, from one SVD call."""
+    import numpy as np
+
     return [sum(sv > thr for sv in row) for row, thr in
             zip(np.linalg.svd(stack, compute_uv=False).reshape(-1, 3).tolist(), thresholds)]
 
@@ -228,6 +227,8 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     and ||m||_F from one hypot on m / c, c >= 1 a power of two, so that nothing
     overflows.  The rank tests make one SVD call each.
     """
+    import numpy as np
+
     _check_tol(tol)
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
@@ -270,7 +271,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     # matrices whose spectrum merely clusters at 1 within triple_tol.
     if max(abs(l1 - ci), math.hypot(l2 - ci, li), math.hypot(l3 - ci, li)) <= triple_tol:
         # in units of c, (m - I)^2 is (n @ n) c^2 and its threshold stays tol ||m||
-        n = (m - _EYE) * ci
+        n = (m - np.eye(3)) * ci
         if _ranks(np.array((n, n @ n)), (rank_thr, rank_thr * ci)) == [2, 1]:
             return IsometryClass.parabolic()
 
@@ -305,7 +306,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     # A Jordan block at mu leaves exactly one singular value of m - mu*I near
     # zero, and the block structure suppresses the O(sqrt(eps)) eigenvalue
     # split to O(eps) there, so the plain rank threshold is reliable.
-    (jordan_rank,) = _ranks(m * ci - mean * _EYE, (rank_thr,))
+    (jordan_rank,) = _ranks(m * ci - mean * np.eye(3), (rank_thr,))
     if jordan_rank == 2:
         # mu^2 = det m / nu = (det / 2^3k) / (n / (q 2^k)), exact until the one rounding
         n, q = roots[j]
@@ -346,23 +347,33 @@ def _bulge_entry(v: float, k: float, y: float = 1.0) -> float:
     return r
 
 
-def bulging_matrix(v: float) -> np.ndarray:
+def _bulging_diagonal(v: float) -> tuple:
+    """The diagonal (e^-v, e^2v, e^-v) of the bulging matrix, as floats."""
+    a = _bulge_entry(v, -1.0)
+    return (a, _bulge_entry(v, 2.0), a)
+
+
+def bulging_matrix(v: float):
     """Bulging deformation along a geodesic, in its adapted basis.
 
     The basis is l(-inf) = (1,0,0), l_perp = (0,1,0), l(inf) = (0,0,1); the
-    deformation is diag(e^-v, e^2v, e^-v).  Raises NonFiniteResult where an
-    entry overflows or underflows to 0 (v >= 354.9 or v <= -372.6).
+    deformation is diag(e^-v, e^2v, e^-v), a float64 array.  Raises
+    NonFiniteResult where an entry overflows or underflows to 0 (v >= 354.9
+    or v <= -372.6).
     """
-    a = _bulge_entry(v, -1.0)
-    return np.diag([a, _bulge_entry(v, 2.0), a])
+    import numpy as np
+
+    return np.diag(_bulging_diagonal(v))
 
 
-def bulge_vertex(y: float, x: float, v: float) -> np.ndarray:
-    """Image (1, e^{3v} y, x) of the right-side triangle vertex (1, y, x).
+def bulge_vertex(y: float, x: float, v: float):
+    """Image (1, e^{3v} y, x) of the right-side triangle vertex (1, y, x), a float64 array.
 
     Raises NonFiniteResult where e^{3v} y overflows, or underflows to 0 from a
     nonzero y.
     """
+    import numpy as np
+
     return np.array([1.0, _bulge_entry(v, 3.0, y), x])
 
 

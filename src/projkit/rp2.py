@@ -14,8 +14,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # Tolerance used when checking transversality determinants of unit-normalized
 # representatives.  Callers may always pass their own.
 DEFAULT_GENERICITY_TOL = 1e-12
@@ -36,8 +34,9 @@ _TERM_RANGE = (2.0**-900, 2.0**900)
 # Outside it, n is first scaled by a power of two.
 _NORMAL_RANGE = (2.0**-500, 2.0**500)
 
-# Coordinate types read without numpy: numpy's float64 scalar is a float subclass.
-_REALS = (float, int, np.float64)
+# Coordinate types read without numpy; anything else, numpy's float64 scalar included,
+# goes through np.asarray, which gives the same floats.
+_REALS = (float, int)
 
 
 def _cross(a, b) -> tuple:
@@ -81,6 +80,15 @@ def _unit_scaled(v) -> tuple:
     return tuple(math.ldexp(x, -e) for x in v)
 
 
+def _read_reals(coords):
+    """A list or tuple of three ``_REALS`` as a tuple of floats, else None."""
+    if type(coords) in (list, tuple) and len(coords) == 3:
+        x, y, z = coords
+        if type(x) in _REALS and type(y) in _REALS and type(z) in _REALS:
+            return (float(x), float(y), float(z))
+    return None
+
+
 def _as_vector(coords, what: str) -> tuple:
     """The three coordinates as a tuple of Python floats, or ValueError.
 
@@ -88,12 +96,11 @@ def _as_vector(coords, what: str) -> tuple:
     anything else goes through ``np.asarray(coords, dtype=float)`` and its
     shape and finiteness checks, whose messages print that array.
     """
-    if type(coords) in (list, tuple) and len(coords) == 3:
-        x, y, z = coords
-        if type(x) in _REALS and type(y) in _REALS and type(z) in _REALS:
-            c = (float(x), float(y), float(z))
-            if math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2]):
-                return c
+    c = _read_reals(coords)
+    if c is not None and math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2]):
+        return c
+    import numpy as np
+
     v = np.asarray(coords, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{what} needs exactly 3 coordinates, got shape {v.shape}")
@@ -106,9 +113,11 @@ def _as_vector(coords, what: str) -> tuple:
 _PACK3 = struct.Struct("3d").pack
 
 
-def _frozen(c) -> np.ndarray:
+def _frozen(c):
     """A read-only float64 array of the float 3-tuple c: a view of its packed
     bytes, which are immutable, built faster than ``np.array`` and ``setflags``."""
+    import numpy as np
+
     return np.frombuffer(_PACK3(*c))
 
 
@@ -120,10 +129,9 @@ class ProjPoint:
     """A point of RP^2, stored as a nonzero homogeneous representative.
 
     The components are kept as a tuple of Python floats, which the kernels
-    read; ``v`` is a read-only float64 array of the same numbers.
+    read; ``v`` is a read-only float64 array of the same numbers, built on access.
     """
 
-    v: np.ndarray
     _c: tuple = field(repr=False)
     _size: float = field(repr=False)  # |c|
 
@@ -133,7 +141,10 @@ class ProjPoint:
             raise ValueError("projective point cannot be the zero vector")
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_size", _norm(c))
-        object.__setattr__(self, "v", _frozen(c))
+
+    @property
+    def v(self):
+        return _frozen(self._c)
 
     def __repr__(self):
         return f"ProjPoint({list(self._c)})"
@@ -143,16 +154,15 @@ class ProjPoint:
 class ProjLine:
     """A line of RP^2, stored as an ordered pair of spanning 3-vectors.
 
-    The line is the scale class of the wedge ``u ^ v``; ``normal`` caches the
+    The line is the scale class of the wedge ``u ^ v``; ``normal`` is the
     cross product, whose direction is the Euclidean normal of the plane.  It
     is ``u x w`` unless the largest term of that product leaves
     ``_TERM_RANGE``; then it is the cross product of u and w scaled by powers
-    of two, a positive multiple of ``u x w``.
+    of two, a positive multiple of ``u x w``.  The kernels read the stored
+    float tuples; ``u``, ``w`` and ``normal`` are read-only float64 arrays of
+    them, built on access.
     """
 
-    u: np.ndarray
-    w: np.ndarray
-    normal: np.ndarray
     _u: tuple = field(repr=False)
     _w: tuple = field(repr=False)
     _n: tuple = field(repr=False)
@@ -197,9 +207,18 @@ class ProjLine:
         setattr_(self, "_n", normal)
         setattr_(self, "_size", size)
         setattr_(self, "_span", span)
-        setattr_(self, "u", _frozen(u))
-        setattr_(self, "w", _frozen(w))
-        setattr_(self, "normal", _frozen(normal))
+
+    @property
+    def u(self):
+        return _frozen(self._u)
+
+    @property
+    def w(self):
+        return _frozen(self._w)
+
+    @property
+    def normal(self):
+        return _frozen(self._n)
 
     @classmethod
     def from_normal(cls, normal) -> "ProjLine":
@@ -277,11 +296,20 @@ class Flag:
         return flag
 
     def transform(self, m) -> "Flag":
-        """Image of the flag under an invertible 3x3 matrix."""
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"transform needs a 3x3 matrix, got shape {m.shape}")
-        rows = m.tolist()
+        """Image of the flag under an invertible 3x3 matrix.
+
+        A list or tuple of three rows, each a list or tuple of three ``_REALS``,
+        is read directly; anything else goes through ``np.asarray(m, dtype=float)``,
+        which gives the same floats.
+        """
+        rows = [_read_reals(r) for r in m] if type(m) in (list, tuple) and len(m) == 3 else [None]
+        if None in rows:
+            import numpy as np
+
+            m = np.asarray(m, dtype=float)
+            if m.shape != (3, 3):
+                raise ValueError(f"transform needs a 3x3 matrix, got shape {m.shape}")
+            rows = m.tolist()
         line = self.line
         return Flag._incident(
             ProjPoint(_matvec(rows, self.point._c)),

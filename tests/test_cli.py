@@ -392,6 +392,69 @@ class TestSweepAreaBulge:
 
 
 # ---------------------------------------------------------------------------
+# numpy only where arrays are: import projkit and the scalar commands start without it
+
+_IN_CHILD = """
+import contextlib, io, json, runpy, sys
+import projkit
+imported = "numpy" in sys.modules
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["projkit", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("projkit", run_name="__main__")
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([imported, codes, "numpy" in sys.modules]))
+"""
+
+
+def numpy_in_child(*argvs):
+    """[numpy loaded by import projkit, exit codes, numpy loaded at the end] of one child
+    that imports projkit, then runs ``python -m projkit`` on each argv in turn."""
+    result = subprocess.run([sys.executable, "-c", _IN_CHILD, json.dumps(argvs)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_scalar_commands_start_without_numpy():
+    """convert, invariants, bulge (shears and flags) and a malformed-JSON refusal leave
+    numpy unloaded; a sweep loads it, which shows that the check can fail."""
+    flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
+    scalar = [("convert", "--input", ALL_PARABOLIC), ("convert", "--input", TORUS),
+              ("invariants", "--input", triangle_flags_json(0.25)),
+              ("invariants", "--input", flags),
+              ("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}'),
+              ("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'),
+              ("classify", "--input", "[1, 2,")]
+    assert numpy_in_child(*scalar) == [False, [0, 0, 0, 0, 0, 0, 2], False]
+    sweep = ("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2")
+    assert numpy_in_child(sweep) == [False, [0], True]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+       st.sampled_from(["json", "table"]))
+def test_bulged_flag_is_bulging_matrix_image(v, y, x, fmt):
+    """The CLI bulges the fourth flag by the rows of bulging_matrix(v) as floats: its
+    output is that of flags[3].transform(bulging_matrix(v)), digit for digit."""
+    flags = list(pk.bulging_configuration(y, x))
+    before = [pk.shear(*flags, i) for i in (1, 2)]
+    flags[3] = flags[3].transform(pk.bulging_matrix(v))
+    after = [pk.shear(*flags, i) for i in (1, 2)]
+    out = io.StringIO()
+    cli._emit_record({"sigma1_before": before[0], "sigma2_before": before[1],
+                      "sigma1_after": after[0], "sigma2_after": after[1],
+                      "delta_sigma1": after[0] - before[0],
+                      "delta_sigma2": after[1] - before[1]}, fmt, out)
+    record = {"flags": [f.to_json() for f in pk.bulging_configuration(y, x)], "v": v}
+    assert run_main("bulge", "--input", json.dumps(record), "--format", fmt) == (
+        0, out.getvalue(), "")
+
+
+# ---------------------------------------------------------------------------
 # the exit-code contract: 0 with finite numbers, 1 for a named domain error,
 # 2 for malformed input; stdout stays empty unless the exit code is 0
 

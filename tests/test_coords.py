@@ -427,8 +427,18 @@ _PARABOLIC = pk.BoundaryData.parabolic()
      "gluing shears must be finite"),
     (lambda: pk.torus_parabolic_recover((0.0, 0.0), 0.0), ValueError,
      "expected the three shears sigma1(B1..B3)"),
+    # s or t past the float range: these raised OverflowError ("math range error")
+    (lambda: pk.torus_parabolic_recover((0, 710, 0), 0), pk.NonFiniteResult,
+     "recovered s leaves the float range"),
+    (lambda: pk.torus_parabolic_recover((-3, 0, -1), -800), pk.NonFiniteResult,
+     "recovered t leaves the float range"),
+    (lambda: pk.all_parabolic_recover(710, 0), pk.NonFiniteResult,
+     "recovered s leaves the float range"),
+    (lambda: pk.all_parabolic_recover(0, -800), pk.NonFiniteResult,
+     "recovered t leaves the float range"),
 ], ids=["quasi-lambda-above-1", "pants-of-2", "torus-s-0", "pants-bd-of-2", "torus-bd-inf",
-        "recover-of-2"])
+        "recover-of-2", "recover-s-overflow", "recover-t-overflow", "all-parabolic-s-overflow",
+        "all-parabolic-t-overflow"])
 def test_refusals(make, error, message):
     """Refusals that no other test reaches raise their own error and message."""
     assert_refuses(make, error, message)

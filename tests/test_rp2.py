@@ -413,14 +413,16 @@ def _fraction_error(value, *factors):
     return float(abs(Fraction(value) - sum(terms)) / sum(map(abs, terms)))
 
 
+def _arrays(obj) -> list:
+    """The public arrays of a point or line, each with the floats it mirrors."""
+    if isinstance(obj, pk.ProjPoint):
+        return [(obj.v, obj._c)]
+    return [(obj.u, obj._u), (obj.w, obj._w), (obj.normal, obj._n)]
+
+
 def _mirrors(*objects) -> bool:
     """Every public array is a read-only float64 array of exactly the stored floats."""
-    pairs = []
-    for obj in objects:
-        if isinstance(obj, pk.ProjPoint):
-            pairs.append((obj.v, obj._c))
-        else:
-            pairs += [(obj.u, obj._u), (obj.w, obj._w), (obj.normal, obj._n)]
+    pairs = [pair for obj in objects for pair in _arrays(obj)]
     return all(type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable
                and a.tolist() == list(c) and all(type(x) is float for x in c)
                for a, c in pairs)
@@ -501,3 +503,55 @@ def test_kernels_against_exact_arithmetic():
         flag.point, flag.line, *vars(flag.rescaled(-2.0, 3.0, 0.25)).values(),
         *vars(pk.Flag.from_json(flag.to_json())).values(),
         pk.ProjLine([1e-200, 0.0, 0.0], [0.0, 1e-200, 0.0]))
+
+
+def _stored(flag) -> str:
+    """The floats a flag stores, bit for bit: repr keeps -0.0 and every digit."""
+    return repr((flag.point._c, flag.line._u, flag.line._w, flag.line._n))
+
+
+def _image(flag, m) -> str:
+    """flag.transform(m) as its stored floats, or the text of its ValueError."""
+    try:
+        return _stored(flag.transform(m))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_ENTRY = st.floats(-1e6, 1e6) | st.integers(-9, 9) | st.sampled_from([0.0, -0.0, 1e300, 1e-300])
+_VECTOR = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(_ENTRY, min_size=3, max_size=3), min_size=3, max_size=3),
+       st.lists(st.lists(_ENTRY, min_size=2, max_size=4), min_size=2, max_size=4),
+       _VECTOR, _VECTOR)
+def test_transform_reads_rows_as_numpy_does(rows, other, p, q):
+    """A 3x3 list of floats is read without numpy, and gives the image, or the ValueError,
+    that its array gives, bit for bit; so does a list of numpy float64 scalars, which
+    goes through numpy.  Any other shape keeps the ValueError text numpy's shape gives.
+    Every point and line built mirrors its floats in read-only arrays, which come back
+    with the same bits on every access."""
+    try:
+        flag = pk.Flag(pk.ProjPoint(p), pk.ProjLine(p, q))
+    except ValueError:
+        assume(False)
+    expected = _image(flag, np.array(rows, dtype=float))
+    assert _image(flag, rows) == expected
+    assert _image(flag, tuple(map(tuple, rows))) == expected
+    assert _image(flag, [list(map(np.float64, row)) for row in rows]) == expected
+    if not expected.startswith("ValueError"):
+        image = flag.transform(rows)
+        built = (flag.point, flag.line, image.point, image.line)
+        assert _mirrors(*built)
+        for obj in built:  # each access builds a new array, with the same bits
+            first, second = (_arrays(obj) for _ in range(2))
+            assert [a.tobytes() for a, _ in first] == [a.tobytes() for a, _ in second]
+    if len(other) != 3 or any(len(row) != 3 for row in other):
+        try:
+            text = f"transform needs a 3x3 matrix, got shape {np.asarray(other, dtype=float).shape}"
+        except ValueError as exc:  # ragged rows: numpy's own message
+            text = str(exc)
+        with pytest.raises(ValueError) as exc:
+            flag.transform(other)
+        assert str(exc.value) == text
