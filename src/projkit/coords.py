@@ -332,8 +332,11 @@ def _in_range(value: float, what: str) -> float:
 def all_parabolic_recover(sigma1_b1: float, tplus: float) -> tuple:
     """Inverse of :func:`all_parabolic_coords`: (s, t) from the two coordinates.
 
-    Raises :class:`NonFiniteResult` where s or t leaves the float range.
+    Raises :class:`NonFiniteResult` where s or t leaves the float range, and
+    ValueError for a NaN coordinate, as :class:`PantsBD` does.
     """
+    if math.isnan(sigma1_b1) or math.isnan(tplus):
+        raise ValueError("Bonahon-Dreyer coordinates must be finite")
     s = _in_range(_exp(sigma1_b1), "s")
     t = (s + 1.0) * _exp(-tplus)
     if t == 0.0 or t == math.inf:

@@ -8,10 +8,11 @@ Hilbert distance is the half-log cross ratio of a chord.
 The area density is pi over the Euclidean area of the unit ball of the Finsler
 norm F(u) = (1/t+ + 1/t-) / 2 (Alvarez Paiva & Thompson, "Volumes on normed and
 Finsler spaces", 2004).  A polygon's ball is spanned by the rays to its vertices,
-F read from the chord kernel; a conic's density is in closed form.  Areas are
-integrated in polar coordinates, the density in units of the radius: adaptive
-Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert distance along each
-ray, in which the integrand stays smooth up to the boundary.
+F read from the chord kernel; a triangle's density is in closed form, pi / (24 A)
+over the product of the barycentric coordinates (de la Harpe 1993), and so is a
+conic's.  Areas are integrated in polar coordinates, the density in units of the
+radius: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
+distance along each ray, in which the integrand stays smooth up to the boundary.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .errors import CoincidentPoints, NonFiniteResult, PointOutsideDomain, Regio
 # numpy is imported inside the functions that make or take arrays, so that importing
 # projkit and the scalar queries do not pay for it
 
-# adaptive refinement limits: the narrowest panel refinement may split (radians,
-# in theta; the smoothstep map still packs nodes closer than this to a break, where
-# a ray can round onto a boundary vertex: ROADMAP item 2) and the panel count that
-# ends refinement
+# adaptive refinement limits: the narrowest panel refinement may split (radians, in
+# theta; breaks closer than this are merged once the solved truncation crossings are
+# among them, and the smoothstep map still packs nodes closer than this to a break, where
+# a ray can round onto a boundary vertex: ROADMAP item 2) and the panel count that ends
+# refinement
 _MIN_PANEL = 1e-8
 _MAX_PANELS = 2048
 
@@ -134,6 +136,13 @@ class Polygon(ConvexDomain):
         # each edge's slack at the vertex mean, the vertices divided first: their sum overflows
         mean = self.offsets - normals @ (v / len(v)).sum(axis=0)
         self._edges = list(zip(*normals.T.tolist(), self.offsets.tolist(), mean.tolist()))
+        if len(v) == 3:
+            # the length pi h0 h1 h2 / (24 A) of a triangle's density (see _density), h_k the
+            # height onto edge k: h_2 h_0 / A = 2 sin(angle at v_0), the cross of unit normals
+            (m0, m1, _, _), (n0, n1, offset, _), (k0, k1, _, _) = self._edges
+            x0, x1 = v[0].tolist()
+            height = offset - (n0 * x0 + n1 * x1)
+            self._triangle_length = math.pi / 12.0 * height * (k0 * m1 - k1 * m0)
 
     def _depth(self, x0, x1):
         # the least ratio slack_e(x) / slack_e(vertex mean): 1 there, 0 on the boundary and
@@ -142,6 +151,12 @@ class Polygon(ConvexDomain):
             (offset - (n0 * x0 + n1 * x1)) / mean for n0, n1, offset, mean in self._edges])
 
     def _density(self, x0, x1, w):
+        if len(self._edges) == 3:
+            # a triangle's ball has the fixed vertex order q0, -q2, q1, -q0, q2, -q1, and its
+            # density is pi / (24 A lambda_0 lambda_1 lambda_2) with the barycentric coordinates
+            # lambda_k = slack_k(x) / h_k (de la Harpe 1993); each factor a ratio of lengths
+            s0, s1, s2 = (offset - (n0 * x0 + n1 * x1) for n0, n1, offset, _ in self._edges)
+            return (w / s0) * (w / s1) * (self._triangle_length / s2)
         # F(v_i - x) = (1/t+ + 1/t-) / 2 from the chord kernel, as in finsler_norm.  F is
         # linear between the rays +-(v_i - x), so the unit ball is the polygon with vertices
         # +-(v_i - x) / F(v_i - x), here taken in units of w
@@ -403,7 +418,11 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     integrand stays smooth up to the boundary.  In the angle, Gauss-Kronrod
     panels break where the integrand has kinks: at the directions of the
     region's and the domain's vertices and their opposites (kinks of the exits
-    t+ and t-), and where the region exit and the radius trade places.
+    t+ and t-), and where the region exit and the radius trade places.  A
+    finite radius comes only with a polygon domain and region (from
+    triangle_area_experiment): between vertex directions the reciprocal exits
+    1/t+, 1/t- and 1/rho are then linear in u, and so is the equation of each
+    crossing, which is solved exactly from the exits at the breaks around it.
     """
     import numpy as np
 
@@ -411,22 +430,23 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     b0, b1 = base.tolist()
 
     def exits(u0, u1):
-        # the exits t+- from base along u and the distance s to the region's exit
+        # the exits t+- from base along u and the region's exit rho
         t_fwd, t_bwd, _ = dom._exits_paired(b0, b1, u0, u1)
         # the region may touch the boundary: never leave the domain
-        rho = _minimum(region._exits_paired(b0, b1, u0, u1)[0], t_fwd)
-        # log1p of the cross ratio less 1, and expm1 below, keep a region of small
-        # Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose eps / s
-        s = 0.5 * np.log1p(rho * _div(1.0 + _div(t_fwd, t_bwd), t_fwd - rho))
-        return t_fwd, t_bwd, s
+        return t_fwd, t_bwd, _minimum(region._exits_paired(b0, b1, u0, u1)[0], t_fwd)
 
     radial_x, radial_w = _radial_rule()
     gk_x, gk_w, g7_w = _kronrod_rule()
 
     def radial_integral(theta):
         u0, u1 = np.cos(theta), np.sin(theta)
-        tf, tb, s_max = (v[:, None] for v in exits(u0, u1))
-        finite = np.isfinite(s_max := np.minimum(s_max, radius))
+        tf, tb, rho = exits(u0, u1)
+        # the distance to the region's exit: log1p of the cross ratio less 1, and expm1 below,
+        # keep a region of small Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose
+        # eps / s
+        s_max = np.minimum(0.5 * np.log1p(rho * _div(1.0 + _div(tf, tb), tf - rho)), radius)
+        tf, tb, s_max = tf[:, None], tb[:, None], s_max[:, None]
+        finite = np.isfinite(s_max)
         half = 0.5 * np.where(finite, s_max, 0.0)
         grow_m1 = np.expm1(2.0 * half * (1.0 + radial_x))  # e^{2s} - 1, (m, N)
         grow = grow_m1 + 1.0
@@ -461,17 +481,14 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     # total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if math.isfinite(radius):
-            # bisect each sign change of (region exit - radius) between breaks to rounding,
-            # one at a time on floats
-            inside = exits(np.cos(edges), np.sin(edges))[2] < radius
-            cuts = []
-            for k in np.nonzero(inside[:-1] != inside[1:])[0]:
-                lo, hi = edges[k].item(), edges[k + 1].item()
-                for _ in range(50):
-                    mid = 0.5 * (lo + hi)
-                    same = (exits(math.cos(mid), math.sin(mid))[2] < radius) == inside[k]
-                    lo, hi = (mid, hi) if same else (lo, mid)
-                cuts.append(0.5 * (lo + hi))
+            # between breaks 1/t+, 1/t- and 1/rho are linear in u, and s < radius exactly where
+            # L(u) = 1/t+ + e^{-2R}/t- - (1 - e^{-2R})/rho < 0: each sign change of L between
+            # breaks u_k, u_k+1 is cut at the zero of L((1 - f) u_k + f u_k+1), linear in f
+            t_fwd, t_bwd, rho = exits(np.cos(edges), np.sin(edges))
+            level = 1.0 / t_fwd + math.exp(-2.0 * radius) / t_bwd + math.expm1(-2.0 * radius) / rho
+            k = np.nonzero((level[:-1] < 0.0) != (level[1:] < 0.0))[0]
+            f, width = level[k] / (level[k] - level[k + 1]), edges[k + 1] - edges[k]
+            cuts = edges[k] + np.arctan2(f * np.sin(width), 1.0 - f + f * np.cos(width))
             edges = np.sort(np.concatenate([edges, cuts]))
         edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
 

@@ -436,9 +436,13 @@ _PARABOLIC = pk.BoundaryData.parabolic()
      "recovered s leaves the float range"),
     (lambda: pk.all_parabolic_recover(0, -800), pk.NonFiniteResult,
      "recovered t leaves the float range"),
+    (lambda: pk.all_parabolic_recover(math.nan, 0.0), ValueError,
+     "Bonahon-Dreyer coordinates must be finite"),
+    (lambda: pk.all_parabolic_recover(0.0, math.nan), ValueError,
+     "Bonahon-Dreyer coordinates must be finite"),
 ], ids=["quasi-lambda-above-1", "pants-of-2", "torus-s-0", "pants-bd-of-2", "torus-bd-inf",
         "recover-of-2", "recover-s-overflow", "recover-t-overflow", "all-parabolic-s-overflow",
-        "all-parabolic-t-overflow"])
+        "all-parabolic-t-overflow", "all-parabolic-nan-sigma", "all-parabolic-nan-tplus"])
 def test_refusals(make, error, message):
     """Refusals that no other test reaches raise their own error and message."""
     assert_refuses(make, error, message)

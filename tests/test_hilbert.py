@@ -639,6 +639,11 @@ class TestDensity:
         exact = math.pi / (12.0 * x * y * (1.0 - x - y))
         # 1e-5 from an edge, either formula loses ~eps / 1e-5 to the slack
         assert standard_triangle()._density(*pts.T, 1.0) == pytest.approx(exact, rel=1e-10)
+        # an affine image, no angle right and no two sides equal, divides it by |det a|
+        a, b = np.array([[2.2, -1.0], [0.6, 2.1]]), np.array([0.3, -0.2])
+        image = pk.Polygon(standard_triangle().vertices @ a.T + b)
+        density = image._density(*(pts @ a.T + b).T, 1.0)
+        assert density == pytest.approx(exact / np.linalg.det(a), rel=1e-10)
 
     def test_klein_disk(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, -0.6], [0.0, 0.99]])
@@ -830,13 +835,19 @@ class TestBusemannArea:
         """The square [-s, s]^2 and a triangle in it.  In absolute units the density
         (~1 / s^2) and the ball's shoelace (~s^2) left the float range: the area was inf
         at s = 1e-160 and from 1e155 on, 0.0 at 1e154.  In units of the radius it keeps
-        its value to 4 ulp."""
+        its value to 4 ulp.  So does a triangle in the triangle with legs s, whose density
+        is in closed form, a product of ratios of lengths (A = s^2 / 2 alone overflows at
+        s = 1e200), to the 16 ulp of its rounding: its vertices scale exactly, but moving
+        s by one ulp from 1 already moves its area by up to 12 ulp."""
         def area(s):
             square = pk.Polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
-            return pk.busemann_area(square, pk.Polygon([[-s / 2, -s / 4], [s / 2, -s / 4],
-                                                        [0.0, s / 4]]), 1e-3)
-        unit = area(1.0)
-        assert abs(area(s) - unit) <= 4.0 * math.ulp(unit)
+            triangle = pk.Polygon([[0.0, 0.0], [s, 0.0], [0.0, s]])
+            return [pk.busemann_area(square, pk.Polygon([[-s / 2, -s / 4], [s / 2, -s / 4],
+                                                         [0.0, s / 4]]), 1e-3),
+                    pk.busemann_area(triangle, pk.Polygon([[s / 8, s / 4], [s / 2, s / 8],
+                                                           [s / 4, s / 2]]), 1e-3)]
+        for at_s, unit, ulps in zip(area(s), area(1.0), (4.0, 16.0)):
+            assert abs(at_s - unit) <= ulps * math.ulp(unit)
 
     def test_refinement_ends_with_nothing_left_to_split(self, monkeypatch):
         """At cellsize 1e-300 the tolerance is 0, so refinement ends where every panel's
@@ -1027,6 +1038,14 @@ class TestTriangleExperiment:
         assert pk.busemann_area(dom, pk.Polygon(clipped), h) == pytest.approx(direct, rel=1e-9)
         mirrored = pk.Polygon(clipped[::-1, ::-1])
         assert pk.busemann_area(dom, mirrored, h) == pytest.approx(direct, rel=1e-9)
+        # the truncation crossings are solved, not bisected: the experiment's panels break
+        # where the clipped polygon has its corners, down to a vertex near the corner (0, 0)
+        for alpha in (0.01, 0.1, 0.25):
+            region = [[0.0, 0.5], [alpha, 0.0], [0.5, 0.5]]
+            for radius in (0.5, 8.0):
+                clipped = truncated_region(region, [(0.5 + alpha) / 3.0, 1.0 / 3.0], radius)
+                assert pk.busemann_area(dom, pk.Polygon(clipped), h) == pytest.approx(
+                    pk.triangle_area_experiment(alpha, radius, h), rel=1e-9)
 
     @pytest.mark.parametrize("truncation", [18.0, 25.0, 40.0, 1e300])
     def test_large_truncation_is_untruncated_area(self, truncation):
