@@ -152,13 +152,10 @@ def _cmd_invariants(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     tol_kw = _default_tol(args)
-    entries = _load_input(args.input, "matrix")
-    import numpy as np
-
-    m = np.asarray(entries, dtype=float)
-    if m.size != 9:
-        raise ValueError("expected a row-major array of 9 numbers")
-    c = isometry.classify(m.reshape(3, 3), **tol_kw)
+    m = _load_input(args.input, "matrix")
+    if type(m) is list and len(m) == 9:  # row-major; classify takes three rows of 3
+        m = [m[0:3], m[3:6], m[6:9]]
+    c = isometry.classify(m, **tol_kw)
     record = {"kind": c.kind}
     if c.kind == isometry.HYPERBOLIC:
         record["eigenvalues"] = [float(v) for v in c.eigenvalues]
@@ -167,9 +164,7 @@ def _cmd_classify(args, out) -> int:
         record["nu"] = c.nu
         record["jordan_at_larger"] = c.jordan_at_larger
     elif c.kind == isometry.OTHER and c.eigenvalues is not None:
-        record["eigenvalues"] = [
-            [float(np.real(v)), float(np.imag(v))] for v in c.eigenvalues
-        ]
+        record["eigenvalues"] = [[v.real, v.imag] for v in c.eigenvalues]
     _emit_record(record, args.format, out)
     return 0
 

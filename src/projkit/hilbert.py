@@ -368,12 +368,16 @@ def finsler_norm(dom: ConvexDomain, x, direction) -> float:
 
     t+ and t- are the parameters at which the rays x +/- t*direction leave
     the domain; the norm is first-order consistent with hilbert_distance and
-    homogeneous of degree 1 in the direction.
+    homogeneous of degree 1 in the direction.  Raises NonFiniteResult where
+    the norm passes the float range, as chord queries do.
     """
-    _, (u0, u1), rho, t_fwd, t_bwd = _exits(dom, direction, x)
+    x, (u0, u1), rho, t_fwd, t_bwd = _exits(dom, direction, x)
     if not ((u0 or u1) and math.isfinite(u0) and math.isfinite(u1)):
         raise ValueError("direction must be finite and nonzero")
-    return 0.5 * (1.0 / t_fwd + 1.0 / t_bwd) * rho
+    norm = 0.5 * (1.0 / t_fwd + 1.0 / t_bwd) * rho
+    if norm == math.inf:
+        raise NonFiniteResult(f"the norm at x = {list(x)} passes the float range")
+    return norm
 
 
 @functools.cache

@@ -15,10 +15,11 @@ rejected, so arbitrary input can be inspected.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NonFiniteResult, NotUnimodular, WrongClass
-from .rp2 import Flag, ProjLine, ProjPoint, _check_tol
+from .rp2 import Flag, ProjLine, ProjPoint, _check_tol, _matrix_rows
 
 HYPERBOLIC = "hyperbolic"
 QUASI_HYPERBOLIC = "quasi_hyperbolic"
@@ -85,20 +86,42 @@ def _unit_exponent(entries) -> int:
     return max(0, math.frexp(max(map(abs, entries)))[1] - 1)
 
 
+def _minors(a):
+    """The nine 2x2 minors of a row-major 3x3 matrix (3i + j deletes row i, column j), and det."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    m = (a11 * a22 - a12 * a21, a10 * a22 - a12 * a20, a10 * a21 - a11 * a20,
+         a01 * a22 - a02 * a21, a00 * a22 - a02 * a20, a00 * a21 - a01 * a20,
+         a01 * a12 - a02 * a11, a00 * a12 - a02 * a10, a00 * a11 - a01 * a10)
+    return m, a00 * m[0] - a01 * m[1] + a02 * m[2]
+
+
 def _char_poly(entries):
-    """(trace, minors, det, k) with m = n / 2^k for an integer matrix n, and
-    det(yI - n) = y^3 - trace y^2 + minors y - det: the trace, the sum of the
-    principal 2x2 minors and the determinant of n, exact integers.  Every entry
-    is a binary fraction, so 2^k is a common denominator; the eigenvalues of m
-    are the roots of that cubic divided by 2^k.
+    """(trace, minors, det, n, k) with m = n / 2^k for a row-major integer matrix n, and
+    det(yI - n) = y^3 - trace y^2 + minors y - det: the trace, the sum of the principal 2x2
+    minors and the determinant of n, exact integers.  Every entry is a binary fraction, so
+    2^k is a common denominator; the eigenvalues of m are the roots of that cubic over 2^k.
     """
     ratios = [x.as_integer_ratio() for x in entries]
     k = max(den for _, den in ratios).bit_length() - 1
-    n00, n01, n02, n10, n11, n12, n20, n21, n22 = [
-        num << (k + 1 - den.bit_length()) for num, den in ratios]
-    k0 = n11 * n22 - n12 * n21
-    det = n00 * k0 - n01 * (n10 * n22 - n12 * n20) + n02 * (n10 * n21 - n11 * n20)
-    return (n00 + n11 + n22, n00 * n11 - n01 * n10 + n00 * n22 - n02 * n20 + k0, det, k)
+    n = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    minors, det = _minors(n)
+    return n[0] + n[4] + n[8], minors[0] + minors[4] + minors[8], det, n, k
+
+
+def _rank(a, s: int, thr: float) -> int:
+    """The number of singular values of a / 2^s above thr >= 0, exact, for a row-major integer
+    3x3 matrix a.  Times 2^u, with t = (thr 2^s)^2 2^u an integer, their squares are the real
+    roots of y^3 - e1 y^2 + e2 y - e3, e1, e2, e3 the sums of the squared entries and 2x2 minors
+    (Cauchy-Binet) and det^2, times 2^u, 2^2u, 2^3u; by Descartes' rule of signs, the Taylor
+    coefficients at t change sign once for each root above t."""
+    tn, td = thr.as_integer_ratio()
+    j = 2 * (s + 1 - td.bit_length())  # (thr 2^s)^2 = tn^2 2^j
+    t, u = (tn * tn << j, 0) if j > 0 else (tn * tn, -j)
+    minors, det = _minors(a)
+    e1, e2 = sum(map(operator.mul, a, a)) << u, sum(map(operator.mul, minors, minors)) << 2 * u
+    signs = [c > 0 for c in (1, 3 * t - e1, (3 * t - 2 * e1) * t + e2,
+                             ((t - e1) * t + e2) * t - (det * det << 3 * u)) if c]
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
 def _ratio(p: int, q: int) -> float:
@@ -200,15 +223,6 @@ def _cubic_roots(x1: float, trace: int, minors: int, det: int, s: int):
     return root, (n, half), x3, None
 
 
-def _ranks(stack, thresholds) -> list:
-    """Numerical ranks of a stack of matrices, each the count of its singular values
-    above its threshold, from one SVD call."""
-    import numpy as np
-
-    return [sum(sv > thr for sv in row) for row, thr in
-            zip(np.linalg.svd(stack, compute_uv=False).reshape(-1, 3).tolist(), thresholds)]
-
-
 def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     """Classify an SL(3,R) element as hyperbolic / quasi-hyperbolic / parabolic / other.
 
@@ -221,19 +235,13 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     Raises :class:`NotUnimodular` when det(m) deviates from 1 by more than
     ``DET_TOL`` relatively, and ValueError unless ``tol`` is positive and finite.
 
-    Everything before the rank tests is scalar Python arithmetic: the
-    characteristic polynomial over exact integers, its roots as ratios of
-    integers (one float root, the rest from exact deflation), each rounded once,
-    and ||m||_F from one hypot on m / c, c >= 1 a power of two, so that nothing
-    overflows.  The rank tests make one SVD call each.
+    It is scalar Python arithmetic throughout, on m read by ``rp2._matrix_rows``: the
+    characteristic polynomial over exact integers, its roots as ratios of integers (one
+    float root, the rest from exact deflation), each rounded once, ||m||_F from one
+    hypot on m / c, c >= 1 a power of two, so that nothing overflows, and exact rank tests.
     """
-    import numpy as np
-
     _check_tol(tol)
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    entries = m.ravel().tolist()
+    entries = [x for row in _matrix_rows(m, "expected a 3x3 matrix") for x in row]
     if not all(map(math.isfinite, entries)):
         raise ValueError("matrix has NaN or infinite entries")
     e = _unit_exponent(entries)
@@ -241,7 +249,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     ci = 1.0 / c
     # ||m / c||_F: every entry of m / c is below 2 in size, so nothing overflows
     frob = math.hypot(*(x * ci for x in entries))
-    trace, minors, det, k = _char_poly(entries)
+    trace, minors, det, n, k = _char_poly(entries)
     d = det / (1 << 3 * (k + e))  # det(m / c), correctly rounded
 
     # det gate |det m - 1| <= DET_TOL max(1, ||m||_F^2), divided through by c^3: an
@@ -270,10 +278,13 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     # The second rank test separates true unipotents from nearby diagonalizable
     # matrices whose spectrum merely clusters at 1 within triple_tol.
     if max(abs(l1 - ci), math.hypot(l2 - ci, li), math.hypot(l3 - ci, li)) <= triple_tol:
-        # in units of c, (m - I)^2 is (n @ n) c^2 and its threshold stays tol ||m||
-        n = (m - np.eye(3)) * ci
-        if _ranks(np.array((n, n @ n)), (rank_thr, rank_thr * ci)) == [2, 1]:
-            return IsometryClass.parabolic()
+        # (m - I) / c = a / 2^(k+e), and its square a @ a / 2^(2k+2e) is held to rank_thr / c
+        a = [x - (1 << k) * (i % 4 == 0) for i, x in enumerate(n)]
+        if _rank(a, k + e, rank_thr) == 2:
+            a2 = [r[0] * col[0] + r[1] * col[1] + r[2] * col[2]
+                  for r in (a[0:3], a[3:6], a[6:9]) for col in (a[0::3], a[1::3], a[2::3])]
+            if _rank(a2, 2 * k + e, rank_thr) == 1:
+                return IsometryClass.parabolic()
 
     if li > pair_tol:
         real, re, imag = [_ratio(n, q << k) for n, q in (roots[0], roots[1], im)]
@@ -306,7 +317,10 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     # A Jordan block at mu leaves exactly one singular value of m - mu*I near
     # zero, and the block structure suppresses the O(sqrt(eps)) eigenvalue
     # split to O(eps) there, so the plain rank threshold is reliable.
-    (jordan_rank,) = _ranks(m * ci - mean * np.eye(3), (rank_thr,))
+    # m / c - mean I = (q n - p 2^(k+e) I) / (2^(k+e) q), for mean = p / q
+    p, q = mean.as_integer_ratio()
+    a = [x * q - (p << (k + e)) * (i % 4 == 0) for i, x in enumerate(n)]
+    jordan_rank = _rank(a, k + e + q.bit_length() - 1, rank_thr)
     if jordan_rank == 2:
         # mu^2 = det m / nu = (det / 2^3k) / (n / (q 2^k)), exact until the one rounding
         n, q = roots[j]

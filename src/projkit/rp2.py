@@ -89,6 +89,20 @@ def _read_reals(coords):
     return None
 
 
+def _matrix_rows(m, what: str):
+    """The float rows of a 3x3 matrix: three rows in a list or tuple by ``_read_reals``, else by
+    ``np.asarray(m, dtype=float)`` (the same floats), with ValueError "<what>, got shape ..."."""
+    rows = tuple(map(_read_reals, m)) if type(m) in (list, tuple) and len(m) == 3 else (None,)
+    if None in rows:
+        import numpy as np
+
+        a = np.asarray(m, dtype=float)
+        if a.shape != (3, 3):
+            raise ValueError(f"{what}, got shape {a.shape}")
+        rows = a.tolist()
+    return rows
+
+
 def _as_vector(coords, what: str) -> tuple:
     """The three coordinates as a tuple of Python floats, or ValueError.
 
@@ -296,20 +310,8 @@ class Flag:
         return flag
 
     def transform(self, m) -> "Flag":
-        """Image of the flag under an invertible 3x3 matrix.
-
-        A list or tuple of three rows, each a list or tuple of three ``_REALS``,
-        is read directly; anything else goes through ``np.asarray(m, dtype=float)``,
-        which gives the same floats.
-        """
-        rows = [_read_reals(r) for r in m] if type(m) in (list, tuple) and len(m) == 3 else [None]
-        if None in rows:
-            import numpy as np
-
-            m = np.asarray(m, dtype=float)
-            if m.shape != (3, 3):
-                raise ValueError(f"transform needs a 3x3 matrix, got shape {m.shape}")
-            rows = m.tolist()
+        """Image of the flag under an invertible 3x3 matrix, read by ``_matrix_rows``."""
+        rows = _matrix_rows(m, "transform needs a 3x3 matrix")
         line = self.line
         return Flag._incident(
             ProjPoint(_matvec(rows, self.point._c)),

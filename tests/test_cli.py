@@ -95,8 +95,29 @@ class TestClassify:
         assert result.returncode == 1
         assert "NotUnimodular" in result.stderr
 
+    @pytest.mark.parametrize("entries, code", [
+        ("[2,0,0,0,1,0,0,0,0.5]", 0), ("[[2,0,0],[0,1,0],[0,0,0.5]]", 0),
+        ("[[2,0,0,0,1,0,0,0,0.5]]", 2), ("[[2],[0],[0],[0],[1],[0],[0],[0],[0.5]]", 2),
+        ("[[[2,0,0]],[[0,1,0]],[[0,0,0.5]]]", 2), ("[2,0,0,0,1,0,0,0]", 2),
+        ('{"matrix": [2,0,0,0,1,0,0,0,0.5]}', 2), ('[2,0,0,0,"x",0,0,0,0.5]', 2),
+        ('[[2,0,0],[0,"x",0],[0,0,0.5]]', 2),
+    ], ids=["flat", "rows", "one-row", "column", "3x1x3", "eight", "dict", "string",
+            "string-in-rows"])
+    def test_input_shapes(self, entries, code):
+        """A flat list of 9 numbers (row-major) and three rows of 3 are the matrix; any
+        other shape is malformed (exit 2), as are 8 entries, a dict and a string entry.
+        The other shapes of 9 numbers went through numpy's reshape and exited 0."""
+        result = run_cli("classify", "--input", entries)
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        if code:
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: MalformedInput:")
+        else:
+            assert result.stdout == "kind = hyperbolic\neigenvalues = 2 1 0.5\n"
+
     def test_non_finite_matrix_exit_2(self):
-        # rejected before any LAPACK call: one error line, no numpy warning
+        # rejected before any arithmetic: one error line, no numpy warning
         for entries in ("[NaN,0,0,0,1,0,0,0,1]", "[1,0,0,0,-Infinity,0,0,0,1]"):
             result = run_cli("classify", "--input", entries)
             assert result.returncode == 2
@@ -422,8 +443,9 @@ def numpy_in_child(*argvs):
 
 
 def test_scalar_commands_start_without_numpy():
-    """convert, invariants, bulge (shears and flags) and a malformed-JSON refusal leave
-    numpy unloaded; a sweep loads it, which shows that the check can fail."""
+    """convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
+    three rows of 3 and a NotUnimodular refusal) and a malformed-JSON refusal leave numpy
+    unloaded; a sweep loads it, which shows that the check can fail."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
     scalar = [("convert", "--input", ALL_PARABOLIC), ("convert", "--input", TORUS),
               ("invariants", "--input", triangle_flags_json(0.25)),
@@ -431,7 +453,11 @@ def test_scalar_commands_start_without_numpy():
               ("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}'),
               ("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'),
               ("classify", "--input", "[1, 2,")]
-    assert numpy_in_child(*scalar) == [False, [0, 0, 0, 0, 0, 0, 2], False]
+    classify = [("classify", "--input", m) for m in (
+        "[2,0,0,0,1,0,0,0,0.5]", "[2,1,0,0,2,0,0,0,0.25]", "[1,1,0,0,1,1,0,0,1]",
+        "[0,-1,0,1,0,0,0,0,1]", "[[2,1,0],[0,2,0],[0,0,0.25]]", "[2,0,0,0,1,0,0,0,1]")]
+    assert numpy_in_child(*scalar, *classify) == [
+        False, [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1], False]
     sweep = ("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2")
     assert numpy_in_child(sweep) == [False, [0], True]
 

@@ -597,6 +597,13 @@ class TestFloatRange:
             with pytest.raises(pk.NonFiniteResult, match="passes the float range"):
                 query(self.SQUARE, (-1e308, 0.0), (1e308, 0.0))
 
+    def test_overflowing_norm(self):
+        """A finite direction whose norm passes the float range: the norm was inf."""
+        for dom in (pk.ConicOval.unit_circle(), unit_square()):
+            with pytest.raises(pk.NonFiniteResult, match="passes the float range"):
+                pk.finsler_norm(dom, [0.5, 0.0], [1.7e308, 1.7e308])
+        assert pk.finsler_norm(pk.ConicOval.unit_circle(), [0.5, 0.0], [1e307, 1e307]) < math.inf
+
     def test_in_range_queries(self):
         """contains ignores numpy's overflow warning (an error in this suite): an overflowed
         slack keeps its sign.  Queries whose exits stay in range still answer."""

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
@@ -297,6 +297,41 @@ def test_classify_total_on_finite_matrices(m):
         assert abs(det - 1) > bound / 2
     else:
         assert abs(det - 1) <= 2 * bound
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Row-major integer 3x3 matrices with entries up to 2^60 in size: of full rank, or
+    sums of one or two integer outer products."""
+    rank = draw(st.sampled_from([1, 2, 3]))
+    if rank == 3:
+        return draw(st.lists(st.integers(-2**60, 2**60), min_size=9, max_size=9))
+    vec = st.lists(st.integers(-2**(31 - rank), 2**(31 - rank)), min_size=3, max_size=3)
+    terms = [(draw(vec), draw(vec)) for _ in range(rank)]
+    return [sum(u[i] * v[j] for u, v in terms) for i in range(3) for j in range(3)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_integer_matrices(), st.floats(-1.0, 10.0), st.integers(-80, 80))
+def test_rank_count_matches_svd(a, decades, s):
+    """The exact count of singular values of a / 2^s above a threshold is LAPACK's on the
+    float copy of a, wherever the threshold is at least 1e-10 sigma_1 and 1e-6 (relative)
+    away from every singular value, so that rounding cannot decide."""
+    sv = np.linalg.svd(np.array(a, dtype=float).reshape(3, 3), compute_uv=False)
+    assume(sv[0] > 0.0)
+    thr = sv[0] * 10.0**-decades
+    assume(all(abs(thr - x) > 1e-6 * x for x in sv))
+    assert pk.isometry._rank(a, s, math.ldexp(thr, -s)) == int(np.sum(sv > thr))
+
+
+@pytest.mark.parametrize("a, s, thr, rank", [
+    ([3, 0, 0, 0, 2, 0, 0, 0, 0], 0, 2.0, 1), ([3, 0, 0, 0, 2, 0, 0, 0, 0], 0, 3.0, 0),
+    ([3, 0, 0, 0, 2, 0, 0, 0, 0], 0, 0.0, 2), ([3, 0, 0, 0, 2, 0, 0, 0, 1], 0, 1.0, 2),
+    ([3, 0, 0, 0, 2, 0, 0, 0, 0], 1, 1.0, 1), ([0, 3, 0, 0, 0, 0, 2, 0, 0], -2, 8.0, 1),
+])
+def test_rank_count_is_strict(a, s, thr, rank):
+    """A singular value equal to the threshold is not above it: the test is sv > thr."""
+    assert pk.isometry._rank(a, s, thr) == rank
 
 
 class TestGoldmanLengths:
