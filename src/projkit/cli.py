@@ -15,9 +15,7 @@ import math
 import os
 import sys
 
-from . import coords, hilbert, invariants, isometry
 from .errors import NonFiniteResult, ProjKitError
-from .rp2 import Flag
 
 _ENV_TOL = "PROJKIT_TOL"
 
@@ -105,6 +103,31 @@ def _load_input(source: str, what: str = "input"):
     return data
 
 
+def _number(value, field: str, nested: bool = False):
+    """``value`` of the ``_load_input`` JSON where a number belongs, checked: a float
+    (every JSON number is read as one), and with ``nested`` also a list, nested or not,
+    of them, entry i named ``field[i]``.  Anything else -- a string, null, an object, or
+    a list where one number belongs -- is malformed input, "<field> must be a number"."""
+    if nested and type(value) is list:
+        for i, item in enumerate(value):
+            _number(item, f"{field}[{i}]", True)
+    elif type(value) is not float:
+        raise ValueError(f"{field} must be a number")
+    return value
+
+
+def _flags(items) -> list:
+    """The flags of a JSON list of ``{"point": [...], "line": [[...], [...]]}``."""
+    from .rp2 import Flag
+
+    if type(items) is not list:
+        raise ValueError("flags must be a JSON array of flags")
+    for i, item in enumerate(items):
+        for key in ("point", "line"):
+            _number(item[key], f"flags[{i}].{key}", nested=True)
+    return [Flag.from_json(item) for item in items]
+
+
 def _default_tol(args) -> dict:
     """The tol= keyword of the library calls: --tol, else $PROJKIT_TOL, else none, so
     the library's default holds; the library call that reads it checks it."""
@@ -113,30 +136,36 @@ def _default_tol(args) -> dict:
     return {} if tol is None else {"tol": tol}
 
 
-def _parse_domain(data: dict) -> hilbert.ConvexDomain:
+def _parse_domain(data: dict):
+    from . import hilbert
+
     if "polygon" in data:
-        return hilbert.Polygon(data["polygon"])
+        return hilbert.Polygon(_number(data["polygon"], "polygon", nested=True))
     if "conic" in data:
-        return hilbert.ConicOval(data["conic"])
+        return hilbert.ConicOval(_number(data["conic"], "conic", nested=True))
     raise ValueError("domain must carry a 'polygon' or 'conic' entry")
 
 
-def _parse_boundary(data: dict) -> coords.BoundaryData:
+def _parse_boundary(data: dict, field: str):
+    from . import coords
+
     kind = data["kind"]
     if not isinstance(kind, str):
         raise ValueError(f"boundary kind must be a string, got {kind!r}")
     kind = kind.replace("-", "_")
     if kind == coords.PARABOLIC:
         return coords.BoundaryData.parabolic()
-    lam = float(data["lambda"])
+    lam = _number(data["lambda"], f"{field}.lambda")
     if kind == coords.QUASI_HYPERBOLIC and "tau" not in data:
         return coords.BoundaryData.quasi_hyperbolic(lam)
-    return coords.BoundaryData(lam, float(data["tau"]), kind)
+    return coords.BoundaryData(lam, _number(data["tau"], f"{field}.tau"), kind)
 
 
 def _cmd_invariants(args, out) -> int:
+    from . import invariants
+
     tol_kw = _default_tol(args)
-    flags = [Flag.from_json(item) for item in _load_input(args.input)]
+    flags = _flags(_load_input(args.input))
     if len(flags) == 3:
         t = invariants.triple_ratio(*flags, **tol_kw).value
         record = {"T": t, "tau111": invariants.tau111(*flags, **tol_kw)}
@@ -151,8 +180,10 @@ def _cmd_invariants(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
+    from . import isometry
+
     tol_kw = _default_tol(args)
-    m = _load_input(args.input, "matrix")
+    m = _number(_load_input(args.input, "matrix"), "matrix", nested=True)
     if type(m) is list and len(m) == 9:  # row-major; classify takes three rows of 3
         m = [m[0:3], m[3:6], m[6:9]]
     c = isometry.classify(m, **tol_kw)
@@ -170,14 +201,19 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_distance(args, out) -> int:
+    from . import hilbert
+
     data = _load_input(args.input)
     dom = _parse_domain(data["domain"])
-    d = hilbert.hilbert_distance(dom, data["x"], data["y"])
+    x, y = (_number(data[key], key, nested=True) for key in ("x", "y"))
+    d = hilbert.hilbert_distance(dom, x, y)
     _emit_record({"distance": d}, args.format, out)
     return 0
 
 
 def _cmd_area(args, out) -> int:
+    from . import hilbert
+
     alphas = [float(a) for a in args.alphas.split(",") if a]
     # compute every row first, so a rejected input leaves stdout empty
     areas = [hilbert.triangle_area_experiment(a, args.truncation, args.cellsize) for a in alphas]
@@ -193,27 +229,27 @@ def _cmd_area(args, out) -> int:
 
 
 def _parse_goldman(data: dict):
+    from . import coords
+
     surface = data["surface"]
-    boundaries = [_parse_boundary(b) for b in data["boundaries"]]
+    boundaries = [_parse_boundary(b, f"boundaries[{i}]") for i, b in enumerate(data["boundaries"])]
     if surface == "pants":
         if len(boundaries) != 3:
             raise ValueError("pants records need 3 boundary entries")
-        return coords.PantsGoldman(tuple(boundaries), float(data["s"]), float(data["t"]))
+        return coords.PantsGoldman(tuple(boundaries), _number(data["s"], "s"),
+                                   _number(data["t"], "t"))
     if surface == "torus":
         if len(boundaries) != 2:
             raise ValueError("torus records need 2 boundary entries (B then C)")
         return coords.TorusGoldman(
-            boundaries[0],
-            boundaries[1],
-            float(data["s"]),
-            float(data["t"]),
-            float(data.get("u", 0.0)),
-            float(data.get("v", 0.0)),
-        )
+            boundaries[0], boundaries[1], _number(data["s"], "s"), _number(data["t"], "t"),
+            _number(data.get("u", 0.0), "u"), _number(data.get("v", 0.0), "v"))
     raise ValueError("surface must be 'pants' or 'torus'")
 
 
 def _cmd_convert(args, out) -> int:
+    from . import coords
+
     data = _load_input(args.input)
     g = _parse_goldman(data)
     if isinstance(g, coords.PantsGoldman):
@@ -228,6 +264,8 @@ def _cmd_convert(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    from . import coords
+
     data = _load_input(args.input)
     g = _parse_goldman(data)
     # every row in one call, checked before the first line is written
@@ -237,19 +275,25 @@ def _cmd_sweep(args, out) -> int:
               f"{args.steps} start_lambda={_fmt(start.lam)} start_tau={_fmt(start.tau)}\n")
     names = list(columns)
     out.write(",".join(["step", *names[:3], "kind", *names[3:], *gluing]) + "\n")
+    # one row template per kind, the fixed gluing shears baked in; "%.17g" of a float
+    # is _fmt's text
     tail = "".join("," + _fmt(x) for x in gluing.values())
-    for k, row in enumerate(zip(*columns.values())):
-        kind = coords.PARABOLIC if k == args.steps else coords.HYPERBOLIC
-        values = [_fmt(v) for v in row]
-        out.write(f"{k},{','.join(values[:3])},{kind},{','.join(values[3:])}{tail}\n")
+    row = "%d" + ",%.17g" * 3 + ",{}" + ",%.17g" * (len(names) - 3) + tail + "\n"
+    hyperbolic, parabolic = row.format(coords.HYPERBOLIC), row.format(coords.PARABOLIC)
+    rows = list(zip(range(args.steps + 1), *(col.tolist() for col in columns.values())))
+    out.write("".join([hyperbolic % r for r in rows[:-1]]) + parabolic % rows[-1])
     return 0
 
 
 def _cmd_bulge(args, out) -> int:
+    from . import isometry
+
     data = _load_input(args.input)
-    v = float(data["v"])
+    v = _number(data["v"], "v")
     if "flags" in data:
-        flags = [Flag.from_json(item) for item in data["flags"]]
+        from . import invariants
+
+        flags = _flags(data["flags"])
         if len(flags) != 4:
             raise ValueError("bulge needs exactly 4 flags")
         tol_kw = _default_tol(args)
@@ -267,7 +311,8 @@ def _cmd_bulge(args, out) -> int:
             "delta_sigma2": after[1] - before[1],
         }
     else:
-        s1, s2 = isometry.shear_shift(float(data["sigma1"]), float(data["sigma2"]), v)
+        s1, s2 = isometry.shear_shift(_number(data["sigma1"], "sigma1"),
+                                      _number(data["sigma2"], "sigma2"), v)
         record = {"sigma1": s1, "sigma2": s2}
     _emit_record(record, args.format, out)
     return 0

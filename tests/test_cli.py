@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -415,27 +416,34 @@ class TestSweepAreaBulge:
 
 
 # ---------------------------------------------------------------------------
-# numpy only where arrays are: import projkit and the scalar commands start without it
+# each command loads only the layers it calls, and numpy only where arrays are
 
 _IN_CHILD = """
 import contextlib, io, json, runpy, sys
+
+def loaded():
+    names = sorted(m[8:] for m in sys.modules if m.startswith("projkit."))
+    return [names, "numpy" in sys.modules]
+
 import projkit
-imported = "numpy" in sys.modules
-codes = []
+report = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
+    for name in [m for m in sys.modules if m == "projkit" or m.startswith("projkit.")]:
+        del sys.modules[name]  # each command starts from an unimported projkit
     sys.argv = ["projkit", *argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             runpy.run_module("projkit", run_name="__main__")
         except SystemExit as exc:
-            codes.append(exc.code)
-print(json.dumps([imported, codes, "numpy" in sys.modules]))
+            report.append([exc.code, *loaded()])
+print(json.dumps(report))
 """
 
 
-def numpy_in_child(*argvs):
-    """[numpy loaded by import projkit, exit codes, numpy loaded at the end] of one child
-    that imports projkit, then runs ``python -m projkit`` on each argv in turn."""
+def modules_in_child(*argvs):
+    """[exit code, projkit submodules loaded, numpy loaded] for ``import projkit`` (exit
+    code None), then for ``python -m projkit`` on each argv in turn, in one child that
+    unloads projkit between commands (numpy, once loaded, stays)."""
     result = subprocess.run([sys.executable, "-c", _IN_CHILD, json.dumps(argvs)],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -443,23 +451,85 @@ def numpy_in_child(*argvs):
 
 
 def test_scalar_commands_start_without_numpy():
-    """convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
+    """import projkit loads errors alone; each command loads only the layers it calls, and
+    convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
     three rows of 3 and a NotUnimodular refusal) and a malformed-JSON refusal leave numpy
-    unloaded; a sweep loads it, which shows that the check can fail."""
+    unloaded; sweep, distance and area load it, which shows that the check can fail."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
-    scalar = [("convert", "--input", ALL_PARABOLIC), ("convert", "--input", TORUS),
-              ("invariants", "--input", triangle_flags_json(0.25)),
-              ("invariants", "--input", flags),
-              ("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}'),
-              ("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'),
-              ("classify", "--input", "[1, 2,")]
-    classify = [("classify", "--input", m) for m in (
-        "[2,0,0,0,1,0,0,0,0.5]", "[2,1,0,0,2,0,0,0,0.25]", "[1,1,0,0,1,1,0,0,1]",
-        "[0,-1,0,1,0,0,0,0,1]", "[[2,1,0],[0,2,0],[0,0,0.25]]", "[2,0,0,0,1,0,0,0,1]")]
-    assert numpy_in_child(*scalar, *classify) == [
-        False, [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1], False]
-    sweep = ("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2")
-    assert numpy_in_child(sweep) == [False, [0], True]
+    classify, coords = ["errors", "isometry", "rp2"], ["coords", "errors", "isometry", "rp2"]
+    invariants, hilbert = ["errors", "invariants", "rp2"], ["errors", "hilbert"]
+    cases = [(("convert", "--input", ALL_PARABOLIC), 0, coords),
+             (("convert", "--input", TORUS), 0, coords),
+             (("invariants", "--input", triangle_flags_json(0.25)), 0, invariants),
+             (("invariants", "--input", flags), 0, invariants),
+             (("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}'), 0, classify),
+             (("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'), 0,
+              ["errors", "invariants", "isometry", "rp2"]),
+             (("classify", "--input", "[1, 2,"), 2, classify)]
+    cases += [(("classify", "--input", m), code, classify) for m, code in (
+        ("[2,0,0,0,1,0,0,0,0.5]", 0), ("[2,1,0,0,2,0,0,0,0.25]", 0), ("[1,1,0,0,1,1,0,0,1]", 0),
+        ("[0,-1,0,1,0,0,0,0,1]", 0), ("[[2,1,0],[0,2,0],[0,0,0.25]]", 0),
+        ("[2,0,0,0,1,0,0,0,1]", 1))]
+    numpy_cases = [(("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2"), 0, coords),
+                   (("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, '
+                     '"x": [0, 0], "y": [0.5, 0]}'), 0, hilbert),
+                   (("area", "--alphas", "0.5", "--truncation", "2", "--cellsize", "0.05"), 0,
+                    hilbert)]
+    expected = [[None, ["errors"], False]]
+    expected += [[code, ["cli", *layers], False] for _, code, layers in cases]
+    expected += [[code, ["cli", *layers], True] for _, code, layers in numpy_cases]
+    assert modules_in_child(*(argv for argv, _, _ in cases + numpy_cases)) == expected
+
+
+_NAMES_IN_CHILD = """
+import json, sys
+
+def fresh():
+    for name in [m for m in sys.modules if m == "projkit" or m.startswith("projkit.")]:
+        del sys.modules[name]
+    import projkit
+    return projkit
+
+star = {}
+exec("from projkit import *", star)
+del star["__builtins__"]
+names = [dir(fresh()), sorted(star)]
+pk = fresh()
+pk.Flag
+print(json.dumps([*names, sorted(vars(pk))]))
+"""
+
+# the package namespace once bound: what the eagerly importing package held (its six
+# layers, the public names, __version__ and the module dunders), plus the lazy binding
+_LAYER_MODULES = ["coords", "errors", "hilbert", "invariants", "isometry", "rp2"]
+_DUNDERS = ["__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+            "__package__", "__path__", "__spec__", "__version__"]
+
+
+def test_lazy_namespace_names():
+    """dir(projkit), ``from projkit import *`` and vars(projkit) after the first use of a
+    public name each bind every layer and give the names the package held when it
+    imported them all, each in a fresh import."""
+    from test_api import PUBLIC_NAMES
+
+    public = sorted(PUBLIC_NAMES + _LAYER_MODULES)
+    namespace = sorted(public + _DUNDERS + ["__dir__", "__getattr__", "_bind"])
+    result = subprocess.run([sys.executable, "-c", _NAMES_IN_CHILD], capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [namespace, public, namespace]
+
+
+def test_layer_attributes_load_one_layer():
+    """A layer named as an attribute loads that layer and what it imports; a name that
+    is neither a layer nor public is an AttributeError."""
+    code = ("import sys, projkit\n"
+            "projkit.hilbert\n"
+            "print(sorted(m for m in sys.modules if m.startswith('projkit.')))\n"
+            "print(hasattr(projkit, 'no_such_name'), 'projkit.coords' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['projkit.errors', 'projkit.hilbert']\nFalse True\n"
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -540,6 +610,19 @@ PARABOLIC_QUASI_PANTS = json.dumps({
 def test_convert_golden(record, argv, expected):
     """Every printed digit of three conversions stays fixed."""
     assert run_main("convert", "--input", record, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("record, argv, digest", [
+    (MIXED_PANTS, ("--boundary", "3"),
+     "49f2e9672693363277e73fd3e2e99707f1c2df67577e4c13690b2710a30195f9"),
+    (HYPERBOLIC_TORUS, (), "cd5398d640c929476cb28a5637f59e11dd935ef3d09f3a0d3deb0b77d0e4f4ce"),
+], ids=["pants", "torus"])
+def test_sweep_golden(record, argv, digest):
+    """A 10,000-step sweep prints the bytes it printed when each value was formatted on
+    its own (the sha256 of its stdout): one row template per kind changes no digit."""
+    code, out, err = run_main("sweep", "--input", record, "--steps", "10000", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestContract:
@@ -710,6 +793,49 @@ def _decimal_log_mu(kind, lam, tau):
 
 FLAGS3 = json.loads(triangle_flags_json(0.25))
 FLAGS4 = [f.to_json() for f in pk.bulging_configuration(1.0, 1.0)]
+
+def _replaced(doc, path, value):
+    """The JSON text of ``doc`` with ``value`` at ``path``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+DISK = {"domain": {"conic": [1, 0, 1, 0, 0, -1]}, "x": [0.1, 0], "y": [0.5, 0]}
+SQUARE = {"domain": {"polygon": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}, "x": [0, 0],
+          "y": [0, 0.5]}
+
+
+@pytest.mark.parametrize("command, doc, path, value, field", [
+    ("classify", [2, 0, 0, 0, 1, 0, 0, 0, 0.5], (4,), "1", "matrix[4]"),
+    ("classify", [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]], (1, 1), "1", "matrix[1][1]"),
+    ("invariants", FLAGS3, (2, "point", 1), "1", "flags[2].point[1]"),
+    ("invariants", FLAGS4, (0, "line", 1, 2), "0", "flags[0].line[1][2]"),
+    ("bulge", {"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}, ("sigma1",), "0.3", "sigma1"),
+    ("bulge", {"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}, ("v",), [0.1], "v"),
+    ("bulge", {"flags": FLAGS4, "v": 0.2}, ("flags", 3, "point", 0), "1", "flags[3].point[0]"),
+    ("convert", json.loads(ALL_PARABOLIC), ("s",), "2", "s"),
+    ("convert", json.loads(ALL_PARABOLIC), ("t",), None, "t"),
+    ("convert", json.loads(TORUS), ("u",), "1", "u"),
+    ("convert", json.loads(TORUS), ("boundaries", 1, "lambda"), "0.2",
+     "boundaries[1].lambda"),
+    ("sweep", json.loads(HYPERBOLIC_TORUS), ("boundaries", 0, "tau"), "4",
+     "boundaries[0].tau"),
+    ("distance", DISK, ("x",), ["0.1", 0], "x[0]"),
+    ("distance", DISK, ("y", 1), {}, "y[1]"),
+    ("distance", DISK, ("domain", "conic", 0), "1", "conic[0]"),
+    ("distance", SQUARE, ("domain", "polygon", 1, 0), "1", "polygon[1][0]"),
+])
+def test_non_number_input_exit_2(command, doc, path, value, field):
+    """A string, null, object or list where a number belongs is malformed input: classify,
+    invariants, bulge and convert read strings of numbers and exited 0, and distance
+    exited 2 with a TypeError's text."""
+    code, out, err = run_main(command, "--input", _replaced(doc, path, value))
+    assert (code, out, err) == (2, "", f"error: MalformedInput: {field} must be a number\n")
+
 
 # (subcommand and options, a valid JSON input); area's "input" is the values
 # of --alphas, --truncation and --cellsize
