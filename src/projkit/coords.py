@@ -25,17 +25,17 @@ sigma2(C) = u + 3v (normalized so the base point is (u, v) = (0, 0)).
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import (
     ComplexEigenvalues,
     InconsistentStratum,
     NonFiniteResult,
     NonPositiveParameter,
+    _Record,
 )
-from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, shear_shift
+from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, _shifted
 
 _CODIMENSION = {HYPERBOLIC: 0, QUASI_HYPERBOLIC: 1, PARABOLIC: 2}
 
@@ -43,8 +43,7 @@ _CODIMENSION = {HYPERBOLIC: 0, QUASI_HYPERBOLIC: 1, PARABOLIC: 2}
 _DATA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(_Record):
     """Goldman eigenvalue data (lambda, tau) of one boundary curve.
 
     lambda is the smallest eigenvalue of the boundary monodromy, tau the sum
@@ -58,40 +57,43 @@ class BoundaryData:
     exactly, so the degenerate strata need no discriminant arithmetic.
     Hyperbolic data uses mu = 2 / (lambda (tau + sqrt(tau^2 - 4/lambda))),
     since mu nu = 1/lambda, with tau factored out of the root: the sum does
-    not cancel and tau^2 cannot overflow.
+    not cancel and tau^2 cannot overflow.  mu is a field like the others, in
+    repr, == and hash, but not a constructor argument.
     """
 
-    lam: float
-    tau: float
-    kind: str
-    mu: float = field(init=False)
+    _fields = ("lam", "tau", "kind", "mu")
+    __match_args__ = ("lam", "tau", "kind")
 
-    def __post_init__(self):
-        if self.kind not in _CODIMENSION:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if not (self.lam > 0.0 and self.tau > 0.0):
+    def __init__(self, lam: float, tau: float, kind: str):
+        if kind not in _CODIMENSION:
+            raise ValueError(f"unknown boundary kind {kind!r}")
+        if not (lam > 0.0 and tau > 0.0):
             raise ValueError("boundary data needs positive lambda and tau")
-        if self.kind == HYPERBOLIC:
-            if not self.lam < 1.0:
+        if kind == HYPERBOLIC:
+            if not lam < 1.0:
                 raise ValueError("hyperbolic boundary needs lambda in (0, 1)")
-            lam_tau = self.lam * self.tau
+            lam_tau = lam * tau
             # (tau^2 - 4/lambda) / tau^2; where lambda tau underflows to 0 (tau = 5e-324),
             # tau^2 lambda = (lambda tau)^2 / lambda is far below 4
-            disc = 1.0 - 4.0 / lam_tau / self.tau if lam_tau > 0.0 else -math.inf
+            disc = 1.0 - 4.0 / lam_tau / tau if lam_tau > 0.0 else -math.inf
             if not disc > 0.0:
                 raise ComplexEigenvalues("hyperbolic boundary needs tau^2 > 4/lambda")
             mu = 2.0 / lam_tau / (1.0 + math.sqrt(disc))
-        elif self.kind == PARABOLIC:
-            if abs(self.lam - 1.0) > _DATA_TOL or abs(self.tau - 2.0) > _DATA_TOL:
+        elif kind == PARABOLIC:
+            if abs(lam - 1.0) > _DATA_TOL or abs(tau - 2.0) > _DATA_TOL:
                 raise ValueError("parabolic boundary must have (lambda, tau) = (1, 2)")
             mu = 1.0
         else:
-            if not self.lam < 1.0:
+            if not lam < 1.0:
                 raise ValueError("quasi-hyperbolic boundary needs lambda < 1")
-            if abs(self.tau * self.tau * self.lam - 4.0) > _DATA_TOL * 4.0:
+            if abs(tau * tau * lam - 4.0) > _DATA_TOL * 4.0:
                 raise ValueError("quasi-hyperbolic boundary must satisfy tau^2 = 4/lambda")
-            mu = self.tau / 2.0
-        object.__setattr__(self, "mu", mu)
+            mu = tau / 2.0
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "lam", lam)
+        setattr_(self, "tau", tau)
+        setattr_(self, "kind", kind)
+        setattr_(self, "mu", mu)
 
     @classmethod
     def hyperbolic(cls, lam: float, tau: float) -> "BoundaryData":
@@ -108,23 +110,23 @@ class BoundaryData:
         return cls(1.0, 2.0, PARABOLIC)
 
 
-@dataclass(frozen=True)
-class PantsGoldman:
+class PantsGoldman(_Record):
     """Goldman parameters of a pair of pants: three boundaries plus (s, t)."""
 
-    boundaries: tuple
-    s: float
-    t: float
+    _fields = ("boundaries", "s", "t")
 
-    def __post_init__(self):
-        if len(self.boundaries) != 3:
+    def __init__(self, boundaries: tuple, s: float, t: float):
+        if len(boundaries) != 3:
             raise ValueError("a pair of pants has exactly 3 boundary curves")
-        if not (self.s > 0.0 and self.t > 0.0):
+        if not (s > 0.0 and t > 0.0):
             raise NonPositiveParameter("internal parameters s, t must be positive")
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "boundaries", boundaries)
+        setattr_(self, "s", s)
+        setattr_(self, "t", t)
 
 
-@dataclass(frozen=True)
-class TorusGoldman:
+class TorusGoldman(_Record):
     """Goldman parameters of a once-punctured torus.
 
     b is the boundary curve, c the gluing meridian (always hyperbolic),
@@ -132,28 +134,27 @@ class TorusGoldman:
     gluing parameters along c.
     """
 
-    b: BoundaryData
-    c: BoundaryData
-    s: float
-    t: float
-    u: float
-    v: float
+    _fields = ("b", "c", "s", "t", "u", "v")
 
-    def __post_init__(self):
-        if self.c.kind != HYPERBOLIC:
+    def __init__(self, b: BoundaryData, c: BoundaryData, s: float, t: float, u: float,
+                 v: float):
+        if c.kind != HYPERBOLIC:
             raise ValueError("the gluing curve of the torus must be hyperbolic")
-        if not (self.s > 0.0 and self.t > 0.0):
+        if not (s > 0.0 and t > 0.0):
             raise NonPositiveParameter("internal parameters s, t must be positive")
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "b", b)
+        setattr_(self, "c", c)
+        setattr_(self, "s", s)
+        setattr_(self, "t", t)
+        setattr_(self, "u", u)
+        setattr_(self, "v", v)
 
 
-@dataclass(frozen=True)
-class PantsBD:
+class PantsBD(_Record):
     """Bonahon-Dreyer coordinates of a pair of pants, stored as Python floats."""
 
-    sigma1: tuple
-    sigma2: tuple
-    tplus: float
-    tminus: float
+    _fields = ("sigma1", "sigma2", "tplus", "tminus")
 
     def __init__(self, sigma1, sigma2, tplus, tminus):
         sigma1, sigma2 = tuple(map(float, sigma1)), tuple(map(float, sigma2))
@@ -169,13 +170,10 @@ class PantsBD:
         setattr_(self, "tminus", tminus)
 
 
-@dataclass(frozen=True)
-class TorusBD:
+class TorusBD(_Record):
     """Bonahon-Dreyer coordinates of a once-punctured torus; the gluing shears are floats."""
 
-    pants: PantsBD
-    sigma_c1: float
-    sigma_c2: float
+    _fields = ("pants", "sigma_c1", "sigma_c2")
 
     def __init__(self, pants, sigma_c1, sigma_c2):
         sigma_c1, sigma_c2 = float(sigma_c1), float(sigma_c2)
@@ -247,8 +245,9 @@ def pants_goldman_to_bd(g: PantsGoldman) -> PantsBD:
 
 def _torus_cut(g: TorusGoldman) -> tuple:
     """The torus cut open along C: the pants (B, C, C), forcing lambda2 = lambda3 and
-    mu2 = mu3, and the gluing shears along C, (u - 3v, u + 3v): (u, u) bulged by v."""
-    return PantsGoldman((g.b, g.c, g.c), g.s, g.t), shear_shift(g.u, g.u, g.v)
+    mu2 = mu3, and the gluing shears along C, (u - 3v, u + 3v): (u, u) bulged by v, not
+    checked to be finite."""
+    return PantsGoldman((g.b, g.c, g.c), g.s, g.t), _shifted(g.u, g.u, g.v)
 
 
 def torus_goldman_to_bd(g: TorusGoldman) -> TorusBD:
@@ -377,14 +376,9 @@ def quasi_hyperbolic_residual(bd: PantsBD) -> float:
     return bd.sigma1[1] + bd.sigma2[2]
 
 
-class TorusParabolicRecovery(NamedTuple):
-    """Everything determined by the 4 free pants coordinates of the parabolic torus."""
-
-    s: float
-    lam2: float
-    mu2: float
-    t: float
-    bd: PantsBD
+TorusParabolicRecovery = collections.namedtuple("TorusParabolicRecovery", "s lam2 mu2 t bd")
+TorusParabolicRecovery.__doc__ = (
+    "Everything determined by the 4 free pants coordinates of the parabolic torus.")
 
 
 def torus_parabolic_recover(sigma1, tplus: float) -> TorusParabolicRecovery:

@@ -19,9 +19,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .errors import CoincidentPoints, NonFiniteResult, PointOutsideDomain, RegionNotContained
+from .errors import (
+    CoincidentPoints,
+    NonFiniteResult,
+    PointOutsideDomain,
+    RegionNotContained,
+    _Record,
+)
 
 # numpy is imported inside the functions that make or take arrays, so that importing
 # projkit and the scalar queries do not pay for it
@@ -273,15 +278,18 @@ class ConicOval(ConvexDomain):
         return t_fwd, t_bwd, depth
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(_Record):
     """Boundary intersections of a line through two interior points.
 
     Ordered so that p, x, y, q are collinear in this order.
     """
 
-    p: np.ndarray
-    q: np.ndarray
+    _fields = ("p", "q")
+
+    def __init__(self, p: np.ndarray, q: np.ndarray):
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "p", p)
+        setattr_(self, "q", q)
 
 
 def _coords(p) -> tuple:

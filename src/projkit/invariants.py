@@ -10,25 +10,29 @@ the expected order, and positivity is checked at log time, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import NonGenericFlags, NonPositiveRatio
+from .errors import NonGenericFlags, NonPositiveRatio, _Record
 from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _unit_rule, pairing13
 
 
-@dataclass(frozen=True)
-class TripleRatio:
+class TripleRatio(_Record):
     """Multiplicative triangle invariant of a generic flag triple."""
 
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class DoubleRatios:
+class DoubleRatios(_Record):
     """The two multiplicative edge invariants of a generic flag quadruple."""
 
-    d1: float
-    d2: float
+    _fields = ("d1", "d2")
+
+    def __init__(self, d1: float, d2: float):
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "d1", d1)
+        setattr_(self, "d2", d2)
 
 
 def _denominator(value, what):

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .errors import NonFiniteResult, NotUnimodular, WrongClass
-from .rp2 import Flag, ProjLine, ProjPoint, _check_tol, _matrix_rows
+from .errors import NonFiniteResult, NotUnimodular, WrongClass, _check_tol, _matrix_rows, _Record
 
 HYPERBOLIC = "hyperbolic"
 QUASI_HYPERBOLIC = "quasi_hyperbolic"
@@ -38,8 +36,7 @@ DEFAULT_CLASSIFY_TOL = 1e-8
 _PI_3 = math.pi / 3.0
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(_Record):
     """Classification result with the eigen-data relevant to its kind.
 
     ``eigenvalues`` is populated for hyperbolic elements (descending order);
@@ -48,11 +45,16 @@ class IsometryClass:
     whether that repeated eigenvalue is the larger of the two.
     """
 
-    kind: str
-    eigenvalues: tuple | None = None
-    mu: float | None = None
-    nu: float | None = None
-    jordan_at_larger: bool | None = None
+    _fields = ("kind", "eigenvalues", "mu", "nu", "jordan_at_larger")
+
+    def __init__(self, kind: str, eigenvalues: tuple | None = None, mu: float | None = None,
+                 nu: float | None = None, jordan_at_larger: bool | None = None):
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "kind", kind)
+        setattr_(self, "eigenvalues", eigenvalues)
+        setattr_(self, "mu", mu)
+        setattr_(self, "nu", nu)
+        setattr_(self, "jordan_at_larger", jordan_at_larger)
 
     @classmethod
     def hyperbolic(cls, l1: float, l2: float, l3: float) -> "IsometryClass":
@@ -72,13 +74,16 @@ class IsometryClass:
         return cls(OTHER, eigenvalues=eigenvalues)
 
 
-@dataclass(frozen=True)
-class GoldmanLengths:
+class GoldmanLengths(_Record):
     """Logarithmic eigenvalue gaps and the Hilbert translation length."""
 
-    l1: float
-    l2: float
-    hilbert_length: float
+    _fields = ("l1", "l2", "hilbert_length")
+
+    def __init__(self, l1: float, l2: float, hilbert_length: float):
+        setattr_ = object.__setattr__  # frozen
+        setattr_(self, "l1", l1)
+        setattr_(self, "l2", l2)
+        setattr_(self, "hilbert_length", hilbert_length)
 
 
 def _unit_exponent(entries) -> int:
@@ -235,7 +240,7 @@ def classify(m, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
     Raises :class:`NotUnimodular` when det(m) deviates from 1 by more than
     ``DET_TOL`` relatively, and ValueError unless ``tol`` is positive and finite.
 
-    It is scalar Python arithmetic throughout, on m read by ``rp2._matrix_rows``: the
+    It is scalar Python arithmetic throughout, on m read by ``errors._matrix_rows``: the
     characteristic polynomial over exact integers, its roots as ratios of integers (one
     float root, the rest from exact deflation), each rounded once, ||m||_F from one
     hypot on m / c, c >= 1 a power of two, so that nothing overflows, and exact rank tests.
@@ -391,12 +396,22 @@ def bulge_vertex(y: float, x: float, v: float):
     return np.array([1.0, _bulge_entry(v, 3.0, y), x])
 
 
+def _shifted(s1: float, s2: float, v: float) -> tuple:
+    """(s1 - 3v, s2 + 3v), unchecked: the caller decides what a non-finite shear means."""
+    return (s1 - 3.0 * v, s2 + 3.0 * v)
+
+
 def shear_shift(s1: float, s2: float, v: float) -> tuple:
     """Shear coordinates after bulging by v: (s1 - 3v, s2 + 3v).
 
-    The sum s1 + s2 is unchanged and the difference s2 - s1 grows by 6v.
+    The sum s1 + s2 is unchanged and the difference s2 - s1 grows by 6v.  Raises
+    NonFiniteResult where a shear is not finite: where it overflows, or from a
+    NaN or infinite argument.
     """
-    return (s1 - 3.0 * v, s2 + 3.0 * v)
+    shifted = _shifted(s1, s2, v)
+    if not (math.isfinite(shifted[0]) and math.isfinite(shifted[1])):
+        raise NonFiniteResult(f"the shears bulged by v = {v!r} are not finite")
+    return shifted
 
 
 def bulging_configuration(y: float = 1.0, x: float = 1.0) -> tuple:
@@ -414,6 +429,7 @@ def bulging_configuration(y: float = 1.0, x: float = 1.0) -> tuple:
     """
     if y <= 0.0 or x <= 0.0:
         raise ValueError("vertex coordinates y, x must be positive")
+    from .rp2 import Flag, ProjLine, ProjPoint  # here only: classify does not load rp2
     e = Flag(ProjPoint([1.0, 0.0, 0.0]), ProjLine([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
     f = Flag(ProjPoint([0.0, 0.0, 1.0]), ProjLine([0.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
     g = Flag(ProjPoint([1.0, -y, x]), ProjLine.from_normal([x, 2.0 * x / y, 1.0]))

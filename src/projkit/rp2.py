@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+
+from .errors import _check_tol, _matrix_rows, _read_reals, _Record
 
 # Tolerance used when checking transversality determinants of unit-normalized
 # representatives.  Callers may always pass their own.
@@ -33,10 +34,6 @@ _TERM_RANGE = (2.0**-900, 2.0**900)
 # given: its spanning vectors, of sizes |n| and |n|^2, neither underflow nor overflow.
 # Outside it, n is first scaled by a power of two.
 _NORMAL_RANGE = (2.0**-500, 2.0**500)
-
-# Coordinate types read without numpy; anything else, numpy's float64 scalar included,
-# goes through np.asarray, which gives the same floats.
-_REALS = (float, int)
 
 
 def _cross(a, b) -> tuple:
@@ -80,33 +77,10 @@ def _unit_scaled(v) -> tuple:
     return tuple(math.ldexp(x, -e) for x in v)
 
 
-def _read_reals(coords):
-    """A list or tuple of three ``_REALS`` as a tuple of floats, else None."""
-    if type(coords) in (list, tuple) and len(coords) == 3:
-        x, y, z = coords
-        if type(x) in _REALS and type(y) in _REALS and type(z) in _REALS:
-            return (float(x), float(y), float(z))
-    return None
-
-
-def _matrix_rows(m, what: str):
-    """The float rows of a 3x3 matrix: three rows in a list or tuple by ``_read_reals``, else by
-    ``np.asarray(m, dtype=float)`` (the same floats), with ValueError "<what>, got shape ..."."""
-    rows = tuple(map(_read_reals, m)) if type(m) in (list, tuple) and len(m) == 3 else (None,)
-    if None in rows:
-        import numpy as np
-
-        a = np.asarray(m, dtype=float)
-        if a.shape != (3, 3):
-            raise ValueError(f"{what}, got shape {a.shape}")
-        rows = a.tolist()
-    return rows
-
-
 def _as_vector(coords, what: str) -> tuple:
     """The three coordinates as a tuple of Python floats, or ValueError.
 
-    A list or tuple of three ``_REALS``, all finite, is read directly;
+    A list or tuple of three ints or floats, all finite, is read directly;
     anything else goes through ``np.asarray(coords, dtype=float)`` and its
     shape and finiteness checks, whose messages print that array.
     """
@@ -138,16 +112,14 @@ def _frozen(c):
 # ProjPoint and ProjLine use slots: without an instance dict, and with their float
 # tuples the only containers they hold, building many flags triggers fewer
 # collections of the cyclic garbage collector.
-@dataclass(frozen=True, eq=False, slots=True)
-class ProjPoint:
+class ProjPoint(_Record, eq=False):
     """A point of RP^2, stored as a nonzero homogeneous representative.
 
     The components are kept as a tuple of Python floats, which the kernels
     read; ``v`` is a read-only float64 array of the same numbers, built on access.
     """
 
-    _c: tuple = field(repr=False)
-    _size: float = field(repr=False)  # |c|
+    __slots__ = _fields = ("_c", "_size")  # _size is |c|
 
     def __init__(self, coords):
         c = _as_vector(coords, "projective point")
@@ -164,8 +136,7 @@ class ProjPoint:
         return f"ProjPoint({list(self._c)})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ProjLine:
+class ProjLine(_Record, eq=False):
     """A line of RP^2, stored as an ordered pair of spanning 3-vectors.
 
     The line is the scale class of the wedge ``u ^ v``; ``normal`` is the
@@ -177,11 +148,8 @@ class ProjLine:
     them, built on access.
     """
 
-    _u: tuple = field(repr=False)
-    _w: tuple = field(repr=False)
-    _n: tuple = field(repr=False)
-    _size: float = field(repr=False)  # |_n|
-    _span: float = field(repr=False)  # |u| |w| of the pair whose cross product is _n
+    # _size is |_n|, _span is |u| |w| of the pair whose cross product is _n
+    __slots__ = _fields = ("_u", "_w", "_n", "_size", "_span")
 
     def __init__(self, u, w):
         self._store(u, w, image=False)
@@ -280,12 +248,10 @@ def _scaled(s, c) -> tuple:
     return (s * c[0], s * c[1], s * c[2])
 
 
-@dataclass(frozen=True, eq=False)
-class Flag:
+class Flag(_Record, eq=False):
     """A point of RP^2 together with a projective line through it."""
 
-    point: ProjPoint
-    line: ProjLine
+    _fields = ("point", "line")
 
     def __init__(self, point, line):
         if not isinstance(point, ProjPoint):
@@ -336,11 +302,6 @@ class Flag:
 
     def __repr__(self):
         return f"Flag({self.point!r}, {self.line!r})"
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _unit_rule(flags, tol: float):

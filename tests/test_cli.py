@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -416,18 +417,31 @@ class TestSweepAreaBulge:
 
 
 # ---------------------------------------------------------------------------
-# each command loads only the layers it calls, and numpy only where arrays are
+# each command loads only the layers it calls, numpy only where arrays are, and none of
+# the stdlib modules that cost a scalar command most of its start: dataclasses, the
+# inspect it imports, and typing
 
-_IN_CHILD = """
-import contextlib, io, json, runpy, sys
+# run with -S, so that no site .pth preloads typing; sys.argv[1] holds the directories
+# of projkit and numpy
+_HEAVY_IN_CHILD = """
+import json, sys
+sys.path[:0] = json.loads(sys.argv[1])
+HEAVY = ("dataclasses", "inspect", "typing")
+
+def heavy():
+    return [m for m in HEAVY if m in sys.modules]
+"""
+
+_IN_CHILD = _HEAVY_IN_CHILD + """
+import contextlib, io, runpy
 
 def loaded():
     names = sorted(m[8:] for m in sys.modules if m.startswith("projkit."))
-    return [names, "numpy" in sys.modules]
+    return [names, "numpy" in sys.modules, heavy()]
 
 import projkit
 report = [[None, *loaded()]]
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     for name in [m for m in sys.modules if m == "projkit" or m.startswith("projkit.")]:
         del sys.modules[name]  # each command starts from an unimported projkit
     sys.argv = ["projkit", *argv]
@@ -440,29 +454,41 @@ print(json.dumps(report))
 """
 
 
-def modules_in_child(*argvs):
-    """[exit code, projkit submodules loaded, numpy loaded] for ``import projkit`` (exit
-    code None), then for ``python -m projkit`` on each argv in turn, in one child that
-    unloads projkit between commands (numpy, once loaded, stays)."""
-    result = subprocess.run([sys.executable, "-c", _IN_CHILD, json.dumps(argvs)],
+def _in_bare_child(code: str, *args) -> list:
+    """The JSON that ``code`` prints in a child without site (-S), projkit and numpy on
+    its path."""
+    import numpy
+
+    paths = [str(Path(m.__file__).parents[1]) for m in (pk, numpy)]
+    result = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(paths), *args],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def modules_in_child(*argvs):
+    """[exit code, projkit submodules loaded, numpy loaded, those of dataclasses, inspect
+    and typing loaded] for ``import projkit`` (exit code None), then for
+    ``python -m projkit`` on each argv in turn, in one child that unloads projkit between
+    commands (numpy, once loaded, stays)."""
+    return _in_bare_child(_IN_CHILD, json.dumps(argvs))
 
 
 def test_scalar_commands_start_without_numpy():
     """import projkit loads errors alone; each command loads only the layers it calls, and
     convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
     three rows of 3 and a NotUnimodular refusal) and a malformed-JSON refusal leave numpy
-    unloaded; sweep, distance and area load it, which shows that the check can fail."""
+    unloaded; sweep, distance and area load it, which shows that the check can fail.  No
+    command loads dataclasses, inspect or typing, beyond what numpy loads by itself."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
-    classify, coords = ["errors", "isometry", "rp2"], ["coords", "errors", "isometry", "rp2"]
+    classify, coords = ["errors", "isometry"], ["coords", "errors", "isometry"]
     invariants, hilbert = ["errors", "invariants", "rp2"], ["errors", "hilbert"]
     cases = [(("convert", "--input", ALL_PARABOLIC), 0, coords),
              (("convert", "--input", TORUS), 0, coords),
              (("invariants", "--input", triangle_flags_json(0.25)), 0, invariants),
              (("invariants", "--input", flags), 0, invariants),
              (("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}'), 0, classify),
+             (("bulge", "--input", '{"sigma1": 0, "sigma2": 0, "v": 1e308}'), 1, classify),
              (("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'), 0,
               ["errors", "invariants", "isometry", "rp2"]),
              (("classify", "--input", "[1, 2,"), 2, classify)]
@@ -475,9 +501,10 @@ def test_scalar_commands_start_without_numpy():
                      '"x": [0, 0], "y": [0.5, 0]}'), 0, hilbert),
                    (("area", "--alphas", "0.5", "--truncation", "2", "--cellsize", "0.05"), 0,
                     hilbert)]
-    expected = [[None, ["errors"], False]]
-    expected += [[code, ["cli", *layers], False] for _, code, layers in cases]
-    expected += [[code, ["cli", *layers], True] for _, code, layers in numpy_cases]
+    numpy_heavy = _in_bare_child(_HEAVY_IN_CHILD + "import numpy\nprint(json.dumps(heavy()))")
+    expected = [[None, ["errors"], False, []]]
+    expected += [[code, ["cli", *layers], False, []] for _, code, layers in cases]
+    expected += [[code, ["cli", *layers], True, numpy_heavy] for _, code, layers in numpy_cases]
     assert modules_in_child(*(argv for argv, _, _ in cases + numpy_cases)) == expected
 
 
@@ -697,11 +724,13 @@ class TestContract:
             assert out.splitlines()[-2:] == [f"delta_sigma1 = {-3 * v}", f"delta_sigma2 = {3 * v}"]
 
     def test_non_finite_result_exit_1(self):
-        """sigma1 - v and sigma2 + v overflow: nothing is printed (it printed -inf and inf)."""
+        """sigma1 - 3v and sigma2 + 3v overflow: shear_shift refuses them, and nothing is
+        printed (it printed -inf and inf)."""
         result = run_cli("bulge", "--input", '{"sigma1": 0, "sigma2": 0, "v": 1e308}')
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == "error: NonFiniteResult: sigma1 is not finite\n"
+        assert result.stderr == (
+            "error: NonFiniteResult: the shears bulged by v = 1e+308 are not finite\n")
 
     @pytest.mark.parametrize("v", [400, -400])
     def test_bulge_flags_past_the_float_range_exit_1(self, v):

@@ -455,7 +455,9 @@ class TestBulging:
     (lambda: pk.classify(np.eye(2)), ValueError, "expected a 3x3 matrix, got shape (2, 2)"),
     (lambda: pk.IsometryClass.hyperbolic(2.0, 1.0, 0.4), ValueError,
      "hyperbolic eigenvalues must multiply to 1, got 0.8"),
-], ids=["2x2-matrix", "product-0.8"])
+    (lambda: pk.shear_shift(0.0, 0.0, 1e308), pk.NonFiniteResult,
+     "the shears bulged by v = 1e+308 are not finite"),
+], ids=["2x2-matrix", "product-0.8", "shear-overflow"])
 def test_refusals(make, error, message):
     """Refusals that no other test reaches raise their own error and message."""
     assert_refuses(make, error, message)
