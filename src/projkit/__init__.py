@@ -31,6 +31,9 @@ __version__ = "0.1.0"
 
 def _bind() -> None:
     """Import the five layers and bind their public names in this namespace."""
+    # every layer at once, not one layer per name: bench/tracing.py wraps the functions it
+    # finds in vars(projkit), so the first public name must bind them all; and bench/probe.py's
+    # cli set-up binds them all, so no layer may import numpy at module level
     from .rp2 import (
         Flag,
         ProjLine,
@@ -85,12 +88,12 @@ def _bind() -> None:
 
 def __getattr__(name: str):
     # reached only for a name not yet in this namespace; a layer's own name loads only
-    # that layer, since ``from . import isometry`` in projkit.cli asks for it here first
+    # that layer, since ``from . import isometry`` in projkit.cli asks for it here first.
+    # The interpreter's own import binds the layer here, and -X importtime reports it
     if name in ("rp2", "invariants", "isometry", "hilbert", "coords"):
-        import importlib
-
-        return importlib.import_module(f"{__name__}.{name}")
-    _bind()
+        __import__(f"{__name__}.{name}")
+    else:
+        _bind()
     try:
         return globals()[name]
     except KeyError:

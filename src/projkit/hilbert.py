@@ -279,14 +279,15 @@ class ConicOval(ConvexDomain):
 
 
 class Chord(_Record):
-    """Boundary intersections of a line through two interior points.
+    """Boundary intersections p, q (numpy arrays of two coordinates) of a line
+    through two interior points.
 
     Ordered so that p, x, y, q are collinear in this order.
     """
 
     _fields = ("p", "q")
 
-    def __init__(self, p: np.ndarray, q: np.ndarray):
+    def __init__(self, p, q):
         setattr_ = object.__setattr__  # frozen
         setattr_(self, "p", p)
         setattr_(self, "q", q)

@@ -9,6 +9,7 @@ import argparse
 import inspect
 import math
 import types
+import typing
 
 import numpy as np
 import pytest
@@ -138,6 +139,16 @@ def test_signatures():
                     method = getattr(obj, attr)
                     signatures[f"{name}.{attr}"] = list(inspect.signature(method).parameters)
     assert signatures == SIGNATURES
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_type_hints_resolve(name):
+    """The annotations of every public callable resolve, a class's on its __init__:
+    Chord.__init__ named np.ndarray in a module that imports numpy only in functions."""
+    obj = pk
+    for attr in name.split("."):
+        obj = getattr(obj, attr)
+    typing.get_type_hints(obj.__init__ if isinstance(obj, type) else obj)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -118,6 +118,17 @@ class TestClassify:
         else:
             assert result.stdout == "kind = hyperbolic\neigenvalues = 2 1 0.5\n"
 
+    @pytest.mark.parametrize("fmt, sep", [("table", " = "), ("csv", ",")], ids=["table", "csv"])
+    def test_complex_pair_digits(self, fmt, sep):
+        """A rotation's complex pairs print 17 significant digits in table and csv output,
+        each pair as in JSON output: they went through str, as [0.1, 0.99498743710662]."""
+        rotation = "[0.1,-0.99498743710661997,0,0.99498743710661997,0.1,0,0,0,1]"
+        result = run_cli("classify", "--input", rotation, "--format", fmt)
+        assert result.returncode == 0
+        assert result.stdout == (
+            f"kind{sep}other\neigenvalues{sep}[0.10000000000000001, 0.99498743710661997] "
+            "[0.10000000000000001, -0.99498743710661997] [1, 0]\n")
+
     def test_non_finite_matrix_exit_2(self):
         # rejected before any arithmetic: one error line, no numpy warning
         for entries in ("[NaN,0,0,0,1,0,0,0,1]", "[1,0,0,0,-Infinity,0,0,0,1]"):
@@ -559,6 +570,21 @@ def test_layer_attributes_load_one_layer():
     assert result.stdout == "['projkit.errors', 'projkit.hilbert']\nFalse True\n"
 
 
+@pytest.mark.parametrize("argv, layers", [
+    (("classify", "--input", "[1,1,0,0,1,1,0,0,1]"), {"projkit.isometry"}),
+    (("convert", "--input", ALL_PARABOLIC), {"projkit.coords", "projkit.isometry"}),
+], ids=["classify", "convert"])
+def test_importtime_lists_the_layers(argv, layers):
+    """python -X importtime reports the layers a command loads through the package's
+    __getattr__; loaded by importlib.import_module, they were missing from its report."""
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "projkit", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert layers <= listed
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.floats(-3.0, 3.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
        st.sampled_from(["json", "table"]))
@@ -677,23 +703,22 @@ class TestContract:
         assert result.stderr.startswith("error: MalformedInput:")
         assert "Traceback" not in result.stderr and "math domain" not in result.stderr
 
-    @pytest.mark.parametrize("args", [
-        ("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, "x": [0, 0], '
-         '"y": [0.5, false]}'),
-        ("convert", "--input", ALL_PARABOLIC.replace('"s": 2', '"s": true')),
-        ("classify", "--input", "[true,0,0,0,1,0,0,0,1]"),
-        ("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": true}'),
-        ("sweep", "--input", HYPERBOLIC_TORUS.replace('"t": 1', '"t": true')),
-        ("invariants", "--input", triangle_flags_json(0.25).replace("[0.0, 0.5, 1.0]",
-                                                                    "[0.0, 0.5, true]")),
+    @pytest.mark.parametrize("args, field", [
+        (("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, "x": [0, 0], '
+          '"y": [0.5, false]}'), "y[1]"),
+        (("convert", "--input", ALL_PARABOLIC.replace('"s": 2', '"s": true')), "s"),
+        (("classify", "--input", "[true,0,0,0,1,0,0,0,1]"), "matrix[0]"),
+        (("bulge", "--input", '{"sigma1": 0.3, "sigma2": -0.2, "v": true}'), "v"),
+        (("sweep", "--input", HYPERBOLIC_TORUS.replace('"t": 1', '"t": true')), "t"),
+        (("invariants", "--input", triangle_flags_json(0.25).replace("[0.0, 0.5, 1.0]",
+                                                                     "[0.0, 0.5, true]")),
+         "flags[0].point[2]"),
     ], ids=["distance", "convert", "classify", "bulge", "sweep", "invariants"])
-    def test_boolean_input_exit_2(self, args):
+    def test_boolean_input_exit_2(self, args, field):
         """JSON true and false are not numbers: each subcommand read them as 1 and 0
         and exited 0."""
         code, out, err = run_main(*args)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: MalformedInput:")
+        assert (code, out, err) == (2, "", f"error: MalformedInput: {field} must be a number\n")
 
     @pytest.mark.parametrize("record, argv, message", [
         (HYPERBOLIC_TORUS, ("--steps", "0"), "steps must be at least 1"),
@@ -702,6 +727,8 @@ class TestContract:
         (MIXED_PANTS, ("--boundary", "4"), "pants boundary index must be 1, 2 or 3"),
         (PARABOLIC_QUASI_PANTS, ("--boundary", "2"), "the pinched boundary must start hyperbolic"),
         (PARABOLIC_QUASI_PANTS, ("--boundary", "3"), "the pinched boundary must start hyperbolic"),
+        (ALL_PARABOLIC.replace('{"kind": "parabolic"}, ', "", 1), (),
+         "a pair of pants has exactly 3 boundary curves"),
     ])
     def test_sweep_refusals_exit_2(self, record, argv, message):
         code, out, err = run_main("sweep", "--input", record, *argv)
