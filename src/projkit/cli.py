@@ -7,8 +7,6 @@ with code 1 and a machine-readable error name on stderr; malformed input
 exits with code 2.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -69,7 +67,8 @@ def _emit_record(record: dict, fmt: str, out) -> None:
         else:
             text = str(value)
         if fmt == "csv":
-            out.write(f"{key},{text}\n")
+            # RFC 4180: a value that holds a comma (a list of pairs) is quoted
+            out.write(f'{key},"{text}"\n' if "," in text else f"{key},{text}\n")
         else:
             out.write(f"{key} = {text}\n")
 

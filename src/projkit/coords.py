@@ -23,8 +23,6 @@ gluing parameters (u, v) entering only through sigma1(C) = u - 3v and
 sigma2(C) = u + 3v (normalized so the base point is (u, v) = (0, 0)).
 """
 
-from __future__ import annotations
-
 import collections
 import math
 
@@ -35,7 +33,7 @@ from .errors import (
     NonPositiveParameter,
     _Record,
 )
-from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, _shifted
+from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, _exp, _shifted
 
 _CODIMENSION = {HYPERBOLIC: 0, QUASI_HYPERBOLIC: 1, PARABOLIC: 2}
 
@@ -310,14 +308,6 @@ def all_parabolic_coords(s: float, t: float) -> tuple:
         raise NonPositiveParameter("s and t must be positive")
     sigma1, _, tplus, _ = _convert((0.0,) * 3, (0.0,) * 3, math.log(s), math.log(t))
     return (sigma1[0], tplus)
-
-
-def _exp(x: float) -> float:
-    """e^x, inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _in_range(value: float, what: str) -> float:

@@ -10,12 +10,10 @@ norm F(u) = (1/t+ + 1/t-) / 2 (Alvarez Paiva & Thompson, "Volumes on normed and
 Finsler spaces", 2004).  A polygon's ball is spanned by the rays to its vertices,
 F read from the chord kernel; a triangle's density is in closed form, pi / (24 A)
 over the product of the barycentric coordinates (de la Harpe 1993), and so is a
-conic's.  Areas are integrated in polar coordinates, the density in units of the
-radius: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
+conic's.  Areas are integrated in polar coordinates, the density times the polar
+Jacobian: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
 distance along each ray, in which the integrand stays smooth up to the boundary.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -427,8 +425,8 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     base is the region's centre (a conic) or vertex mean (a polygon).  Along the
     ray base + rho u the Hilbert distance from base is s, with
     rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s}) for the chord exits t+-, so
-    the radial integral of (density rho^2) drho / rho is taken in s, where the
-    integrand stays smooth up to the boundary.  In the angle, Gauss-Kronrod
+    the radial integral (density w^2) ds, w^2 = rho drho / ds, is taken in s,
+    where the integrand stays smooth up to the boundary.  In the angle, Gauss-Kronrod
     panels break where the integrand has kinks: at the directions of the
     region's and the domain's vertices and their opposites (kinks of the exits
     t+ and t-), and where the region exit and the radius trade places.  A
@@ -467,10 +465,11 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
         den = tf + tb * grow
         near, far = tb / den, tf / den
         rho = grow_m1 * near * tf
-        # d rho / rho = 2 e^{2s} (t+ + t-) / ((e^{2s} - 1) den): the density in units of rho
-        dlog = 2.0 * grow * (near + far) / grow_m1
-        density = dom._density(b0 + rho * u0[:, None], b1 + rho * u1[:, None], rho)
-        return np.where(finite[:, 0], half[:, 0] * ((density * dlog) @ radial_w), np.inf)
+        # the density in units of w, w^2 = rho d rho / ds, d rho / ds = 2 e^{2s} (near + far)
+        # near t+: each factor rooted alone, as their product leaves the float range
+        w = np.sqrt(rho) * np.sqrt(2.0 * grow * (near + far) * near * tf)
+        density = dom._density(b0 + rho * u0[:, None], b1 + rho * u1[:, None], w)
+        return np.where(finite[:, 0], half[:, 0] * (density @ radial_w), np.inf)
 
     def evaluate(rows):
         # row (start, length, lo, hi, estimate, error): t in [lo, hi] of the break panel

@@ -7,8 +7,6 @@ invariants are positive for configurations arising from convex structures in
 the expected order, and positivity is checked at log time, never assumed.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import NonGenericFlags, NonPositiveRatio, _Record

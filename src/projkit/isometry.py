@@ -12,8 +12,6 @@ diagonalizable repeated eigenvalues) is reported as "other" rather than
 rejected, so arbitrary input can be inspected.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 
@@ -354,13 +352,18 @@ def goldman_lengths(c: IsometryClass) -> GoldmanLengths:
     return GoldmanLengths(l1, l2, l1 + l2)
 
 
+def _exp(x: float) -> float:
+    """e^x, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _bulge_entry(v: float, k: float, y: float = 1.0) -> float:
     """e^{kv} y, raising NonFiniteResult where it leaves the float range: where it
     overflows, or underflows to 0 from a nonzero y."""
-    try:
-        r = math.exp(k * v) * y
-    except OverflowError:
-        r = math.inf
+    r = _exp(k * v) * y
     if not math.isfinite(r) or (r == 0.0 and y != 0.0):
         raise NonFiniteResult(f"bulging by v = {v!r} leaves the float range")
     return r

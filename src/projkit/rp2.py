@@ -7,8 +7,6 @@ on the choice of representative; genericity tests normalize representatives
 first so a single tolerance is meaningful for arbitrarily scaled input.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import struct

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -51,6 +52,9 @@ TORUS = json.dumps(
         "v": 0.5,
     }
 )
+
+
+ROTATION = "[0.1,-0.99498743710661997,0,0.99498743710661997,0.1,0,0,0,1]"
 
 
 def triangle_flags_json(alpha):
@@ -118,16 +122,17 @@ class TestClassify:
         else:
             assert result.stdout == "kind = hyperbolic\neigenvalues = 2 1 0.5\n"
 
-    @pytest.mark.parametrize("fmt, sep", [("table", " = "), ("csv", ",")], ids=["table", "csv"])
-    def test_complex_pair_digits(self, fmt, sep):
+    @pytest.mark.parametrize("fmt, sep, quote", [("table", " = ", ""), ("csv", ",", '"')],
+                             ids=["table", "csv"])
+    def test_complex_pair_digits(self, fmt, sep, quote):
         """A rotation's complex pairs print 17 significant digits in table and csv output,
-        each pair as in JSON output: they went through str, as [0.1, 0.99498743710662]."""
-        rotation = "[0.1,-0.99498743710661997,0,0.99498743710661997,0.1,0,0,0,1]"
-        result = run_cli("classify", "--input", rotation, "--format", fmt)
+        each pair as in JSON output: they went through str, as [0.1, 0.99498743710662].
+        The csv value holds commas, so it is quoted (RFC 4180)."""
+        result = run_cli("classify", "--input", ROTATION, "--format", fmt)
         assert result.returncode == 0
         assert result.stdout == (
-            f"kind{sep}other\neigenvalues{sep}[0.10000000000000001, 0.99498743710661997] "
-            "[0.10000000000000001, -0.99498743710661997] [1, 0]\n")
+            f"kind{sep}other\neigenvalues{sep}{quote}[0.10000000000000001, 0.99498743710661997] "
+            f"[0.10000000000000001, -0.99498743710661997] [1, 0]{quote}\n")
 
     def test_non_finite_matrix_exit_2(self):
         # rejected before any arithmetic: one error line, no numpy warning
@@ -365,6 +370,14 @@ class TestSweepAreaBulge:
             "0.050000000000000003,5,0.002,2.4264643797531016\n"
             "0.01,5,0.002,4.0544537842594526\n"
         )
+
+    def test_area_at_a_subnormal_truncation(self):
+        """A radius of 1e-310 gives the area 0, which pi R^2 underflows to; it was inf,
+        exit 1."""
+        assert run_main("area", "--alphas", "0.25", "--truncation", "1e-310") == (0, (
+            "# config: area alphas=0.25 truncation=9.9999999999999694e-311 cellsize=0.002\n"
+            "alpha,truncation,cellsize,area\n"
+            "0.25,9.9999999999999694e-311,0.002,0\n"), "")
 
     @pytest.mark.parametrize(
         "args",
@@ -849,6 +862,29 @@ def _decimal_log_mu(kind, lam, tau):
 
 FLAGS3 = json.loads(triangle_flags_json(0.25))
 FLAGS4 = [f.to_json() for f in pk.bulging_configuration(1.0, 1.0)]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("invariants", FLAGS3),
+    ("invariants", FLAGS4),
+    ("classify", [2, 0, 0, 0, 1, 0, 0, 0, 0.5]),
+    ("classify", [2, 1, 0, 0, 2, 0, 0, 0, 0.25]),
+    ("classify", [1, 1, 0, 0, 1, 1, 0, 0, 1]),
+    ("classify", json.loads(ROTATION)),
+    ("distance", {"domain": {"conic": [1, 0, 1, 0, 0, -1]}, "x": [0, 0], "y": [0.5, 0]}),
+    ("convert", json.loads(MIXED_PANTS)),
+    ("convert", json.loads(HYPERBOLIC_TORUS)),
+    ("bulge", {"sigma1": 0.3, "sigma2": -0.2, "v": 0.1}),
+    ("bulge", {"flags": FLAGS4, "v": 0.2}),
+], ids=["triple", "quadruple", "hyperbolic", "quasi-hyperbolic", "parabolic", "complex-pair",
+        "distance", "pants", "torus", "bulge-shears", "bulge-flags"])
+def test_csv_lines_have_two_fields(command, doc):
+    """Every csv line of every record command reads back as one name and one value."""
+    code, out, err = run_main(command, "--input", json.dumps(doc), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == 2 for row in rows), out
+
 
 def _replaced(doc, path, value):
     """The JSON text of ``doc`` with ``value`` at ``path``."""

@@ -403,6 +403,7 @@ class TestStrata:
         for kind in ("hyperbolic", "quasi_hyperbolic", "parabolic"):
             names = pk.stratum_parameters("torus", (kind,))
             assert len(names) == 8 - pk.stratum_codimension((kind,))
+            assert pk.stratum_parameters("torus", kind) == names  # a bare kind string
 
     def test_unenumerated_stratum_rejected(self):
         with pytest.raises(ValueError):

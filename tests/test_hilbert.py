@@ -836,16 +836,18 @@ class TestBusemannArea:
                      for eps in (1e-4, 1e-2))
         assert far + 5.0 < near < math.inf
 
-    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e153, 1e154,
-                                   1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("s", [3e-307, 1e-306, 1e-305, 1e-300, 1e-200, 1e-160, 1e-100,
+                                   1e100, 1e153, 1e154, 1e155, 1e200, 1e300])
     def test_polygon_area_at_every_scale(self, s):
         """The square [-s, s]^2 and a triangle in it.  In absolute units the density
         (~1 / s^2) and the ball's shoelace (~s^2) left the float range: the area was inf
-        at s = 1e-160 and from 1e155 on, 0.0 at 1e154.  In units of the radius it keeps
-        its value to 4 ulp.  So does a triangle in the triangle with legs s, whose density
-        is in closed form, a product of ratios of lengths (A = s^2 / 2 alone overflows at
-        s = 1e200), to the 16 ulp of its rounding: its vertices scale exactly, but moving
-        s by one ulp from 1 already moves its area by up to 12 ulp."""
+        at s = 1e-160 and from 1e155 on, 0.0 at 1e154.  In units of the length w, w^2 =
+        rho d rho / ds, it keeps its value to 4 ulp; in units of the radius rho, against
+        d rho / rho, it was inf from s = 1e-305 down.  So does a triangle in the triangle
+        with legs s, whose density is in closed form, a product of ratios of lengths
+        (A = s^2 / 2 alone overflows at s = 1e200), to the 16 ulp of its rounding: its
+        vertices scale exactly, but moving s by one ulp from 1 already moves its area by
+        up to 12 ulp."""
         def area(s):
             square = pk.Polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
             triangle = pk.Polygon([[0.0, 0.0], [s, 0.0], [0.0, s]])
@@ -1062,6 +1064,15 @@ class TestTriangleExperiment:
         area = pk.triangle_area_experiment(0.25, truncation, 0.05)
         ideal = pk.Polygon([[0.0, 0.5], [0.25, 0.0], [0.5, 0.5]])
         assert area == pytest.approx(pk.busemann_area(standard_triangle(), ideal, 0.05), rel=1e-9)
+
+    @pytest.mark.parametrize("radius", [1e-310, 1e-200, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.3])
+    def test_small_truncation_is_a_normed_disk(self, radius):
+        """A Hilbert ball in a triangle is a ball of a normed plane (de la Harpe 1993),
+        whose Busemann area is pi R^2 exactly; 0.0 where pi R^2 underflows.  With the
+        density taken against d rho / rho, ~1 / (e^{2s} - 1), it was inf at R = 1e-310."""
+        area = pk.triangle_area_experiment(0.25, radius, 1e-3)
+        disk = math.pi * radius * radius
+        assert area == pytest.approx(disk, rel=1e-13, abs=0.0) if disk else area == 0.0
 
     @pytest.mark.parametrize("truncation", [1e308, 1.7976931348623157e308])
     def test_radius_past_the_float_range_without_warnings(self, truncation):

@@ -37,6 +37,12 @@ class TestPairing:
         p = point(1, 2, 3)
         assert pk.triple_det(p, p, point(0, 0, 1)) == 0.0
         assert pk.triple_det(point(1, 0, 0), point(0, 2, 0), point(0, 0, 3)) == 6.0
+        # a . (a x c) whose exact sum overflows on the way: numpy's value, NaN
+        a, c = (1e200, 1e200, 1e200), (1.0, 1e200, -1e200)
+        with np.errstate(all="ignore"):
+            expected = np.array(a) @ np.cross(a, c)
+        np.testing.assert_equal(pk.triple_det(point(*a), point(*a), point(*c)), expected)
+        assert math.isnan(expected)
 
     def test_multilinearity_under_scaling(self):
         rng = np.random.default_rng(3)
