@@ -13,6 +13,14 @@ over the product of the barycentric coordinates (de la Harpe 1993), and so is a
 conic's.  Areas are integrated in polar coordinates, the density times the polar
 Jacobian: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
 distance along each ray, in which the integrand stays smooth up to the boundary.
+
+A polygon region in a triangle, and its truncation to a Hilbert ball (a hexagon
+with straight sides), is the exception: there the area is a sum of closed-form
+terms, one set per edge, of logarithms and the dilogarithm (Green's theorem, see
+``_triangle_area`` for the method and its error bound), exact to rounding, and
+``cellsize`` has no effect on it.  Conic domains, conic regions and polygon domains
+with more than three sides take the quadrature; the Gauss-Bonnet area of a polygon
+in a conic, which would make that case exact too, is left for later.
 """
 
 import functools
@@ -30,10 +38,9 @@ from .errors import (
 # projkit and the scalar queries do not pay for it
 
 # adaptive refinement limits: the narrowest panel refinement may split (radians, in
-# theta; breaks closer than this are merged once the solved truncation crossings are
-# among them, and the smoothstep map still packs nodes closer than this to a break, where
-# a ray can round onto a boundary vertex: ROADMAP item 2) and the panel count that ends
-# refinement
+# theta; breaks closer than this are merged, and the smoothstep map still packs nodes
+# closer than this to a break, where a ray can round onto a boundary vertex: ROADMAP
+# item 2) and the panel count that ends refinement
 _MIN_PANEL = 1e-8
 _MAX_PANELS = 2048
 
@@ -419,43 +426,37 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _polar_area(dom, region, radius: float, rtol: float) -> float:
-    """Busemann area of the points of region within Hilbert distance radius of base.
+def _polar_area(dom, region, rtol: float) -> float:
+    """Busemann area of region, by quadrature to the relative tolerance rtol.
 
-    base is the region's centre (a conic) or vertex mean (a polygon).  Along the
-    ray base + rho u the Hilbert distance from base is s, with
-    rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s}) for the chord exits t+-, so
-    the radial integral (density w^2) ds, w^2 = rho drho / ds, is taken in s,
-    where the integrand stays smooth up to the boundary.  In the angle, Gauss-Kronrod
-    panels break where the integrand has kinks: at the directions of the
-    region's and the domain's vertices and their opposites (kinks of the exits
-    t+ and t-), and where the region exit and the radius trade places.  A
-    finite radius comes only with a polygon domain and region (from
-    triangle_area_experiment): between vertex directions the reciprocal exits
-    1/t+, 1/t- and 1/rho are then linear in u, and so is the equation of each
-    crossing, which is solved exactly from the exits at the breaks around it.
+    The integral runs in polar coordinates about base, the region's centre (a
+    conic) or vertex mean (a polygon).  Along the ray base + rho u the Hilbert
+    distance from base is s, with rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s})
+    for the chord exits t+-, so the radial integral (density w^2) ds,
+    w^2 = rho drho / ds, is taken in s, where the integrand stays smooth up to
+    the boundary.  In the angle, Gauss-Kronrod panels break where the integrand
+    has kinks: at the directions of the region's and the domain's vertices and
+    their opposites (kinks of the exits t+ and t-).  A polygon region in a
+    triangle does not come here: ``_triangle_area`` gives its area exactly.  A
+    polygon region in a conic does, until its Gauss-Bonnet area is in place.
     """
     import numpy as np
 
     base = region.center if isinstance(region, ConicOval) else region.vertices.mean(axis=0)
     b0, b1 = base.tolist()
-
-    def exits(u0, u1):
-        # the exits t+- from base along u and the region's exit rho
-        t_fwd, t_bwd, _ = dom._exits_paired(b0, b1, u0, u1)
-        # the region may touch the boundary: never leave the domain
-        return t_fwd, t_bwd, _minimum(region._exits_paired(b0, b1, u0, u1)[0], t_fwd)
-
     radial_x, radial_w = _radial_rule()
     gk_x, gk_w, g7_w = _kronrod_rule()
 
     def radial_integral(theta):
         u0, u1 = np.cos(theta), np.sin(theta)
-        tf, tb, rho = exits(u0, u1)
+        # the exits t+- from base along u and the region's exit rho; the region may touch
+        # the boundary: never leave the domain
+        tf, tb, _ = dom._exits_paired(b0, b1, u0, u1)
+        rho = _minimum(region._exits_paired(b0, b1, u0, u1)[0], tf)
         # the distance to the region's exit: log1p of the cross ratio less 1, and expm1 below,
         # keep a region of small Hilbert size to rounding, where log(1 + z) and e^{2s} - 1 lose
         # eps / s
-        s_max = np.minimum(0.5 * np.log1p(rho * _div(1.0 + _div(tf, tb), tf - rho)), radius)
+        s_max = 0.5 * np.log1p(rho * _div(1.0 + _div(tf, tb), tf - rho))
         tf, tb, s_max = tf[:, None], tb[:, None], s_max[:, None]
         finite = np.isfinite(s_max)
         half = 0.5 * np.where(finite, s_max, 0.0)
@@ -489,21 +490,10 @@ def _polar_area(dom, region, radius: float, rtol: float) -> float:
     rays = np.concatenate([rays, -rays])
     angles = np.arctan2(rays[:, 1], rays[:, 0]) % (2.0 * math.pi)
     edges = np.unique(np.append(angles, 2.0 * math.pi))
+    edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
     # one error state for the quadrature: an edge along u divides by 0 in the exits, and the
     # total comes out inf where e^{2s} overflows or a base on the boundary has depth 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if math.isfinite(radius):
-            # between breaks 1/t+, 1/t- and 1/rho are linear in u, and s < radius exactly where
-            # L(u) = 1/t+ + e^{-2R}/t- - (1 - e^{-2R})/rho < 0: each sign change of L between
-            # breaks u_k, u_k+1 is cut at the zero of L((1 - f) u_k + f u_k+1), linear in f
-            t_fwd, t_bwd, rho = exits(np.cos(edges), np.sin(edges))
-            level = 1.0 / t_fwd + math.exp(-2.0 * radius) / t_bwd + math.expm1(-2.0 * radius) / rho
-            k = np.nonzero((level[:-1] < 0.0) != (level[1:] < 0.0))[0]
-            f, width = level[k] / (level[k] - level[k + 1]), edges[k + 1] - edges[k]
-            cuts = edges[k] + np.arctan2(f * np.sin(width), 1.0 - f + f * np.cos(width))
-            edges = np.sort(np.concatenate([edges, cuts]))
-        edges = np.concatenate([edges[:1], edges[1:][np.diff(edges) > _MIN_PANEL]])
-
         ends = np.ones(len(edges) - 1)
         rows = evaluate(np.stack([edges[:-1], np.diff(edges), 0.0 * ends, ends, ends, ends], 1))
         while math.isfinite(total := math.fsum(rows[:, 4])) and np.sum(rows[:, 5]) > rtol * total:
@@ -553,14 +543,186 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     return dom._depth(*region.center.tolist()) - b[-1] - norm * excess
 
 
+# Li2(1) = pi^2 / 6, and the Bernoulli coefficients B_2k / (2k + 1)!, k = 9 down to 1, of
+# Li2(x) = u - u^2 / 4 + sum_k B_2k u^(2k + 1) / (2k + 1)! in u = -log(1 - x)
+_LI2_ONE = 1.6449340668482264
+_LI2_SERIES = (4.518980029619918e-16, -1.9939295860721074e-14, 8.921691020456452e-13,
+               -4.0647616451442256e-11, 1.8978869988971e-09, -9.185773074661964e-08,
+               4.72411186696901e-06, -0.0002777777777777778, 0.027777777777777776)
+
+
+def _li2(x: float) -> float:
+    """The dilogarithm Li2(x) = -int_0^x log(1 - t) dt / t, for -1 <= x <= 1.
+
+    On [-1, 1/2] the Bernoulli series in u = -log(1 - x), |u| <= log 2, which the
+    terms above end at ~1e-19 relative; above 1/2 the reflection formula
+    Li2(x) = pi^2 / 6 - log(x) log(1 - x) - Li2(1 - x) (Zagier, "The dilogarithm
+    function", 2007).  Within 2 ulp of Li2 on 15 points of [-1, 1] (mpmath).
+    """
+    if x > 0.5:
+        if x == 1.0:
+            return _LI2_ONE
+        return _LI2_ONE - math.log(x) * math.log1p(-x) - _li2(1.0 - x)
+    u = -math.log1p(-x)
+    u2 = u * u
+    tail = 0.0
+    for c in _LI2_SERIES:
+        tail = tail * u2 + c
+    return u + u2 * (u * tail - 0.25)
+
+
+def _log_over_t(l0, t0, l1, t1, dt):
+    """The integral of log(l) dt / t along an edge, from (l0, t0) to (l1, t1), dt = t1 - t0.
+
+    l > 0 is a barycentric coordinate and t the offset of y from a pole of the Green
+    potential, both linear along the edge, t of one sign.  With l = l_r + m t, l_r the
+    value at t = 0, an antiderivative is A(t) = log(l_r) log|t| - Li2(w), w = 1 - l / l_r,
+    taken where l_r > 0 and w >= -1; elsewhere the inversion formula's
+    B(t) = log|t| (log|m| + log|t| / 2) + Li2(1 / w), which keeps the log(l_r)^2-sized
+    terms of A off an edge whose line passes near a corner.  A - B is the constant
+    pi^2 / 6 + log(|m| / l_r)^2 / 2 for l_r > 0, added where the two ends differ in form.
+    Each end is evaluated from its own coordinates, so an end with l = 0 takes Li2(1)
+    exactly.  At an end with t = 0 the term log(l_r) log|t| is dropped: the other edge
+    there has the same l_r = l, and the two cancel.
+    """
+    # l_r from the end nearer t = 0, exact where that end has t = 0
+    near_l, near_t = (l0, t0) if abs(t0) <= abs(t1) else (l1, t1)
+    reach = near_t / dt
+    if abs(reach) == math.inf:
+        return 0.0  # dt / t underflows: the integral, ~log(l) dt / t, is below rounding
+    lr = near_l - (l1 - l0) * reach
+    ends = []
+    for l, t in ((l0, t0), (l1, t1)):
+        if t == 0.0:
+            ends.append((True, 0.0))
+        elif 0.0 < lr and l <= 2.0 * lr:
+            ends.append((True, math.log(lr) * math.log(abs(t)) - _li2(1.0 - l / lr)))
+        else:
+            # l1 != l0 here: a constant l = l_r > 0 keeps w = 0
+            log_m, log_t = math.log(abs(l1 - l0)) - math.log(abs(dt)), math.log(abs(t))
+            ends.append((False, log_t * (log_m + 0.5 * log_t) + _li2(lr / (lr - l))))
+    (form0, v0), (form1, v1) = ends
+    if form0 != form1:
+        shift = _LI2_ONE + 0.5 * (log_m - math.log(lr)) ** 2
+        v0, v1 = (v0, v1 + shift) if form0 else (v0 + shift, v1)
+    return v1 - v0
+
+
+def _triangle_area(verts, base=None, radius: float = math.inf) -> float:
+    """Busemann area of a convex polygon in the standard triangle, exact to rounding.
+
+    verts are the polygon's counterclockwise vertices as barycentric coordinates
+    (x, y, z), z = 1 - x - y, each at least 0.  With radius, the polygon is first
+    truncated to the Hilbert ball of that radius about base (a triple too).
+
+    The triangle is a normed plane in log-barycentric coordinates, whose density is
+    pi / (12 x y z) (de la Harpe, "On Hilbert's metric for simplices", 1993), and
+    F = log(x / z) / (y (1 - y)) has dF/dx = 1 / (x y z).  By Green's theorem the area
+    is pi / 12 times the sum over the edges of the integral of F dy, which splits
+    into the four integrals of log(l) / t dt, l in {x, z} and t in {y, y - 1}, that
+    ``_log_over_t`` takes in closed form.  A vertex at a corner, or an edge along a
+    side, is infinite area: there the log terms diverge rather than cancel.
+
+    The Hilbert ball in a triangle is the hexagon p_j >= e^{-2R} (b_j / b_i) p_i
+    (i != j) in barycentric coordinates p, a ball of the normed plane: where every one
+    of its vertices lies in the polygon, no side cuts it and its area is pi R^2
+    exactly, which the edge sum would give only to eps / R^2.  Otherwise the polygon
+    is clipped to it (Sutherland-Hodgman), each crossing a combination of two vertices
+    with weights in [0, 1], so that no coordinate rounds below 0 or underflows where
+    the vertices do not.  From R ~ 372 on e^{-2R} is 0 and nothing is clipped.
+
+    The error is a few ulp of the largest edge terms, ~log^2 of the least distance of
+    a vertex to a side.  Against the 60-digit edge sum of tests/triangle_areas.py:
+    at most 6.7e-16 relative for projkit area's defaults and 3.6e-15 over 40 random
+    regions (untruncated and at R = 0.5, 2, 6); up to 1.9e-14 for R = 100 .. 360 with
+    alpha from 0.5 down to 5e-324, where clipped vertices lie e^{-2R} from the sides.
+    Where e^{-2R} b_j / b_i is subnormal (R ~ 354 .. 372) the hexagon's sides keep
+    only its few bits, which moves the area of a region within that distance of a
+    corner: 2.6e-6 for alpha = 5e-324 at R = 372.
+    """
+    if radius < math.inf:
+        k = math.exp(-2.0 * radius)
+        # the hexagon's vertices: p_i / b_i proportional to (1, k, k), (1, 1, k), permuted
+        hexagon = [[b * w for b, w in zip(base, q)] for q in (
+            (1.0, k, k), (k, 1.0, k), (k, k, 1.0), (1.0, 1.0, k), (1.0, k, 1.0), (k, 1.0, 1.0))]
+        # det(p, q, h) >= 0 where h lies left of the edge p q
+        if all((p[1] * q[2] - p[2] * q[1]) * h0 + (p[2] * q[0] - p[0] * q[2]) * h1
+               + (p[0] * q[1] - p[1] * q[0]) * h2 >= 0.0
+               for p, q in zip(verts, verts[1:] + verts[:1]) for h0, h1, h2 in hexagon):
+            return math.pi * radius * radius
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    verts = _clip(verts, i, j, k * (base[j] / base[i]))
+    terms = []
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        if p.count(0.0) > 1 or any(a == b == 0.0 for a, b in zip(p, q)):
+            return math.inf
+        (x0, y0, z0), (x1, y1, z1) = p, q
+        dy = y1 - y0
+        if dy:
+            # t = y at the side y = 0, and t = y - 1 = -(x + z) at the corner y = 1
+            s0, s1 = -(x0 + z0), -(x1 + z1)
+            terms += [_log_over_t(x0, y0, x1, y1, dy), -_log_over_t(x0, s0, x1, s1, dy),
+                      -_log_over_t(z0, y0, z1, y1, dy), _log_over_t(z0, s0, z1, s1, dy)]
+    return math.pi / 12.0 * math.fsum(terms)
+
+
+def _clip(verts, i, j, c):
+    """The part of the polygon verts (barycentric triples) where p_j >= c p_i."""
+    out = []
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        fp, fq = p[j] - c * p[i], q[j] - c * q[i]
+        if fp >= 0.0:
+            out.append(p)
+        if (fp >= 0.0) != (fq >= 0.0):
+            wp, wq = fq / (fq - fp), fp / (fp - fq)
+            out.append(tuple(wp * a + wq * b for a, b in zip(p, q)))
+    return out
+
+
+def _barycentric(corners, points):
+    """Barycentric coordinates (x, y, z) of points in the triangle with these corners.
+
+    The affine map taking the corners to (0, 0), (1, 0), (0, 1) takes a point to
+    (x, y), and z = 1 - x - y.  Each coordinate is the slack of its own edge over that
+    of the opposite corner, so it keeps its digits near that edge; a point within
+    rounding outside an edge (the containment margin) is put on it.
+    """
+    # in units of powers of two, each largest value brought into [1, 2): of the corners, so
+    # that no difference overflows (and a subnormal point of the standard triangle keeps its
+    # bits), then of the sides, so that no product of differences underflows
+    e = 1 - math.frexp(max(abs(c) for corner in corners for c in corner))[1]
+    corners = [(math.ldexp(c0, e), math.ldexp(c1, e)) for c0, c1 in corners]
+    points = [(math.ldexp(p0, e), math.ldexp(p1, e)) for p0, p1 in points]
+    f = 1 - math.frexp(max(abs(u - v) for a in corners for b in corners for u, v in zip(a, b)))[1]
+    coords = []
+    for k in range(3):
+        (a0, a1), (b0, b1), (c0, c1) = corners[k:] + corners[:k]
+        e0, e1 = math.ldexp(b0 - a0, f), math.ldexp(b1 - a1, f)
+
+        def slack(p0, p1):
+            return e0 * math.ldexp(p1 - a1, f) - e1 * math.ldexp(p0 - a0, f)
+
+        height = slack(c0, c1)
+        coords.append([max(slack(p0, p1) / height, 0.0) for p0, p1 in points])
+    # the slack of edge k (corner k to k + 1) is the coordinate of corner k + 2
+    y, z, x = coords
+    return list(zip(x, y, z))
+
+
 def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> float:
     """Busemann (Hilbert) area of a convex region inside the domain.
 
-    Integrates the exact density pi / EuclideanArea(unit Finsler ball) over
-    the region by polar quadrature about an interior point of the region.
-    ``cellsize`` sets the accuracy: the relative tolerance is ``cellsize**2``,
+    A polygon region in a triangle has its area in closed form, exact to
+    rounding (``_triangle_area``: within 1e-14 relative of a 60-digit reference
+    on the tested cases), and ``cellsize`` has no effect on it.  Any other pair
+    integrates the exact density pi / EuclideanArea(unit Finsler ball) over the
+    region by polar quadrature about an interior point of the region, and
+    ``cellsize`` sets its accuracy: the relative tolerance is ``cellsize**2``,
     the error a midpoint grid of that cell size has on a smooth integrand.
-    The region may touch the domain boundary.  It has finite area when it
+    A polygon region in a conic is hyperbolic, whose Gauss-Bonnet area is left
+    for later.  The region may touch the domain boundary.  It has finite area when it
     touches it only at points of a conic or of a polygon's edges.  ``math.inf``
     means that it shares a boundary arc, or that it has a vertex at a corner of
     a polygon domain: near a corner the Hilbert geometry is a simplex's, a
@@ -578,10 +740,12 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
         contained = _least_depth(dom, region) > -1e-9
     if not contained:
         raise RegionNotContained("integration region is not contained in the domain")
-    if isinstance(dom, Polygon) and isinstance(region, Polygon) and (
-            region.vertices[:, None] == dom.vertices).all(axis=2).any():
-        return math.inf  # a vertex at a corner, as floats: exact
-    return _polar_area(dom, region, math.inf, cellsize * cellsize)
+    if isinstance(dom, Polygon) and isinstance(region, Polygon):
+        if (region.vertices[:, None] == dom.vertices).all(axis=2).any():
+            return math.inf  # a vertex at a corner, as floats: exact
+        if len(dom.vertices) == 3:
+            return _triangle_area(_barycentric(dom.vertices.tolist(), region.vertices.tolist()))
+    return _polar_area(dom, region, cellsize * cellsize)
 
 
 def triangle_area_experiment(alpha: float, truncation: float, cellsize: float) -> float:
@@ -593,13 +757,15 @@ def triangle_area_experiment(alpha: float, truncation: float, cellsize: float) -
     as alpha decreases toward 0 and the vertex (alpha, 0) nears the corner
     (0, 0).  Truncating to the Hilbert ball of the given radius around the
     inscribed triangle's barycenter makes the growth observable as a monotone
-    sequence of finite areas.  ``cellsize`` sets the relative tolerance
-    ``cellsize**2`` as in busemann_area.
+    sequence of finite areas.  The area is exact to rounding (see
+    ``_triangle_area`` for the bound): ``cellsize`` is checked as in
+    busemann_area and has no effect.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
     if not (0.0 < truncation < math.inf and 0.0 < cellsize < math.inf):
         raise ValueError("truncation and cellsize must be positive and finite")
-    dom = Polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    region = Polygon([[0.0, 0.5], [alpha, 0.0], [0.5, 0.5]])
-    return _polar_area(dom, region, truncation, cellsize * cellsize)
+    # the ball's centre is the region's vertex mean
+    *region, base = _barycentric([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [
+        (0.0, 0.5), (alpha, 0.0), (0.5, 0.5), ((0.5 + alpha) / 3.0, 1.0 / 3.0)])
+    return _triangle_area(region, base, truncation)

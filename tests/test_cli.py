@@ -356,19 +356,19 @@ class TestSweepAreaBulge:
         assert float(rows[1][3]) > float(rows[0][3])
 
     def test_area_defaults_golden(self):
-        """The five default areas keep every printed digit.  The triangle's closed-form
-        density and the exact truncation crossings moved the last digits by at most 2 ulp,
-        far below their 3e-8 .. 1e-10 error against the exact reference."""
+        """The five default areas, from the closed-form edge sum: each within 6.7e-16 of
+        the 60-digit reference in tests/triangle_areas.json.  The quadrature's digits,
+        1.2918569293390896 .. 4.0544537842594526, were 1e-10 .. 3.8e-8 off."""
         result = run_cli("area")
         assert result.returncode == 0
         assert result.stdout == (
             "# config: area alphas=0.5,0.25,0.1,0.05,0.01 truncation=5 cellsize=0.002\n"
             "alpha,truncation,cellsize,area\n"
-            "0.5,5,0.002,1.2918569293390896\n"
-            "0.25,5,0.002,1.4498173419798615\n"
-            "0.10000000000000001,5,0.002,1.9236981770033714\n"
-            "0.050000000000000003,5,0.002,2.4264643797531016\n"
-            "0.01,5,0.002,4.0544537842594526\n"
+            "0.5,5,0.002,1.2918568801601551\n"
+            "0.25,5,0.002,1.4498173423798784\n"
+            "0.10000000000000001,5,0.002,1.9236981767962731\n"
+            "0.050000000000000003,5,0.002,2.4264643790916738\n"
+            "0.01,5,0.002,4.0544537804729179\n"
         )
 
     def test_area_at_a_subnormal_truncation(self):
@@ -501,8 +501,8 @@ def modules_in_child(*argvs):
 def test_scalar_commands_start_without_numpy():
     """import projkit loads errors alone; each command loads only the layers it calls, and
     convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
-    three rows of 3 and a NotUnimodular refusal) and a malformed-JSON refusal leave numpy
-    unloaded; sweep, distance and area load it, which shows that the check can fail.  No
+    three rows of 3 and a NotUnimodular refusal), area and a malformed-JSON refusal leave
+    numpy unloaded; sweep and distance load it, which shows that the check can fail.  No
     command loads dataclasses, inspect or typing, beyond what numpy loads by itself."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
     classify, coords = ["errors", "isometry"], ["coords", "errors", "isometry"]
@@ -515,6 +515,7 @@ def test_scalar_commands_start_without_numpy():
              (("bulge", "--input", '{"sigma1": 0, "sigma2": 0, "v": 1e308}'), 1, classify),
              (("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'), 0,
               ["errors", "invariants", "isometry", "rp2"]),
+             (("area", "--alphas", "0.5", "--truncation", "2", "--cellsize", "0.05"), 0, hilbert),
              (("classify", "--input", "[1, 2,"), 2, classify)]
     cases += [(("classify", "--input", m), code, classify) for m, code in (
         ("[2,0,0,0,1,0,0,0,0.5]", 0), ("[2,1,0,0,2,0,0,0,0.25]", 0), ("[1,1,0,0,1,1,0,0,1]", 0),
@@ -522,9 +523,7 @@ def test_scalar_commands_start_without_numpy():
         ("[2,0,0,0,1,0,0,0,1]", 1))]
     numpy_cases = [(("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2"), 0, coords),
                    (("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, '
-                     '"x": [0, 0], "y": [0.5, 0]}'), 0, hilbert),
-                   (("area", "--alphas", "0.5", "--truncation", "2", "--cellsize", "0.05"), 0,
-                    hilbert)]
+                     '"x": [0, 0], "y": [0.5, 0]}'), 0, hilbert)]
     numpy_heavy = _in_bare_child(_HEAVY_IN_CHILD + "import numpy\nprint(json.dumps(heavy()))")
     expected = [[None, ["errors"], False, []]]
     expected += [[code, ["cli", *layers], False, []] for _, code, layers in cases]

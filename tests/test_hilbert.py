@@ -1,6 +1,8 @@
 """Hilbert metric: chords, distances, Finsler norms and Busemann areas."""
 
+import json
 import math
+import pathlib
 import re
 import sys
 import warnings
@@ -25,6 +27,15 @@ def unit_square():
 
 def standard_triangle():
     return pk.Polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+# 60-digit areas of polygon regions in the standard triangle, from tests/triangle_areas.py
+TRIANGLE_AREAS = {row["case"]: row for row in json.loads(
+    pathlib.Path(__file__).with_name("triangle_areas.json").read_text())}
+
+
+def reference_area(case):
+    return float(TRIANGLE_AREAS[case]["area"])
 
 
 def regular_hexagon():
@@ -884,7 +895,8 @@ def _reference_least_depth(dom, region):
     refined by golden-section search.  Depth is concave, so it is least on the
     boundary.  A polygon region's vertices are samples; a conic region's boundary
     point in direction u is c + u sqrt(-q_min / u^T A u), u running round the square
-    [-1, 1]^2.  A conic is read as its stored form A / -q_min, so q_min = -1."""
+    [-1, 1]^2.  A conic is read as its stored form A / -q_min, so q_min = -1, and a
+    polygon's depth is each edge's slack over its slack at the vertex mean."""
 
     def dec(a):
         return [dec(x) for x in a] if isinstance(a, list) else Decimal(a)
@@ -910,9 +922,10 @@ def _reference_least_depth(dom, region):
                 return [rc0 + r * u0, rc1 + r * u1]
         if isinstance(dom, pk.Polygon):
             vs = dec(dom.vertices.tolist())
-            scale = max(Decimal(1), *(abs(x) for v in vs for x in v))
+            mean = [sum(v[i] for v in vs) / len(vs) for i in range(2)]
             edges = [(p, q[0] - p[0], q[1] - p[1]) for p, q in zip(vs, vs[1:] + vs[:1])]
-            edges = [(p, dx, dy, (dx * dx + dy * dy).sqrt() * scale) for p, dx, dy in edges]
+            edges = [(p, dx, dy, dx * (mean[1] - p[1]) - dy * (mean[0] - p[0]))
+                     for p, dx, dy in edges]
 
             def depth(x):
                 return min((dx * (x[1] - p[1]) - dy * (x[0] - p[0])) / n for p, dx, dy, n in edges)
@@ -1076,11 +1089,54 @@ class TestTriangleExperiment:
 
     @pytest.mark.parametrize("truncation", [1e308, 1.7976931348623157e308])
     def test_radius_past_the_float_range_without_warnings(self, truncation):
-        """e^{2s} overflows along the rays: the area is inf (the CLI's NonFiniteResult),
-        and numpy's overflow and invalid-value warnings no longer reach stderr."""
+        """e^{-2R} is 0, so the ball clips nothing: the area is the untruncated one, finite
+        for a vertex (5e-324, 0) off the corner, with no warning.  The quadrature, whose
+        e^{2s} overflowed along the rays, gave inf."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pk.triangle_area_experiment(5e-324, truncation, 0.05) == math.inf
+            area = pk.triangle_area_experiment(5e-324, truncation, 0.05)
+        assert area == pytest.approx(reference_area("alpha=5e-324 truncation=1e308"),
+                                     rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", list(TRIANGLE_AREAS))
+    def test_decimal_reference(self, case):
+        """Each area of the committed 60-digit reference to 1e-13: the experiment for a
+        truncated case, busemann_area in the standard triangle for an untruncated one."""
+        row = TRIANGLE_AREAS[case]
+        if row["truncation"] is None:
+            area = pk.busemann_area(standard_triangle(), pk.Polygon(row["region"]), 1e-3)
+        else:
+            area = pk.triangle_area_experiment(row["region"][1][0], row["truncation"], 0.002)
+        assert area == pytest.approx(reference_area(case), rel=1e-13, abs=0.0)
+
+    def test_reference_matches_its_generator(self):
+        """The committed reference is what tests/triangle_areas.py writes, shown on the
+        cheapest case."""
+        import triangle_areas
+
+        name, region, radius = next(c for c in triangle_areas.CASES if c[0] == "interior")
+        assert format(triangle_areas.area(region, radius), ".30e") == TRIANGLE_AREAS[name]["area"]
+
+    def test_cellsize_has_no_effect(self):
+        """The areas are exact: cellsize is validated and then unused, so the defaults of
+        projkit area and the near-corner region give the same floats at every cellsize.
+        The quadrature gave the near-corner region 69.73621865464321 at cellsize 1e-3 and
+        inf at 1e-5, where a ray's outer node rounded onto the boundary."""
+        for alpha in (0.5, 0.25, 0.1, 0.05, 0.01):
+            assert len({pk.triangle_area_experiment(alpha, 5.0, h)
+                        for h in (0.5, 0.002, 1e-300)}) == 1
+        near = pk.Polygon([[1e-7, 1e-7], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+        areas = {pk.busemann_area(standard_triangle(), near, h) for h in (1e-3, 1e-5, 1e-300)}
+        assert len(areas) == 1 and math.isfinite(*areas)
+
+    @pytest.mark.parametrize("s", [9e-308, 1.0, 1e300, 1e308])
+    def test_triangle_at_every_scale(self, s):
+        """The triangle with legs s and a triangle in it, against the reference at 1e-13.
+        The quadrature gave 0.4438202913903209 at s = 1e308, a 0.35% error."""
+        triangle = pk.Polygon([[0.0, 0.0], [s, 0.0], [0.0, s]])
+        region = pk.Polygon([[s / 8, s / 4], [s / 2, s / 8], [s / 4, s / 2]])
+        assert pk.busemann_area(triangle, region, 1e-3) == pytest.approx(
+            reference_area("interior"), rel=1e-13, abs=0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
