@@ -7,10 +7,9 @@ Hilbert distance is the half-log cross ratio of a chord.
 
 The area density is pi over the Euclidean area of the unit ball of the Finsler
 norm F(u) = (1/t+ + 1/t-) / 2 (Alvarez Paiva & Thompson, "Volumes on normed and
-Finsler spaces", 2004).  A polygon's ball is spanned by the rays to its vertices,
-F read from the chord kernel; a triangle's density is in closed form, pi / (24 A)
-over the product of the barycentric coordinates (de la Harpe 1993), and so is a
-conic's.  Areas are integrated in polar coordinates, the density times the polar
+Finsler spaces", 2004).  A polygon's ball, a triangle's too, is spanned by the rays
+to its vertices, F read from the chord kernel; a conic's density is in closed form.
+Areas are integrated in polar coordinates, the density times the polar
 Jacobian: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
 distance along each ray, in which the integrand stays smooth up to the boundary.
 
@@ -18,9 +17,10 @@ A polygon region in a triangle, and its truncation to a Hilbert ball (a hexagon
 with straight sides), is the exception: there the area is a sum of closed-form
 terms, one set per edge, of logarithms and the dilogarithm (Green's theorem, see
 ``_triangle_area`` for the method and its error bound), exact to rounding, and
-``cellsize`` has no effect on it.  Conic domains, conic regions and polygon domains
-with more than three sides take the quadrature; the Gauss-Bonnet area of a polygon
-in a conic, which would make that case exact too, is left for later.
+``cellsize`` has no effect on it.  Conic domains, conic regions (in a triangle
+too) and polygon domains with more than three sides take the quadrature; the
+Gauss-Bonnet area of a polygon in a conic, which would make that case exact too,
+is left for later.
 """
 
 import functools
@@ -146,13 +146,6 @@ class Polygon(ConvexDomain):
         # each edge's slack at the vertex mean, the vertices divided first: their sum overflows
         mean = self.offsets - normals @ (v / len(v)).sum(axis=0)
         self._edges = list(zip(*normals.T.tolist(), self.offsets.tolist(), mean.tolist()))
-        if len(v) == 3:
-            # the length pi h0 h1 h2 / (24 A) of a triangle's density (see _density), h_k the
-            # height onto edge k: h_2 h_0 / A = 2 sin(angle at v_0), the cross of unit normals
-            (m0, m1, _, _), (n0, n1, offset, _), (k0, k1, _, _) = self._edges
-            x0, x1 = v[0].tolist()
-            height = offset - (n0 * x0 + n1 * x1)
-            self._triangle_length = math.pi / 12.0 * height * (k0 * m1 - k1 * m0)
 
     def _depth(self, x0, x1):
         # the least ratio slack_e(x) / slack_e(vertex mean): 1 there, 0 on the boundary and
@@ -161,12 +154,6 @@ class Polygon(ConvexDomain):
             (offset - (n0 * x0 + n1 * x1)) / mean for n0, n1, offset, mean in self._edges])
 
     def _density(self, x0, x1, w):
-        if len(self._edges) == 3:
-            # a triangle's ball has the fixed vertex order q0, -q2, q1, -q0, q2, -q1, and its
-            # density is pi / (24 A lambda_0 lambda_1 lambda_2) with the barycentric coordinates
-            # lambda_k = slack_k(x) / h_k (de la Harpe 1993); each factor a ratio of lengths
-            s0, s1, s2 = (offset - (n0 * x0 + n1 * x1) for n0, n1, offset, _ in self._edges)
-            return (w / s0) * (w / s1) * (self._triangle_length / s2)
         # F(v_i - x) = (1/t+ + 1/t-) / 2 from the chord kernel, as in finsler_norm.  F is
         # linear between the rays +-(v_i - x), so the unit ball is the polygon with vertices
         # +-(v_i - x) / F(v_i - x), here taken in units of w
@@ -438,7 +425,8 @@ def _polar_area(dom, region, rtol: float) -> float:
     has kinks: at the directions of the region's and the domain's vertices and
     their opposites (kinks of the exits t+ and t-).  A polygon region in a
     triangle does not come here: ``_triangle_area`` gives its area exactly.  A
-    polygon region in a conic does, until its Gauss-Bonnet area is in place.
+    conic region in a triangle does, with the density of every polygon, and so
+    does a polygon region in a conic, until its Gauss-Bonnet area is in place.
     """
     import numpy as np
 
@@ -716,9 +704,10 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
 
     A polygon region in a triangle has its area in closed form, exact to
     rounding (``_triangle_area``: within 1e-14 relative of a 60-digit reference
-    on the tested cases), and ``cellsize`` has no effect on it.  Any other pair
-    integrates the exact density pi / EuclideanArea(unit Finsler ball) over the
-    region by polar quadrature about an interior point of the region, and
+    on the tested cases), and ``cellsize`` has no effect on it.  Any other pair,
+    a conic region in a triangle among them, integrates the exact density
+    pi / EuclideanArea(unit Finsler ball) over the region by polar quadrature
+    about an interior point of the region, and
     ``cellsize`` sets its accuracy: the relative tolerance is ``cellsize**2``,
     the error a midpoint grid of that cell size has on a smooth integrand.
     A polygon region in a conic is hyperbolic, whose Gauss-Bonnet area is left
@@ -741,10 +730,10 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     if not contained:
         raise RegionNotContained("integration region is not contained in the domain")
     if isinstance(dom, Polygon) and isinstance(region, Polygon):
-        if (region.vertices[:, None] == dom.vertices).all(axis=2).any():
-            return math.inf  # a vertex at a corner, as floats: exact
         if len(dom.vertices) == 3:
             return _triangle_area(_barycentric(dom.vertices.tolist(), region.vertices.tolist()))
+        if (region.vertices[:, None] == dom.vertices).all(axis=2).any():
+            return math.inf  # a vertex at a corner, as floats: exact (_triangle_area has its own)
     return _polar_area(dom, region, cellsize * cellsize)
 
 

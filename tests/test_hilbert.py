@@ -648,15 +648,19 @@ def test_direction_along_an_edge(dom):
 
 class TestDensity:
     def test_triangle_closed_form(self):
-        """The standard triangle's density is pi / (12 x y z), also next to an edge."""
+        """The standard triangle's density is pi / (12 x y z), also next to an edge, and
+        so is the density times s^2 of the triangle with legs s at the points scaled by
+        s: the unit ball is taken in units of the length w = s."""
         pts = np.array([
             [1.0 / 3.0, 1.0 / 3.0], [0.1, 0.7], [0.6, 0.2],
             [1e-5, 0.5], [0.3, 1e-5], [0.5, 0.5 - 1e-5],
         ])
         x, y = pts[:, 0], pts[:, 1]
         exact = math.pi / (12.0 * x * y * (1.0 - x - y))
-        # 1e-5 from an edge, either formula loses ~eps / 1e-5 to the slack
-        assert standard_triangle()._density(*pts.T, 1.0) == pytest.approx(exact, rel=1e-10)
+        # 1e-5 from an edge, the density loses ~eps / 1e-5 to the slack
+        for s in (1.0, 1e-300, 1e300):
+            legs = pk.Polygon(s * standard_triangle().vertices)
+            assert legs._density(*(s * pts).T, s) == pytest.approx(exact, rel=1e-10)
         # an affine image, no angle right and no two sides equal, divides it by |det a|
         a, b = np.array([[2.2, -1.0], [0.6, 2.1]]), np.array([0.3, -0.2])
         image = pk.Polygon(standard_triangle().vertices @ a.T + b)
@@ -855,10 +859,9 @@ class TestBusemannArea:
         at s = 1e-160 and from 1e155 on, 0.0 at 1e154.  In units of the length w, w^2 =
         rho d rho / ds, it keeps its value to 4 ulp; in units of the radius rho, against
         d rho / rho, it was inf from s = 1e-305 down.  So does a triangle in the triangle
-        with legs s, whose density is in closed form, a product of ratios of lengths
-        (A = s^2 / 2 alone overflows at s = 1e200), to the 16 ulp of its rounding: its
-        vertices scale exactly, but moving s by one ulp from 1 already moves its area by
-        up to 12 ulp."""
+        with legs s, whose area is the exact edge sum over barycentric coordinates, each a
+        ratio of slacks in power-of-two units, to 16 ulp (5 measured): its vertices scale
+        exactly, but the slacks are products in the mantissa of s, which round differently."""
         def area(s):
             square = pk.Polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
             triangle = pk.Polygon([[0.0, 0.0], [s, 0.0], [0.0, s]])
@@ -879,6 +882,26 @@ class TestBusemannArea:
         monkeypatch.setattr(pk.hilbert, "_MAX_PANELS", 4 * pk.hilbert._MAX_PANELS)
         assert pk.busemann_area(hexagon, quad, 1e-300) == area
         assert area == pytest.approx(pk.busemann_area(hexagon, quad, 1e-6), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("center, radius, image", [
+        ((0.3, 0.3), 0.2, None), ((0.25, 0.25), 0.2, None), ((0.1, 0.1), 0.05, None),
+        ((0.2, 0.5), 0.1, None), ((0.3, 0.25), 0.15, ([[2.2, -1.0], [0.6, 2.1]], [0.3, -0.2])),
+    ], ids=["centre", "near-two-sides", "near-corner", "off-centre", "affine"])
+    def test_conic_region_in_a_triangle_by_greens_theorem(self, center, radius, image):
+        """A disk in the standard triangle, or an affine image of both: the reference is
+        pi / 12 times the integral of log(x / z) / (y (1 - y)) dy round the disk, whose
+        x-derivative is the density pi / (12 x y z) over pi / 12 (Green's theorem).  The
+        periodic trapezoid rule converges geometrically on a disk off the sides: 4096
+        and 8192 points agree to rounding."""
+        theta = 2.0 * math.pi * np.arange(4096) / 4096
+        x, y = center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)
+        f = np.log(x / (1.0 - x - y)) / (y * (1.0 - y)) * radius * np.cos(theta)
+        reference = math.pi / 12.0 * 2.0 * math.pi / len(theta) * math.fsum(f)
+        m, shift = (np.eye(2), np.zeros(2)) if image is None else map(np.array, image)
+        dom = pk.Polygon(standard_triangle().vertices @ m.T + shift)
+        cellsize = 1e-4
+        area = pk.busemann_area(dom, affine_disk(m, shift, center, radius), cellsize)
+        assert area == pytest.approx(reference, rel=100.0 * cellsize**2)
 
     def test_shared_boundary_arc_is_infinite(self):
         tri = standard_triangle()
@@ -1016,11 +1039,21 @@ def _near_tangent_pair(kind, shape, axes, shift, contact, size, jitter, eps):
     st.just(0.0) | st.builds(lambda i, s: s * 10.0 ** (i / 1000.0), st.integers(-11000, -7000),
                              st.sampled_from([-1.0, 1.0])),
 )
+# each kind on each side of the margin, eps = s 10^(i / 1000) at i = -9010 and -8990; kind 1
+# in a diamond, where a depth scaled by max(1, max |vertex|) reads -eps and is accepted
+@example(0, 0.7, (1.0, 2.0), (1.0, -2.0), 1.0, 0.5, [0.1, 0.0, 0.0, 0.0], 10.0 ** -9.01)
+@example(0, 0.7, (1.0, 2.0), (1.0, -2.0), 1.0, 0.5, [0.1, 0.0, 0.0, 0.0], -(10.0 ** -8.99))
+@example(1, 0.3, (2.0, 0.5), (1.0, -2.0), 0.0, 0.5, [0.0, 0.0, 0.0, 0.0], 10.0 ** -9.01)
+@example(1, 0.3, (2.0, 0.5), (1.0, -2.0), 0.0, 0.5, [0.0, 0.0, 0.0, 0.0], -(10.0 ** -8.99))
+@example(2, 0.4, (2.0, 1.0), (1.0, 0.0), 2.0, 0.5, [0.3, 0.2, 0.6, 0.1, 0.5], 10.0 ** -9.01)
+@example(2, 0.4, (2.0, 1.0), (1.0, 0.0), 2.0, 0.5, [0.3, 0.2, 0.6, 0.1, 0.5], -(10.0 ** -8.99))
 def test_containment_agrees_with_a_decimal_reference(kind, shape, axes, shift, contact, size,
                                                       jitter, eps):
     """busemann_area refuses a region exactly when the domain's least depth over it is at
     most -1e-9, outside a 1e-12 band about that margin.  The reference minimises over
-    the region's boundary in 50-digit decimals."""
+    the region's boundary in 50-digit decimals.  The examples pin the margin's cases:
+    the generated ones are drawn from a pool that holds the package's float literals, so
+    they move when those change."""
     dom, region = _near_tangent_pair(kind, shape, axes, shift, contact, size, jitter, eps)
     ref = _reference_least_depth(dom, region)
     try:
