@@ -35,15 +35,10 @@ def _json_text(obj) -> str:
 
 
 def _finite(value) -> bool:
-    """Whether a number, or every number in nested lists and arrays, is finite: numbers
-    and lists by ``math.isfinite``, without numpy; arrays by ``np.isfinite``."""
+    """Whether a number, or every number in nested lists and tuples, is finite."""
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
-    if isinstance(value, (float, int)):
-        return math.isfinite(value)
-    import numpy as np
-
-    return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    return math.isfinite(value)
 
 
 def _require_finite(items) -> None:
@@ -262,7 +257,7 @@ def _cmd_sweep(args, out) -> None:
     tail = "".join("," + _fmt(x) for x in gluing.values())
     row = "%d" + ",%.17g" * 3 + ",{}" + ",%.17g" * (len(names) - 3) + tail + "\n"
     hyperbolic, parabolic = row.format(coords.HYPERBOLIC), row.format(coords.PARABOLIC)
-    rows = list(zip(range(args.steps + 1), *(col.tolist() for col in columns.values())))
+    rows = list(zip(range(args.steps + 1), *columns.values()))
     out.write("".join([hyperbolic % r for r in rows[:-1]]) + parabolic % rows[-1])
 
 

@@ -188,16 +188,10 @@ def middle_eigenvalue(b: BoundaryData) -> float:
     return b.mu
 
 
-def _softplus(x):
-    """log(1 + e^x), finite for every finite x: ``np.logaddexp(0, x)``.
-
-    A Python float takes logaddexp's own branches with ``math``, which give its
-    bits: x + log1p(e^-x) above 0, log1p(e^x) below, log 2 at +-0; NaN passes.
-    """
-    if type(x) is not float:
-        import numpy as np
-
-        return np.logaddexp(0.0, x)
+def _softplus(x: float) -> float:
+    """log(1 + e^x), finite for every finite x, with the bits of ``np.logaddexp(0, x)``:
+    its own branches with ``math``, x + log1p(e^-x) above 0, log1p(e^x) below, log 2 at
+    +-0; NaN passes."""
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
     if x < 0.0:
@@ -224,14 +218,13 @@ def _tau_core(sigma1, sigma2) -> float:
     return _softplus(-sigma2[1]) + _softplus(-sigma2[2]) - _softplus(sigma1[2])
 
 
-def _convert(log_lam, log_mu, log_s, log_t) -> tuple:
-    """(sigma1, sigma2, tau111(T+), tau111(T-)) from the logs of lambda_i, mu_i, s and t.
-
-    Entries are Python floats, or arrays of one shape for a batch of rows.
-    """
+def _convert(log_lam, log_mu, log_s: float, log_t: float) -> tuple:
+    """(sigma1, sigma2, tau111(T+), tau111(T-)) from the logs of lambda_i, mu_i, s and t,
+    all Python floats."""
     sigma1, sigma2 = _shears(log_lam, log_mu, log_s)
     core = _tau_core(sigma1, sigma2)
-    return sigma1, sigma2, core - log_t, log_t + sum(log_mu) - core
+    # the logs of mu added left to right: sum() of floats is compensated from Python 3.12 on
+    return sigma1, sigma2, core - log_t, log_t + (log_mu[0] + log_mu[1] + log_mu[2]) - core
 
 
 def pants_goldman_to_bd(g: PantsGoldman) -> PantsBD:
@@ -261,10 +254,12 @@ def _pinch(g, boundary: int, steps: int) -> tuple:
     """Pinch one hyperbolic boundary of a pants or torus record to parabolic.
 
     ``boundary`` counts from 1 (a torus pinches B, index 1).  lambda moves to 1 in
-    ``steps`` equal steps and ends at the parabolic row (lambda, mu) = (1, 1).  Returns
-    the start data of that boundary, the columns frac, lambda, tau, sigma1_B1..sigma2_B3,
-    tplus and tminus over the steps + 1 rows, and the torus gluing shears sigmaC1,
-    sigmaC2, fixed along the path (none for a pants), none checked to be finite.
+    ``steps`` equal steps and ends at the parabolic row (lambda, mu) = (1, 1); each row is
+    one ``_convert`` call on Python floats, so row 0 is the record's conversion bit for
+    bit.  Returns the start data of that boundary, the columns frac, lambda, tau,
+    sigma1_B1..sigma2_B3, tplus and tminus as tuples over the steps + 1 rows, and the
+    torus gluing shears sigmaC1, sigmaC2, fixed along the path (none for a pants), none
+    checked to be finite.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -279,22 +274,25 @@ def _pinch(g, boundary: int, steps: int) -> tuple:
     start = g.boundaries[index]
     if start.kind != HYPERBOLIC:
         raise ValueError("the pinched boundary must start hyperbolic")
-    import numpy as np
-
-    frac = np.arange(steps + 1) / steps
-    lam = start.lam * (1.0 - frac) + frac
     log_lam = [math.log(b.lam) for b in g.boundaries]
     log_mu = [math.log(b.mu) for b in g.boundaries]
-    # keep mu < nu along the whole path: pinch the ratio nu/mu to 1, in log space so
-    # that nu/mu beyond the float range (tau ~ 1e160) stays finite; mu^2 = 1 / (lambda nu/mu)
-    log_ratio0 = math.log(start.tau - start.mu) - math.log(start.mu)
-    log_lam[index] = np.log(lam)
-    log_mu[index] = -0.5 * (log_lam[index] + log_ratio0 * (1.0 - frac))
-    mu = np.exp(log_mu[index])
-    columns = {"frac": frac, "lambda": lam, "tau": mu + 1.0 / (lam * mu)}
-    names = [f"sigma{j}_B{i}" for j in (1, 2) for i in (1, 2, 3)] + ["tplus", "tminus"]
-    sigma1, sigma2, *taus = _convert(log_lam, log_mu, math.log(g.s), math.log(g.t))
-    columns.update(zip(names, [*sigma1, *sigma2, *taus]))
+    log_lam0, log_mu0, log_s, log_t = log_lam[index], log_mu[index], math.log(g.s), math.log(g.t)
+    names = ["frac", "lambda", "tau", *(f"sigma{j}_B{i}" for j in (1, 2) for i in (1, 2, 3)),
+             "tplus", "tminus"]
+    # log(nu/mu) = rest log(nu0/mu0) keeps mu < nu until the last row, written from the
+    # record's logs, so that row 0 is its conversion and nu/mu beyond the float range
+    # (tau ~ 1e160) stays finite; mu nu lambda = 1
+    rows = []
+    for k in range(steps + 1):
+        frac = k / steps
+        rest = 1.0 - frac
+        lam = start.lam * rest + frac
+        log_lam[index] = math.log(lam)
+        log_mu[index] = rest * log_mu0 - 0.5 * (log_lam[index] - rest * log_lam0)
+        mu = math.exp(log_mu[index])
+        sigma1, sigma2, tplus, tminus = _convert(log_lam, log_mu, log_s, log_t)
+        rows.append((frac, lam, mu + 1.0 / (lam * mu), *sigma1, *sigma2, tplus, tminus))
+    columns = dict(zip(names, zip(*rows)))
     return start, columns, dict(zip(("sigmaC1", "sigmaC2"), shears))
 
 

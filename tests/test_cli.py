@@ -501,8 +501,8 @@ def modules_in_child(*argvs):
 def test_scalar_commands_start_without_numpy():
     """import projkit loads errors alone; each command loads only the layers it calls, and
     convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
-    three rows of 3 and a NotUnimodular refusal), area and a malformed-JSON refusal leave
-    numpy unloaded; sweep and distance load it, which shows that the check can fail.  No
+    three rows of 3 and a NotUnimodular refusal), area, sweep and a malformed-JSON refusal
+    leave numpy unloaded; distance loads it, which shows that the check can fail.  No
     command loads dataclasses, inspect or typing, beyond what numpy loads by itself."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
     classify, coords = ["errors", "isometry"], ["coords", "errors", "isometry"]
@@ -516,13 +516,13 @@ def test_scalar_commands_start_without_numpy():
              (("bulge", "--input", f'{{"flags": {flags}, "v": 0.2}}'), 0,
               ["errors", "invariants", "isometry", "rp2"]),
              (("area", "--alphas", "0.5", "--truncation", "2", "--cellsize", "0.05"), 0, hilbert),
+             (("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2"), 0, coords),
              (("classify", "--input", "[1, 2,"), 2, classify)]
     cases += [(("classify", "--input", m), code, classify) for m, code in (
         ("[2,0,0,0,1,0,0,0,0.5]", 0), ("[2,1,0,0,2,0,0,0,0.25]", 0), ("[1,1,0,0,1,1,0,0,1]", 0),
         ("[0,-1,0,1,0,0,0,0,1]", 0), ("[[2,1,0],[0,2,0],[0,0,0.25]]", 0),
         ("[2,0,0,0,1,0,0,0,1]", 1))]
-    numpy_cases = [(("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "2"), 0, coords),
-                   (("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, '
+    numpy_cases = [(("distance", "--input", '{"domain": {"conic": [1,0,1,0,0,-1]}, '
                      '"x": [0, 0], "y": [0.5, 0]}'), 0, hilbert)]
     numpy_heavy = _in_bare_child(_HEAVY_IN_CHILD + "import numpy\nprint(json.dumps(heavy()))")
     expected = [[None, ["errors"], False, []]]
@@ -679,12 +679,13 @@ def test_convert_golden(record, argv, expected):
 
 @pytest.mark.parametrize("record, argv, digest", [
     (MIXED_PANTS, ("--boundary", "3"),
-     "49f2e9672693363277e73fd3e2e99707f1c2df67577e4c13690b2710a30195f9"),
-    (HYPERBOLIC_TORUS, (), "cd5398d640c929476cb28a5637f59e11dd935ef3d09f3a0d3deb0b77d0e4f4ce"),
+     "be9023ab7c12f2cc4d2597982f1fb37127903ee42f84114028915fe8e7a194d3"),
+    (HYPERBOLIC_TORUS, (), "47340d2292190a75e73c0bd3305bab97ee865a9c3ebfff8e0d63013e6bf290b1"),
 ], ids=["pants", "torus"])
 def test_sweep_golden(record, argv, digest):
-    """A 10,000-step sweep prints the bytes it printed when each value was formatted on
-    its own (the sha256 of its stdout): one row template per kind changes no digit."""
+    """A 10,000-step sweep prints fixed bytes (the sha256 of its stdout): one row template
+    per kind, each row one _convert call with math on Python floats, so its bits are
+    libm's and the same on every Python from 3.10 on."""
     code, out, err = run_main("sweep", "--input", record, "--steps", "10000", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -822,8 +823,9 @@ class TestContract:
     def test_sweep_tau_sum_against_decimal(self, record, boundary):
         """tau111(T+) + tau111(T-) = log(mu1 mu2 mu3) on every row of a 10,000-step
         sweep, against 50-digit decimal arithmetic along the pinching path
-        log mu = -(log lambda + log(nu0/mu0) (1 - frac)) / 2.  The sweep rebuilt tau
-        from mu and mu from tau, which lost up to 1.9e-12 near the parabolic end."""
+        log mu = -(log lambda + log(nu0/mu0) (1 - frac)) / 2, which _pinch writes from the
+        record's logs.  The sweep rebuilt tau from mu and mu from tau, which lost up to
+        1.9e-12 near the parabolic end."""
         code, out, _ = run_main("sweep", "--input", record, "--boundary", str(boundary),
                                 "--steps", "10000")
         assert code == 0

@@ -461,8 +461,9 @@ _PINCHED = {
 @pytest.mark.parametrize("g", _PINCHED.values(), ids=_PINCHED)
 def test_pinch_starts_at_convert_and_ends_on_the_parabolic_stratum(g):
     """The pinching path behind ``projkit sweep``: its first row is the conversion of the
-    record, and its last row, with the pinched boundary parabolic, satisfies both
-    relations of the A1-parabolic stratum (one_parabolic_residuals)."""
+    record, bit for bit (tau, rebuilt from mu, to rounding), and its last row, with the
+    pinched boundary parabolic, satisfies both relations of the A1-parabolic stratum
+    (one_parabolic_residuals)."""
     steps = 100
     start, columns, gluing = coords._pinch(g, 1, steps)
 
@@ -471,9 +472,6 @@ def test_pinch_starts_at_convert_and_ends_on_the_parabolic_stratum(g):
                           [columns[f"sigma2_B{i}"][k] for i in (1, 2, 3)],
                           columns["tplus"][k], columns["tminus"][k])
 
-    def flat(bd):
-        return [*bd.sigma1, *bd.sigma2, bd.tplus, bd.tminus]
-
     if isinstance(g, pk.TorusGoldman):
         bd = pk.torus_goldman_to_bd(g)
         ref = bd.pants
@@ -481,16 +479,69 @@ def test_pinch_starts_at_convert_and_ends_on_the_parabolic_stratum(g):
     else:
         ref = pk.pants_goldman_to_bd(g)
         assert (start, gluing) == (g.boundaries[0], {})
-    assert (columns["lambda"][0], columns["tau"][0]) == pytest.approx((start.lam, start.tau),
-                                                                     rel=1e-14)
-    assert max(abs(a - b) for a, b in zip(flat(row(0)), flat(ref))) <= 1e-14
+    assert columns["lambda"][0] == start.lam
+    assert columns["tau"][0] == pytest.approx(start.tau, rel=1e-14)
+    assert row(0) == ref
     assert (columns["lambda"][steps], columns["tau"][steps]) == (1.0, 2.0)
     assert all(abs(r) <= 1e-12 for r in pk.one_parabolic_residuals(row(steps)))
 
 
 # ---------------------------------------------------------------------------
-# one kernel on Python floats and on arrays: the scalar conversions take the float
-# branch of each step, the sweep the array one, with the same bits
+# one arithmetic for convert and sweep: each sweep row is one _convert call on Python
+# floats, the scalar conversions a batch of one
+
+def _hyperbolic(lam: float, excess: float) -> pk.BoundaryData:
+    """Hyperbolic data with tau = (2 / sqrt(lambda)) (1 + excess), above the double root."""
+    return pk.BoundaryData.hyperbolic(lam, 2.0 / math.sqrt(lam) * (1.0 + excess))
+
+
+# excess from 1e-12, next to the double root tau^2 = 4/lambda, to 1e160
+_HYPERBOLIC = st.builds(_hyperbolic, st.floats(1e-3, 0.999), st.floats(-12.0, 160.0).map(
+    lambda e: 10.0 ** e))
+_BOUNDARY = st.one_of(_HYPERBOLIC, st.floats(1e-3, 0.999).map(pk.BoundaryData.quasi_hyperbolic),
+                      st.just(pk.BoundaryData.parabolic()))
+_PARAMETER = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _pinched_records(draw):
+    """A pants record and the index of a hyperbolic boundary, or a torus record and 1."""
+    s, t = draw(_PARAMETER), draw(_PARAMETER)
+    if draw(st.booleans()):
+        b, c, u, v = draw(_HYPERBOLIC), draw(_HYPERBOLIC), draw(_PARAMETER), draw(_PARAMETER)
+        return pk.TorusGoldman(b, c, s, t, u, v), 1
+    boundary = draw(st.integers(1, 3))
+    boundaries = [draw(_BOUNDARY) for _ in range(3)]
+    boundaries[boundary - 1] = draw(_HYPERBOLIC)
+    return pk.PantsGoldman(tuple(boundaries), s, t), boundary
+
+
+_PARABOLIC_PAIR = (pk.BoundaryData.parabolic(),) * 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pinched_records(), st.integers(1, 50))
+@example((pk.PantsGoldman((pk.BoundaryData.hyperbolic(0.5, 2.8284271385627746),
+                           *_PARABOLIC_PAIR), 1.0, 1.0), 1), 10000)
+@example((pk.PantsGoldman((pk.BoundaryData.hyperbolic(0.5, 1e160), *_PARABOLIC_PAIR),
+                          1.0, 1.0), 1), 4)
+def test_pinch_row_0_is_convert_and_its_last_row_parabolic(record, steps):
+    """Row 0 of _pinch is the record's conversion repr for repr, the torus gluing shears
+    too, and its last row is (lambda, tau) = (1, 2) exactly: for pants and torus records,
+    next to the double root and at tau = 1e160."""
+    g, boundary = record
+    start, columns, gluing = coords._pinch(g, boundary, steps)
+    if isinstance(g, pk.TorusGoldman):
+        bd = pk.torus_goldman_to_bd(g)
+        ref, ref_gluing = bd.pants, [bd.sigma_c1, bd.sigma_c2]
+    else:
+        ref, ref_gluing = pk.pants_goldman_to_bd(g), []
+    names = [f"sigma{j}_B{i}" for j in (1, 2) for i in (1, 2, 3)] + ["tplus", "tminus"]
+    row0 = [columns[name][0] for name in names] + list(gluing.values())
+    expected = [*ref.sigma1, *ref.sigma2, ref.tplus, ref.tminus, *ref_gluing]
+    assert list(map(repr, row0)) == list(map(repr, expected))
+    assert (columns["lambda"][steps], columns["tau"][steps]) == (1.0, 2.0)
+
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.floats())
@@ -502,31 +553,13 @@ def test_pinch_starts_at_convert_and_ends_on_the_parabolic_stratum(g):
 @example(-math.inf)
 @example(math.nan)
 def test_softplus_float_branch_is_logaddexp(x):
-    """The float softplus is np.logaddexp(0, x) bit for bit, signed zeros, subnormals,
+    """The softplus of a float is np.logaddexp(0, x) bit for bit, signed zeros, subnormals,
     infinities and NaN included, and it is a Python float."""
     with np.errstate(invalid="ignore"):  # numpy flags a NaN operand
         expected = np.logaddexp(0.0, x)
     got = coords._softplus(x)
     assert type(got) is float
     assert repr(got) == repr(float(expected))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.floats(-800.0, 800.0), min_size=8, max_size=8),
-       st.lists(st.booleans(), min_size=8, max_size=8))
-def test_convert_floats_equal_one_element_arrays(logs, as_array):
-    """_convert on Python floats gives, entry by entry, the bits of _convert with any
-    of its inputs as 1-element arrays, the form of a sweep row."""
-    inputs = [np.array([x]) if a else x for x, a in zip(logs, as_array)]
-
-    def flat(out):
-        sigma1, sigma2, tplus, tminus = out
-        return [*sigma1, *sigma2, tplus, tminus]
-
-    scalar = flat(coords._convert(logs[:3], logs[3:6], logs[6], logs[7]))
-    batch = flat(coords._convert(inputs[:3], inputs[3:6], inputs[6], inputs[7]))
-    assert all(type(x) is float for x in scalar)
-    assert [repr(x) for x in scalar] == [repr(float(np.asarray(x).item())) for x in batch]
 
 
 def test_scalar_results_are_python_floats():
