@@ -116,36 +116,50 @@ def _sqrt(v):
     return np.sqrt(v)
 
 
+def _frozen(rows):
+    """A read-only float64 array of rows, floats or pairs of floats."""
+    import numpy as np
+
+    array = np.array(rows, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 class Polygon(ConvexDomain):
-    """Strictly convex polygon with counterclockwise vertices."""
+    """Strictly convex polygon with counterclockwise vertices, kept once as Python floats
+    with each edge's unit normal, offset and slack at the vertex mean; ``vertices``,
+    ``normals`` and ``offsets`` are read-only arrays built from them on access."""
 
     def __init__(self, vertices):
-        import numpy as np
-
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+        try:
+            rows = [list(p) for p in vertices]
+        except TypeError:
+            rows = []
+        if len(rows) < 3 or any(len(p) != 2 for p in rows):
             raise ValueError("polygon needs an (n, 2) vertex array with n >= 3")
-        if not np.all(np.isfinite(v)):
+        self._vertices = v = tuple(map(_coords, rows))
+        if not all(math.isfinite(c) for p in v for c in p):
             raise ValueError("polygon vertices must be finite")
         # half edges scaled by powers of two, exact in direction: nothing below overflows
-        edges = 0.5 * np.roll(v, -1, axis=0) - 0.5 * v
-        edges = np.ldexp(edges, -np.frexp(np.abs(edges).max(axis=1))[1][:, None])
-        nxt = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if not np.all(cross > 0.0):
-            raise ValueError(
-                "polygon must be strictly convex with counterclockwise vertices"
-            )
-        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        self.vertices = v
-        self.normals = normals
-        self.offsets = np.einsum("ij,ij->i", normals, v)
-        for arr in (self.vertices, self.normals, self.offsets):
-            arr.setflags(write=False)
+        edges = []
+        for (a0, a1), (b0, b1) in zip(v, v[1:] + v[:1]):
+            e0, e1 = 0.5 * b0 - 0.5 * a0, 0.5 * b1 - 0.5 * a1
+            k = -math.frexp(max(abs(e0), abs(e1)))[1]
+            edges.append((math.ldexp(e0, k), math.ldexp(e1, k)))
+        nxt = edges[1:] + edges[:1]
+        if not all(e0 * f1 - e1 * f0 > 0.0 for (e0, e1), (f0, f1) in zip(edges, nxt)):
+            raise ValueError("polygon must be strictly convex with counterclockwise vertices")
+        norms = [math.sqrt(e1 * e1 + e0 * e0) for e0, e1 in edges]  # as np.linalg.norm, not hypot
+        normals = [(e1 / norm, -e0 / norm) for (e0, e1), norm in zip(edges, norms)]
+        offsets = [n0 * v0 + n1 * v1 for (n0, n1), (v0, v1) in zip(normals, v)]
         # each edge's slack at the vertex mean, the vertices divided first: their sum overflows
-        mean = self.offsets - normals @ (v / len(v)).sum(axis=0)
-        self._edges = list(zip(*normals.T.tolist(), self.offsets.tolist(), mean.tolist()))
+        m0, m1 = (math.fsum(c / len(v) for c in cs) for cs in zip(*v))
+        self._edges = [
+            (n0, n1, o, o - (n0 * m0 + n1 * m1)) for (n0, n1), o in zip(normals, offsets)]
+
+    vertices = property(lambda self: _frozen(self._vertices))
+    normals = property(lambda self: _frozen([edge[:2] for edge in self._edges]))
+    offsets = property(lambda self: _frozen([edge[2] for edge in self._edges]))
 
     def _depth(self, x0, x1):
         # the least ratio slack_e(x) / slack_e(vertex mean): 1 there, 0 on the boundary and
@@ -184,51 +198,47 @@ class Polygon(ConvexDomain):
 class ConicOval(ConvexDomain):
     """Oval cut out by a x^2 + b xy + c y^2 + d x + e y + f = 0.
 
-    The sign is normalized so the quadratic part is positive definite and the
-    interior is the sublevel set {q < 0}; construction rejects quadratic
-    forms that are not ellipses with nonempty interior.  Every query goes
-    through the centred form q(x) = (x - center)^T A (x - center) + q_min,
-    which keeps its accuracy far from the origin.
+    The sign is normalized so the quadratic part is positive definite and the interior is
+    the sublevel set {q < 0}; construction rejects quadratic forms that are not ellipses
+    with nonempty interior.  Queries go through the centred form q(x) = (x - center)^T A
+    (x - center) + q_min, accurate far from the origin, whose centre and A / -q_min are kept
+    once as floats; ``center`` is a read-only array built from them on access.
     """
 
     def __init__(self, coeffs):
-        import numpy as np
-
-        coeffs = np.array([float(x) for x in coeffs])
+        coeffs = [float(x) for x in coeffs]
         # a scale class: an exact power of two brings the largest of a, b, c into [1, 2)
-        with np.errstate(over="ignore"):
-            coeffs = np.ldexp(coeffs, 1 - math.frexp(max(map(abs, coeffs[:3]), default=0.0))[1])
-        if len(coeffs) != 6 or not np.all(np.isfinite(coeffs)):
+        scale = 1 - math.frexp(max(map(abs, coeffs[:3]), default=0.0))[1]
+        try:
+            coeffs = [math.ldexp(x, scale) for x in coeffs]
+        except OverflowError:  # d, e or f past the float range in units of a, b, c
+            coeffs = []
+        if len(coeffs) != 6 or not all(map(math.isfinite, coeffs)):
             raise ValueError("conic needs 6 coefficients, finite in units of max |a|, |b|, |c|")
-        a, b, c, d, e, f = coeffs.tolist()
-        if b * b - 4.0 * a * c >= 0.0:
+        a, b, c, d, e, f = coeffs
+        if (disc := b * b - 4.0 * a * c) >= 0.0:
             raise ValueError("quadratic form does not cut out an oval (not an ellipse)")
         if a + c < 0.0:
             a, b, c, d, e, f = (-a, -b, -c, -d, -e, -f)
-        quad = np.array([[a, b / 2.0], [b / 2.0, c]])
-        center = np.linalg.solve(2.0 * quad, -np.array([d, e]))
-        # q(center) = f + (d, e) . center / 2, since 2 A center = -(d, e); on Python
-        # floats, so an overflow reaches the finiteness check without a numpy warning
-        cx, cy = center.tolist()
-        self._init_centred(center, quad, f + 0.5 * (d * cx + e * cy))
+        # Cramer's rule for 2 A center = -(d, e), forward stable for 2 x 2 (Higham, "Accuracy
+        # and Stability of Numerical Algorithms", 2nd ed., 1.10.1); q(center) = f + (d, e).center/2
+        cx, cy = (2.0 * c * d - b * e) / disc, (2.0 * a * e - b * d) / disc
+        self._init_centred(cx, cy, a, 0.5 * b, c, f + 0.5 * (d * cx + e * cy))
 
-    def _init_centred(self, center, quad, qmin: float) -> None:
-        import numpy as np
-
-        qmin = float(qmin)
+    def _init_centred(self, cx, cy, a, h, c, qmin) -> None:
         if not qmin < 0.0:
             raise ValueError("conic has an empty real locus")
-        # one rounding, shared by every multiple of the conic; Python floats for the kernels
-        (f00, f01), (_, f11) = form = [[v / -qmin for v in row] for row in quad.tolist()]
+        # one rounding, shared by every multiple of the conic
+        f00, f01, f11 = a / -qmin, h / -qmin, c / -qmin
         if not all(map(math.isfinite, (qmin, f00, f01, f11))):
             raise ValueError(f"conic's form A / -q_min is not finite: q_min = {qmin!r}")
-        self.center = center
-        self._form = np.array(form)
-        self._entries = (f00, f01, f11, *center.tolist())
+        self._entries = (f00, f01, f11, cx, cy)
         # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map taking
         # the unit disk onto {q < 0} has the factor sqrt(det A) / -q_min
-        (a, h), (_, c) = quad.tolist()
         self._density_factor = math.sqrt(a * c - h * h) / -qmin
+
+    center = property(lambda self: _frozen(self._entries[3:]))
+    _form = property(lambda self: _frozen([self._entries[:2], self._entries[1:3]]))
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
@@ -237,10 +247,8 @@ class ConicOval(ConvexDomain):
             raise ValueError(
                 f"disk needs a finite centre and a radius whose square is a normal float: {r!r}")
         # centred: cx^2 + cy^2 - r^2 cancels.  r^2 is normal: q_min = -r^2 keeps its bits
-        import numpy as np
-
         oval = cls.__new__(cls)
-        oval._init_centred(np.array([cx, cy]), np.eye(2), -(r * r))
+        oval._init_centred(cx, cy, 1.0, 0.0, 1.0, -(r * r))
         return oval
 
     @classmethod
@@ -271,8 +279,8 @@ class ConicOval(ConvexDomain):
 
 
 class Chord(_Record):
-    """Boundary intersections p, q (numpy arrays of two coordinates) of a line
-    through two interior points.
+    """Boundary intersections p, q (read-only numpy arrays of two coordinates) of a
+    line through two interior points; ``==`` and ``hash`` go by their coordinates.
 
     Ordered so that p, x, y, q are collinear in this order.
     """
@@ -284,14 +292,12 @@ class Chord(_Record):
         setattr_(self, "p", p)
         setattr_(self, "q", q)
 
+    def _values(self) -> tuple:
+        return tuple(tuple(map(float, end)) for end in (self.p, self.q))
+
 
 def _coords(p) -> tuple:
     """A point's two coordinates as floats; - 0.0 keeps -0.0 and refuses a string."""
-    if type(p) not in (list, tuple):
-        import numpy as np
-
-        if isinstance(p, np.ndarray):
-            p = p.tolist()
     x0, x1 = p
     return float(x0 - 0.0), float(x1 - 0.0)
 
@@ -331,10 +337,8 @@ def chord(dom: ConvexDomain, x, y) -> Chord:
     (x0, x1), (u0, u1), _, t_fwd, t_bwd = _exits(dom, None, x, y)
     if not (u0 or u1):
         raise CoincidentPoints("chord endpoints coincide")
-    import numpy as np
-
-    return Chord(p=np.array([x0 - t_bwd * u0, x1 - t_bwd * u1]),
-                 q=np.array([x0 + t_fwd * u0, x1 + t_fwd * u1]))
+    return Chord(p=_frozen([x0 - t_bwd * u0, x1 - t_bwd * u1]),
+                 q=_frozen([x0 + t_fwd * u0, x1 + t_fwd * u1]))
 
 
 def hilbert_distance(dom: ConvexDomain, x, y) -> float:
@@ -508,27 +512,28 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     g_i^2 / (lambda - b_i) over lambda > max b (More & Sorensen 1983), each an upper bound.
     """
     if isinstance(region, Polygon):
-        return float(dom._depth(*region.vertices.T).min())
+        return functools.reduce(_minimum, [dom._depth(*p) for p in region._vertices])
     import numpy as np
 
-    w, vecs = np.linalg.eigh(region._form)
-    axes = vecs / np.sqrt(w)
-    if isinstance(dom, Polygon):
-        reach = np.linalg.norm(dom.normals @ axes, axis=1)
-        (c0, c1), (n0, n1, offset, mean) = region.center, np.array(dom._edges).T
-        return float(((offset - (n0 * c0 + n1 * c1) - reach) / mean).min())
-    ltm = axes.T @ dom._form
-    b, vecs = np.linalg.eigh(ltm @ axes)
-    g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
-    # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out
-    norm = math.hypot(*g)
-    terms = [(gi / norm, (b[-1] - bi) / norm) for gi, bi in zip(g, b.tolist()) if gi]
-    lo, nu = 0.0, 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + nu)
-        lo, nu = (mid, nu) if sum((gi / (mid + gap)) ** 2 for gi, gap in terms) > 1 else (lo, mid)
-    excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
-    return dom._depth(*region.center.tolist()) - b[-1] - norm * excess
+    with np.errstate(over="ignore"):  # an overflowed depth keeps its sign
+        w, vecs = np.linalg.eigh(region._form)
+        axes = vecs / np.sqrt(w)
+        if isinstance(dom, Polygon):
+            reach = np.linalg.norm(dom.normals @ axes, axis=1)
+            (c0, c1), (n0, n1, offset, mean) = region.center, np.array(dom._edges).T
+            return float(((offset - (n0 * c0 + n1 * c1) - reach) / mean).min())
+        ltm = axes.T @ dom._form
+        b, vecs = np.linalg.eigh(ltm @ axes)
+        g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
+        # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out
+        norm = math.hypot(*g)
+        terms = [(gi / norm, (b[-1] - bi) / norm) for gi, bi in zip(g, b.tolist()) if gi]
+        lo, nu = 0.0, 1.0
+        for _ in range(64):
+            m = 0.5 * (lo + nu)
+            lo, nu = (m, nu) if sum((gi / (m + gap)) ** 2 for gi, gap in terms) > 1 else (lo, m)
+        excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
+        return dom._depth(*region._entries[3:]) - b[-1] - norm * excess
 
 
 # Li2(1) = pi^2 / 6, and the Bernoulli coefficients B_2k / (2k + 1)!, k = 9 down to 1, of
@@ -721,18 +726,13 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
-    import numpy as np
-
-    # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding,
-    # and an overflowed depth keeps its sign
-    with np.errstate(over="ignore"):
-        contained = _least_depth(dom, region) > -1e-9
-    if not contained:
+    # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding
+    if not _least_depth(dom, region) > -1e-9:
         raise RegionNotContained("integration region is not contained in the domain")
     if isinstance(dom, Polygon) and isinstance(region, Polygon):
-        if len(dom.vertices) == 3:
-            return _triangle_area(_barycentric(dom.vertices.tolist(), region.vertices.tolist()))
-        if (region.vertices[:, None] == dom.vertices).all(axis=2).any():
+        if len(dom._vertices) == 3:
+            return _triangle_area(_barycentric(dom._vertices, region._vertices))
+        if not set(region._vertices).isdisjoint(dom._vertices):
             return math.inf  # a vertex at a corner, as floats: exact (_triangle_area has its own)
     return _polar_area(dom, region, cellsize * cellsize)
 
