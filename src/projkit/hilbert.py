@@ -8,19 +8,19 @@ Hilbert distance is the half-log cross ratio of a chord.
 The area density is pi over the Euclidean area of the unit ball of the Finsler
 norm F(u) = (1/t+ + 1/t-) / 2 (Alvarez Paiva & Thompson, "Volumes on normed and
 Finsler spaces", 2004).  A polygon's ball, a triangle's too, is spanned by the rays
-to its vertices, F read from the chord kernel; a conic's density is in closed form.
-Areas are integrated in polar coordinates, the density times the polar
-Jacobian: adaptive Gauss-Kronrod in the angle, Gauss-Legendre in the Hilbert
-distance along each ray, in which the integrand stays smooth up to the boundary.
+to its vertices, F read from the chord kernel.  In a polygon with more than three
+sides, and for a conic region in a triangle, areas are integrated in polar
+coordinates, the density times the polar Jacobian: adaptive Gauss-Kronrod in the
+angle, Gauss-Legendre in the Hilbert distance along each ray, in which the integrand
+stays smooth up to the boundary.
 
-A polygon region in a triangle, and its truncation to a Hilbert ball (a hexagon
-with straight sides), is the exception: there the area is a sum of closed-form
-terms, one set per edge, of logarithms and the dilogarithm (Green's theorem, see
-``_triangle_area`` for the method and its error bound), exact to rounding, and
-``cellsize`` has no effect on it.  Conic domains, conic regions (in a triangle
-too) and polygon domains with more than three sides take the quadrature; the
-Gauss-Bonnet area of a polygon in a conic, which would make that case exact too,
-is left for later.
+Every other area is in closed form, exact to rounding, and ``cellsize`` has no
+effect on it.  A polygon region in a triangle, and its truncation to a Hilbert ball
+(a hexagon with straight sides), is a sum of terms, one set per edge, of logarithms
+and the dilogarithm (Green's theorem, see ``_triangle_area``).  A conic domain is
+the Klein model of the hyperbolic plane: a polygon region in it is a fan of
+hyperbolic triangles, and a conic region has its area in Carlson's elliptic integrals
+or, when small, a positive series (``projkit._klein``, loaded on first use).
 """
 
 import functools
@@ -63,12 +63,6 @@ class ConvexDomain:
             inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
         return bool(inside[0]) if pts.ndim == 1 else inside
 
-    def _density(self, x0, x1, w):
-        """Busemann density pi / area(unit Finsler ball) at x times w^2, over components
-        and lengths w that are arrays of one shape (the quadrature's rays by radial
-        nodes); callers set the numpy error state, as for ``_exits_paired``."""
-        raise NotImplementedError
-
     def _exits_paired(self, x0, x1, u0, u1):
         """Forward/backward boundary parameters from x along u, and the depth of x, over
         components that are all floats (scalar queries) or include arrays (the area
@@ -89,12 +83,12 @@ def _where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _minimum(a, b):  # NaN if either is NaN
-    less = b < a
+def _minimum(a, b):  # NaN if either is NaN, and b where a == b (-0.0 and 0.0 too)
+    less = a < b
     if less is True:
-        return b
+        return a
     if less is False:
-        return a if b == b else b
+        return b if a == a else a
     import numpy as np
 
     return np.minimum(a, b)
@@ -168,6 +162,9 @@ class Polygon(ConvexDomain):
             (offset - (n0 * x0 + n1 * x1)) / mean for n0, n1, offset, mean in self._edges])
 
     def _density(self, x0, x1, w):
+        """Busemann density pi / area(unit Finsler ball) at x times w^2, over components
+        and lengths w that are arrays of one shape (the quadrature's rays by radial
+        nodes); callers set the numpy error state, as for ``_exits_paired``."""
         # F(v_i - x) = (1/t+ + 1/t-) / 2 from the chord kernel, as in finsler_norm.  F is
         # linear between the rays +-(v_i - x), so the unit ball is the polygon with vertices
         # +-(v_i - x) / F(v_i - x), here taken in units of w
@@ -202,7 +199,9 @@ class ConicOval(ConvexDomain):
     the sublevel set {q < 0}; construction rejects quadratic forms that are not ellipses
     with nonempty interior.  Queries go through the centred form q(x) = (x - center)^T A
     (x - center) + q_min, accurate far from the origin, whose centre and A / -q_min are kept
-    once as floats; ``center`` is a read-only array built from them on access.
+    once as floats; ``center`` is a read-only array built from them on access.  Its
+    Hilbert geometry is the Klein model of the hyperbolic plane, so its areas are
+    hyperbolic areas, in closed form (``busemann_area``).
     """
 
     def __init__(self, coeffs):
@@ -233,9 +232,6 @@ class ConicOval(ConvexDomain):
         if not all(map(math.isfinite, (qmin, f00, f01, f11))):
             raise ValueError(f"conic's form A / -q_min is not finite: q_min = {qmin!r}")
         self._entries = (f00, f01, f11, cx, cy)
-        # the Klein-model area element (1 - |y|^2)^(-3/2) moved by the affine map taking
-        # the unit disk onto {q < 0} has the factor sqrt(det A) / -q_min
-        self._density_factor = math.sqrt(a * c - h * h) / -qmin
 
     center = property(lambda self: _frozen(self._entries[3:]))
     _form = property(lambda self: _frozen([self._entries[:2], self._entries[1:3]]))
@@ -260,9 +256,6 @@ class ConicOval(ConvexDomain):
         f00, f01, f11, c0, c1 = self._entries
         d0, d1 = x0 - c0, x1 - c1
         return 1.0 - ((d0 * f00 + d1 * f01) * d0 + (d0 * f01 + d1 * f11) * d1)
-
-    def _density(self, x0, x1, w):
-        return self._density_factor * w * w * self._depth(x0, x1) ** -1.5
 
     def _exits_paired(self, x0, x1, u0, u1):
         # depth(x + t u) = depth(x) - 2 h t - a t^2 with h = (x - c)^T A u / -q_min and
@@ -420,17 +413,16 @@ def _smoothstep(t):
 def _polar_area(dom, region, rtol: float) -> float:
     """Busemann area of region, by quadrature to the relative tolerance rtol.
 
-    The integral runs in polar coordinates about base, the region's centre (a
-    conic) or vertex mean (a polygon).  Along the ray base + rho u the Hilbert
-    distance from base is s, with rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s})
+    The domain is a polygon.  The integral runs in polar coordinates about base, the
+    region's centre (a conic) or vertex mean (a polygon).  Along the ray base + rho u the
+    Hilbert distance from base is s, with rho(s) = t- t+ (e^{2s} - 1) / (t+ + t- e^{2s})
     for the chord exits t+-, so the radial integral (density w^2) ds,
     w^2 = rho drho / ds, is taken in s, where the integrand stays smooth up to
     the boundary.  In the angle, Gauss-Kronrod panels break where the integrand
     has kinks: at the directions of the region's and the domain's vertices and
     their opposites (kinks of the exits t+ and t-).  A polygon region in a
     triangle does not come here: ``_triangle_area`` gives its area exactly.  A
-    conic region in a triangle does, with the density of every polygon, and so
-    does a polygon region in a conic, until its Gauss-Bonnet area is in place.
+    conic region in a triangle does, with the density of every polygon.
     """
     import numpy as np
 
@@ -510,30 +502,53 @@ def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
     |w| <= 1, L's columns its semi-axes: an edge's least slack is offset - n.c - |L^T n|, and
     1 - depth in a conic, w^T B w + 2 g.w + k, peaks at the least lambda + k + sum
     g_i^2 / (lambda - b_i) over lambda > max b (More & Sorensen 1983), each an upper bound.
+    All on Python floats, the 2 x 2 eigenproblems (L, B) by ``_eigh2``.
     """
     if isinstance(region, Polygon):
         return functools.reduce(_minimum, [dom._depth(*p) for p in region._vertices])
-    import numpy as np
+    g00, g01, g11, e0, e1 = region._entries
+    w_lo, w_hi, v0, v1 = _eigh2(g00, g01, g11)
+    r_lo, r_hi = math.sqrt(w_lo), math.sqrt(w_hi)
+    (x0, x1), (y0, y1) = axes = ((v0 / r_lo, v1 / r_lo), (-v1 / r_hi, v0 / r_hi))
+    if isinstance(dom, Polygon):
+        least = math.inf
+        for n0, n1, offset, mean in dom._edges:
+            nx, ny = n0 * x0 + n1 * x1, n0 * y0 + n1 * y1
+            least = _minimum(least, (offset - (n0 * e0 + n1 * e1) - math.sqrt(nx * nx + ny * ny))
+                             / mean)
+        return least
+    f00, f01, f11, c0, c1 = dom._entries
+    # F L's columns, then B = L^T F L and g = L^T F (e - c) in B's eigenvectors
+    (fx0, fx1), (fy0, fy1) = fl = [(f00 * a0 + f01 * a1, f01 * a0 + f11 * a1) for a0, a1 in axes]
+    b_lo, b_hi, u0, u1 = _eigh2(x0 * fx0 + x1 * fx1, x0 * fy0 + x1 * fy1, y0 * fy0 + y1 * fy1)
+    d0, d1 = e0 - c0, e1 - c1
+    h0, h1 = (p0 * d0 + p1 * d1 for p0, p1 in fl)
+    g = [u0 * h0 + u1 * h1, u0 * h1 - u1 * h0]
+    # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out,
+    # and with both zero lambda = max b
+    norm = math.hypot(*g)
+    terms = [(gi / norm, (b_hi - bi) / norm) for gi, bi in zip(g, (b_lo, b_hi)) if gi]
+    lo, nu = 0.0, 1.0
+    for _ in range(64 if terms else 0):
+        m = 0.5 * (lo + nu)
+        lo, nu = (m, nu) if sum((gi / (m + gap)) ** 2 for gi, gap in terms) > 1 else (lo, m)
+    excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
+    return dom._depth(e0, e1) - b_hi - norm * excess
 
-    with np.errstate(over="ignore"):  # an overflowed depth keeps its sign
-        w, vecs = np.linalg.eigh(region._form)
-        axes = vecs / np.sqrt(w)
-        if isinstance(dom, Polygon):
-            reach = np.linalg.norm(dom.normals @ axes, axis=1)
-            (c0, c1), (n0, n1, offset, mean) = region.center, np.array(dom._edges).T
-            return float(((offset - (n0 * c0 + n1 * c1) - reach) / mean).min())
-        ltm = axes.T @ dom._form
-        b, vecs = np.linalg.eigh(ltm @ axes)
-        g = (vecs.T @ (ltm @ (region.center - dom.center))).tolist()
-        # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out
-        norm = math.hypot(*g)
-        terms = [(gi / norm, (b[-1] - bi) / norm) for gi, bi in zip(g, b.tolist()) if gi]
-        lo, nu = 0.0, 1.0
-        for _ in range(64):
-            m = 0.5 * (lo + nu)
-            lo, nu = (m, nu) if sum((gi / (m + gap)) ** 2 for gi, gap in terms) > 1 else (lo, m)
-        excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
-        return dom._depth(*region._entries[3:]) - b[-1] - norm * excess
+
+def _eigh2(a, b, c):
+    """The eigenvalues lo <= hi of the symmetric [[a, b], [b, c]] and lo's unit eigenvector
+    (v0, v1), hi's being (-v1, v0): one Jacobi rotation (Golub & Van Loan, "Matrix
+    Computations", 4th ed., 2013, 8.5.2), which returns a diagonal matrix as it is."""
+    if b == 0.0:
+        return (a, c, 1.0, 0.0) if a <= c else (c, a, 0.0, 1.0)
+    tau = (c - a) / (2.0 * b)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    sn = t * cs
+    # the rotation [[cs, sn], [-sn, cs]] takes it to diag(a - t b, c + t b)
+    lo, hi = a - t * b, c + t * b
+    return (lo, hi, cs, -sn) if lo <= hi else (hi, lo, sn, cs)
 
 
 # Li2(1) = pi^2 / 6, and the Bernoulli coefficients B_2k / (2k + 1)!, k = 9 down to 1, of
@@ -707,29 +722,41 @@ def _barycentric(corners, points):
 def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> float:
     """Busemann (Hilbert) area of a convex region inside the domain.
 
-    A polygon region in a triangle has its area in closed form, exact to
-    rounding (``_triangle_area``: within 1e-14 relative of a 60-digit reference
-    on the tested cases), and ``cellsize`` has no effect on it.  Any other pair,
-    a conic region in a triangle among them, integrates the exact density
-    pi / EuclideanArea(unit Finsler ball) over the region by polar quadrature
-    about an interior point of the region, and
-    ``cellsize`` sets its accuracy: the relative tolerance is ``cellsize**2``,
-    the error a midpoint grid of that cell size has on a smooth integrand.
-    A polygon region in a conic is hyperbolic, whose Gauss-Bonnet area is left
-    for later.  The region may touch the domain boundary.  It has finite area when it
-    touches it only at points of a conic or of a polygon's edges.  ``math.inf``
-    means that it shares a boundary arc, or that it has a vertex at a corner of
-    a polygon domain: near a corner the Hilbert geometry is a simplex's, a
-    normed plane in log coordinates (de la Harpe, "On Hilbert's metric for
-    simplices", 1993), where a wedge at the corner is an infinite half-strip.
-    A region that leaves the domain raises RegionNotContained.
+    Three cases have their area in closed form, exact to rounding, and ``cellsize``
+    has no effect on them: a polygon region in a triangle (``_triangle_area``: within
+    1e-14 relative of a 60-digit reference on the tested cases), and any region in a
+    conic, the Klein model of the hyperbolic plane: a polygon as a fan of hyperbolic
+    triangles, a conic by Carlson's integrals (``projkit._klein``, whose ``_conic_area``
+    states its error bound).  In a polygon with more than three sides, and for a conic
+    region in a triangle, the exact density pi / EuclideanArea(unit Finsler ball) is
+    integrated over the region by polar quadrature about an interior point of the
+    region, and ``cellsize`` sets its accuracy: the relative tolerance is
+    ``cellsize**2``, the error a midpoint grid of that cell size has on a smooth
+    integrand.  The region may touch the domain boundary.  It has finite area when it
+    touches it only at points of a polygon's edges, or of a conic at a polygon's
+    vertices (ideal vertices).  ``math.inf`` means that it shares a boundary arc, that
+    a conic region touches a conic domain, that a vertex lies past a conic within the
+    containment margin, or that it has a vertex at a corner of a polygon domain: near
+    a corner the Hilbert geometry is a simplex's, a normed plane in log coordinates
+    (de la Harpe, "On Hilbert's metric for simplices", 1993), where a wedge at the
+    corner is an infinite half-strip.  A region that leaves the domain raises
+    RegionNotContained, and a conic domain whose stored form is singular to rounding
+    (``_klein._unit_frame``) raises NonFiniteResult.
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
     # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding
-    if not _least_depth(dom, region) > -1e-9:
+    if not (depth := _least_depth(dom, region)) > -1e-9:
         raise RegionNotContained("integration region is not contained in the domain")
-    if isinstance(dom, Polygon) and isinstance(region, Polygon):
+    if isinstance(dom, ConicOval):
+        from ._klein import _conic_area, _fan_area
+
+        # a conic region touching the boundary, or a vertex past it within the margin,
+        # leaves an arc or a cusp of infinite area; a vertex on it is ideal
+        if isinstance(region, ConicOval):
+            return _conic_area(dom, region) if depth > 0.0 else math.inf
+        return _fan_area(dom, region) if depth >= 0.0 else math.inf
+    if isinstance(region, Polygon):
         if len(dom._vertices) == 3:
             return _triangle_area(_barycentric(dom._vertices, region._vertices))
         if not set(region._vertices).isdisjoint(dom._vertices):

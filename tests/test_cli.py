@@ -514,6 +514,8 @@ tri = pk.Polygon([[0, 0], [1, 0], [0, 1]])
 conic = pk.ConicOval([2.309, -1.149, 1.102, -1.909, -1.611, -8.26])
 pk.hilbert_distance(conic, [0, 0], [0.25, 0.125]), pk.finsler_norm(tri, [0.2, 0.2], [1, 0])
 pk.busemann_area(tri, pk.Polygon([[0.1, 0.1], [0.5, 0.1], [0.1, 0.5]]), 0.01)
+pk.busemann_area(pk.ConicOval.unit_circle(), pk.ConicOval.disk((0, 0), 0.5), 0.005)
+pk.busemann_area(conic, pk.Polygon([[0, 0], [1.5, 0.3], [1.4, 2], [0.2, 1.6]]), 0.01)
 before = "numpy" in sys.modules
 pk.chord(conic, [0, 0], [0.25, 0.125])
 print(json.dumps([before, "numpy" in sys.modules]))
@@ -525,9 +527,10 @@ def test_scalar_commands_start_without_numpy():
     convert, invariants, bulge (shears and flags), classify (each kind, a complex pair,
     three rows of 3 and a NotUnimodular refusal), area, sweep, distance (a conic and a
     polygon) and a malformed-JSON refusal leave numpy unloaded.  No command loads
-    dataclasses, inspect or typing.  In the library, domains, distances, norms and the
-    area of a polygon in a triangle leave numpy unloaded; chord, whose endpoints are
-    arrays, loads it, which shows that the check can fail."""
+    dataclasses, inspect or typing.  In the library, domains, distances, norms, the area
+    of a polygon in a triangle and the areas in a conic (a disk in a disk, a quadrilateral
+    in an ellipse) leave numpy unloaded; chord, whose endpoints are arrays, loads it,
+    which shows that the check can fail."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
     classify, coords = ["errors", "isometry"], ["coords", "errors", "isometry"]
     invariants, hilbert = ["errors", "invariants", "rp2"], ["errors", "hilbert"]

@@ -39,6 +39,11 @@ def reference_area(case):
     return float(TRIANGLE_AREAS[case]["area"])
 
 
+# 50-digit areas of conic regions in conic domains, from tests/conic_areas.py
+CONIC_AREAS = {row["case"]: row for row in json.loads(
+    pathlib.Path(__file__).with_name("conic_areas.json").read_text())}
+
+
 def regular_hexagon():
     angles = math.pi / 3.0 * np.arange(6)
     return pk.Polygon(np.stack([np.cos(angles), np.sin(angles)], axis=1))
@@ -247,12 +252,16 @@ def _centre_coeffs(cx, cy, angle, ratio, size):
 @example(0.7, -1.3, 0.5, 0.3, 1.0)  # tilted and off-centre
 @example(999.5, -1000.0, 1.1, 0.05, 2.0)  # a centre near 1e3
 @example(3.0, 2.0, 0.8, 1e-8, 1.0)  # 4ac - b^2 ~ 4e-8 (a + c)^2
+@example(0.0, 2.2250738585e-313, 0.0, 10.0 ** -1.5, 1.0)  # a subnormal centre
 def test_conic_centre_within_its_condition(cx, cy, angle, ratio, size):
     """ConicOval's centre lies within 2 kappa eps (relative, 2-norm) of the exact solution
     of 2 A x = -(d, e) for its float coefficients, in fractions, kappa the condition
     number of 2 A: Cramer's rule is forward stable for 2 x 2 systems (Higham, "Accuracy
     and Stability of Numerical Algorithms", 2nd ed., 1.10.1).  Over 20,000 seeded
-    ellipses of this family the worst error was 0.82 kappa eps (LAPACK's solve: 0.77)."""
+    ellipses of this family the worst error was 0.82 kappa eps (LAPACK's solve: 0.77).
+    Below 2^-1022 the floats are 2^-1074 apart, which the bound adds in quadrature:
+    the subnormal centre y = 2.2250738582e-313 is the float nearest the exact one, 0.46
+    of that spacing off, and 1.4e3 kappa eps relative."""
     coeffs = _centre_coeffs(cx, cy, angle, ratio, size)
     a, b, c, d, e, _ = map(Fraction, coeffs)
     det = 4 * a * c - b * b
@@ -262,7 +271,7 @@ def test_conic_centre_within_its_condition(cx, cy, angle, ratio, size):
     err = sum((Fraction(got) - want) ** 2 for got, want in zip(
         pk.ConicOval(coeffs).center.tolist(), exact))
     assert err <= Fraction(2.0 * kappa * sys.float_info.epsilon) ** 2 * sum(
-        want * want for want in exact)
+        want * want for want in exact) + Fraction(2.0 ** -1074) ** 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -612,6 +621,8 @@ _COORD = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, math.nan, math.inf, 
     st.integers(0, len(_KERNEL_DOMAINS) - 1),
     st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD, st.integers(-1, 5)), min_size=1, max_size=6),
 )
+# a corner, where the depth is 0.0 and -0.0 over two edges: numpy's minimum takes the second
+@example(4, [(0.0, -0.0, 0.0, 0.0, 0)])
 def test_float_kernel_is_the_array_kernel(k, rows):
     """The chord kernel on Python floats gives row i of the same kernel on (n,)
     arrays, bit for bit: inside and outside, for zero, non-finite and edge-parallel
@@ -741,11 +752,6 @@ class TestDensity:
         image = pk.Polygon(standard_triangle().vertices @ a.T + b)
         density = image._density(*(pts @ a.T + b).T, 1.0)
         assert density == pytest.approx(exact / np.linalg.det(a), rel=1e-10)
-
-    def test_klein_disk(self):
-        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, -0.6], [0.0, 0.99]])
-        exact = (1.0 - np.sum(pts**2, axis=1)) ** -1.5
-        assert unit_circle()._density(*pts.T, 1.0) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("half", [
         [[math.cos(a), math.sin(a)] for a in math.pi / 3.0 * np.arange(3)],
@@ -985,6 +991,118 @@ class TestBusemannArea:
         # crossing the boundary within the margin, centred on it: its part inside the
         # disk shares an arc with the boundary; the density at the centre divided by 0
         assert pk.busemann_area(unit_circle(), pk.ConicOval.disk((1, 0), 1e-13), 0.01) == math.inf
+
+
+class TestConicDomainAreas:
+    """A conic domain is the Klein model: its areas are in closed form, Carlson's integrals
+    for a conic region and a fan of hyperbolic triangles for a polygon."""
+
+    @pytest.mark.parametrize("case", list(CONIC_AREAS))
+    def test_decimal_reference(self, case):
+        """Each area of the committed 50-digit reference within the bound _conic_area
+        states, 8 eps (1 + 2 pi / area) + eps / d relative, d the least depth of the
+        domain over the region; the reference is of the conics as projkit stores them."""
+        import conic_areas
+
+        row = CONIC_AREAS[case]
+        dom, region = (conic_areas.build(row[key]) for key in ("domain", "region"))
+        assert [list(dom._entries), list(region._entries)] == row["entries"]
+        area, ref = pk.busemann_area(dom, region, 0.01), float(row["area"])
+        eps = sys.float_info.epsilon
+        depth = pk.hilbert._least_depth(dom, region)
+        bound = 8.0 * eps * (1.0 + 2.0 * math.pi / ref) + eps / depth
+        assert abs(area - ref) <= bound * ref
+
+    def test_reference_matches_its_generator(self):
+        """The committed reference is what tests/conic_areas.py writes, shown on the
+        cheapest case."""
+        import conic_areas
+
+        row = CONIC_AREAS["small off-centre disk"]
+        assert format(conic_areas.area(*row["entries"]), ".30e") == row["area"]
+
+    def test_near_the_boundary_of_the_unit_disk(self):
+        """The stored disk r = 1 - 1e-12 has the area 2 pi (sqrt(p / (p - 1)) - 1), p its
+        stored form's entry, p - 1 exact; the quadrature missed it by 3.9e-5 at cellsize
+        1e-4, where it was asked for 1e-8."""
+        region = pk.ConicOval.disk((0.0, 0.0), 1.0 - 1e-12)
+        p = region._entries[0]
+        exact = 2.0 * math.pi * (math.sqrt(p / (p - 1.0)) - 1.0)
+        assert pk.busemann_area(unit_circle(), region, 1e-4) == pytest.approx(
+            exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("dom, vertices", [
+        ("circle", [[math.cos(a), math.sin(a)] for a in math.pi / 2.0 + 2.0 * math.pi / 3.0
+                    * np.arange(3)]),
+        ("circle", [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        ("hexagonal",
+         [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -1.0]]),
+    ], ids=["triangle", "square", "hexagon"])
+    def test_ideal_polygons(self, dom, vertices):
+        """An ideal polygon with E vertices has the area (E - 2) pi.  The vertices have
+        depth 0 as floats: on the unit circle, and on x^2 + xy + y^2 = 1."""
+        dom = unit_circle() if dom == "circle" else pk.ConicOval([1.0, 1.0, 1.0, 0.0, 0.0, -1.0])
+        assert all(dom._depth(*v) == 0.0 for v in vertices)
+        exact = (len(vertices) - 2) * math.pi
+        area = pk.busemann_area(dom, pk.Polygon(vertices), 0.01)
+        assert abs(area - exact) <= 4.0 * math.ulp(exact)
+
+    def test_tiny_triangle_keeps_its_digits(self):
+        """A triangle of size 1e-100 in the unit disk, against its fan term in 50-digit
+        decimals, where atan(t) = t to far beyond that precision.  The angle sum
+        pi - sum theta would give 0.0."""
+        verts = [[1e-100, 2e-100], [-3e-100, 1e-100], [-1e-100, -2.5e-100]]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            (x, y), (z, w), (u, v) = [[Decimal(c) for c in p] for p in verts]
+            depth = [1 - a * a - b * b for a, b in ((x, y), (z, w), (u, v))]
+            polar = [1 - x * z - y * w, 1 - z * u - w * v, 1 - u * x - v * y]
+            roots = [d.sqrt() for d in depth]
+            den = (roots[0] * roots[1] * roots[2] + polar[0] * roots[2] + polar[1] * roots[0]
+                   + polar[2] * roots[1])
+            exact = 2 * abs((z - x) * (v - y) - (w - y) * (u - x)) / den
+        area = pk.busemann_area(unit_circle(), pk.Polygon(verts), 0.01)
+        assert area == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e150])
+    def test_polygon_area_at_every_scale(self, s):
+        """A quadrilateral in the disk of radius s, both scaled from unit size: its area
+        keeps the unit size's to 4 ulp."""
+        quad = [[-0.5, -0.3], [0.4, -0.5], [0.6, 0.4], [-0.3, 0.5]]
+
+        def area(s):
+            dom = pk.ConicOval.disk((0.0, 0.0), s)
+            return pk.busemann_area(dom, pk.Polygon([[s * x, s * y] for x, y in quad]), 0.01)
+
+        assert abs(area(s) - area(1.0)) <= 4.0 * math.ulp(area(1.0))
+
+    def test_cellsize_has_no_effect(self):
+        """cellsize is validated and then unused: each area is the same float at every
+        cellsize."""
+        ellipse = pk.ConicOval([2.309, -1.149, 1.102, -1.909, -1.611, -8.26])
+        for dom, region in ((unit_circle(), pk.ConicOval.disk((0.3, -0.2), 0.5)),
+                            (ellipse, pk.Polygon([[0.0, 0.0], [1.5, 0.3], [1.4, 2.0]]))):
+            assert len({pk.busemann_area(dom, region, h) for h in (0.5, 1e-3, 1e-300)}) == 1
+
+    def test_form_singular_to_rounding_refused(self):
+        """x^2 + (2 - 2^-52) xy + y^2 = 1.125 is an ellipse, but its stored form A / -q_min
+        has three equal entries: a strip, whose areas raise NonFiniteResult, as a chord
+        along it does.  The quadrature gave 6.5e-19 for this triangle and inf for the disk."""
+        dom = pk.ConicOval([1.0, 2.0 - 2.0 ** -52, 1.0, 0.0, 0.0, -1.125])
+        for region in (pk.ConicOval.disk((0.0, 0.0), 1e-3),
+                       pk.Polygon([[-0.1, 0.1], [0.0, 0.0], [0.1, -0.1 + 1e-9]])):
+            with pytest.raises(pk.NonFiniteResult, match="singular to rounding"):
+                pk.busemann_area(dom, region, 0.01)
+
+    def test_infinite_where_the_region_reaches_the_boundary(self):
+        """A disk tangent to the unit circle, or a vertex past it within the containment
+        margin, leaves an infinite area; a vertex on the circle is ideal, with a finite one."""
+        u = unit_circle()
+        assert pk.busemann_area(u, pk.ConicOval.disk((0.5, 0.0), 0.5), 0.01) == math.inf
+        outside = pk.Polygon([[1.0 + 1e-10, 0.0], [-0.5, 0.5], [-0.5, -0.5]])
+        assert pk.busemann_area(u, outside, 0.01) == math.inf
+        on = pk.Polygon([[1.0, 0.0], [-0.5, 0.5], [-0.5, -0.5]])
+        assert 1.0 < pk.busemann_area(u, on, 0.01) < math.pi
 
 
 def _reference_least_depth(dom, region):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import projkit as pk
@@ -257,17 +257,27 @@ class TestGenericity:
 
 def _unit_reference(flags):
     """|pairing| of every point with every other flag's line and |det| of every
-    point triple, on unit representatives, from LAPACK determinants of
-    norm-scaled columns: each point over its norm (``math.hypot``, which
-    neither overflows nor underflows), each line by an orthonormal basis of
-    its span (a unit bivector)."""
-    points = [f.point.v / math.hypot(*f.point.v) for f in flags]
-    bases = [np.linalg.qr(np.column_stack([f.line.u, f.line.w]))[0] for f in flags]
+    point triple, on unit representatives, in exact rationals: det(p, u, w) over
+    |p| |u x w| and det(a, b, c) over |a| |b| |c|, squared, then rounded once and
+    rooted.  LAPACK determinants of norm-scaled columns, with an orthonormal basis
+    of each line's span from QR, lost eps / sin(u, w) of the unit pairing: for u and
+    w 2e-11 rad apart they gave 1e-11 for a point on the line."""
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+    def unit(num, *vecs):
+        den = math.prod(sum(x * x for x in v) for v in vecs)
+        return math.sqrt(num * num / den)
+
+    points = [tuple(map(Fraction, f.point.v.tolist())) for f in flags]
+    normals = [cross(*(tuple(map(Fraction, v.tolist())) for v in (f.line.u, f.line.w)))
+               for f in flags]
     n = len(flags)
-    pairings = [abs(np.linalg.det(np.column_stack([points[i], bases[j]])))
+    pairings = [unit(sum(a * b for a, b in zip(points[i], normals[j])), points[i], normals[j])
                 for i, j in itertools.permutations(range(n), 2)]
-    triples = [abs(np.linalg.det(np.column_stack([points[k] for k in c])))
-               for c in itertools.combinations(range(n), 3)]
+    triples = [unit(sum(x * y for x, y in zip(points[i], cross(points[j], points[k]))),
+                    points[i], points[j], points[k])
+               for i, j, k in itertools.combinations(range(n), 3)]
     return pairings + triples
 
 
@@ -280,6 +290,14 @@ def _unit_reference(flags):
     st.floats(-3.0, 0.0),
     st.lists(st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=12, max_size=12),
 )
+# a point with a subnormal coordinate on a line through it: LAPACK's determinant of
+# the singular matrix warned
+@example(3, 1e-12, [0.0, 1.0, 2.225073858507203e-309, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+                   0.0, 1.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 7, 2, 1, 0, 0.0, 0.0, [1.0] * 12)
+# a line spanned by vectors 2e-11 rad apart, through another flag's point
+@example(4, 1e-12, [0.0, 1.0, 1.0, 0.0, 1.0, 4.0647616451442256e-11, 1.0, 1.0, 0.0, 0.0, 0.0,
+                   1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+         0, 1, 0, 1.0, 0.0, [1.0] * 12)
 def test_genericity_rule(n, tol, coords, i, shift, kind, log_ratio, log_angle, scales):
     """is_generic_* against the unit-representative reference, on flags with one
     pairing (kind 0) or point triple (kind 1) pushed to tol * 10^log_ratio and
