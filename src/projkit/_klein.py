@@ -3,7 +3,8 @@
 A conic's Hilbert geometry is the Klein model of the hyperbolic plane, so the Busemann
 area of a region in it is a hyperbolic area: a polygon region is a fan of hyperbolic
 triangles (``_fan_area``), and a conic region has its area in Carlson's elliptic
-integrals or, when small, in a series of positive terms (``_conic_area``).
+integrals or, when small, in a series of positive terms (``_conic_area``).  ``_area``
+decides containment on what they reuse: a polygon's vertex depths, a conic's normal form.
 ``hilbert.busemann_area`` imports this module on its first area in a conic domain, so
 that importing projkit and the other queries do not load it.
 """
@@ -11,7 +12,20 @@ that importing projkit and the other queries do not load it.
 import math
 
 from .errors import NonFiniteResult
-from .hilbert import ConicOval, Polygon, _eigh2
+from .hilbert import ConicOval, Polygon, _contained, _depths, _eigh2
+
+
+def _area(dom: ConicOval, region) -> float:
+    """Busemann area of a region in a conic domain, ``busemann_area``'s hand-off: inf where
+    the region touches the boundary along an arc or passes it within the margin (a cusp)."""
+    if isinstance(region, Polygon):
+        depths = _depths(dom, region)
+        return _fan_area(dom, region, depths) if _contained(*depths) >= 0.0 else math.inf
+    form = _normal_form(dom, region)
+    if not _contained(_least_depth(*form)) > 0.0:
+        return math.inf
+    # b = inf: narrower than the float range in the domain's units, an area below underflow
+    return 0.0 if form[1] == math.inf else _conic_area(*form)
 
 
 def _unit_frame(dom: ConicOval):
@@ -29,8 +43,62 @@ def _unit_frame(dom: ConicOval):
     return math.sqrt(k0), math.sqrt(k1), r0, r1
 
 
-def _fan_area(dom: ConicOval, region: Polygon) -> float:
-    """Busemann area of a polygon in a conic, the sum of a fan of hyperbolic triangles.
+def _normal_form(dom: ConicOval, region: ConicOval):
+    """The region mapped onto the domain's unit disk and rotated to its own axes, as
+    (a, b, z0, z1): the region a (y0 - z0)^2 + b (y1 - z1)^2 <= 1, a <= b."""
+    c0, c1 = dom._entries[3:]
+    g00, g01, g11, e0, e1 = region._entries
+    s0, s1, r0, r1 = _unit_frame(dom)
+    # the region's form and centre in the unit disk's frame
+    w00 = (r0 * g00 + r1 * g01) * r0 + (r0 * g01 + r1 * g11) * r1
+    w01 = (r0 * g00 + r1 * g01) * -r1 + (r0 * g01 + r1 * g11) * r0
+    w11 = (-r1 * g00 + r0 * g01) * -r1 + (-r1 * g01 + r0 * g11) * r0
+    d0, d1 = e0 - c0, e1 - c1
+    y0, y1 = s0 * (r0 * d0 + r1 * d1), s1 * (r0 * d1 - r1 * d0)
+    # the form of a region below ~2^-500 of the domain passes the float range: it is taken
+    # by 2^-600 or 2^-1200, and eigenvalues past the range come back inf
+    for scale in (1.0, 2.0 ** -300, 2.0 ** -600):
+        form = [w * scale / s * scale / t
+                for w, s, t in ((w00, s0, s0), (w01, s0, s1), (w11, s1, s1))]
+        if max(map(abs, form)) < math.inf:
+            break
+    a, b, v0, v1 = _eigh2(*form)
+    return a / scale / scale, b / scale / scale, v0 * y0 + v1 * y1, v0 * y1 - v1 * y0
+
+
+def _least_depth(a: float, b: float, z0: float, z1: float) -> float:
+    """The least depth 1 - |y|^2 of the unit disk over the region a (y0 - z0)^2 +
+    b (y1 - z1)^2 <= 1, a <= b: a lower bound, exact to rounding.
+
+    The greatest 1 - depth at z + L w, |w| <= 1, L = diag(a, b)^(-1/2), is the least of the
+    trust-region dual lambda + sum g_i^2 / (lambda - B_i) over lambda > 1/a, B = L^2 and
+    g = L z (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): every value a bound,
+    so rounding can only refuse.  In lambda = 1/a + |g| nu it is least where |p| = 1, p_i =
+    h_i / (nu + gap_i), h = g / |g|, gap_i = (1/a - B_i) / |g|; 1 / |p| is concave and
+    increasing, so Newton's method climbs to that root from the left, from nu = |h_i| over
+    the zero gaps, until a step no longer lowers the dual.  In the hard case (h_0 = 0, the
+    domain's centre on the region's minor axis) with |p(0)| <= 1 the least is at nu = 0.
+    """
+    if not a > 0.0:
+        return -math.inf  # a form singular to rounding: an axis without bound
+    top, g0, g1 = 1.0 / a, z0 / math.sqrt(a), z1 / math.sqrt(b)
+    rest, norm = 1.0 - (z0 * z0 + z1 * z1) - top, math.hypot(g0, g1)
+    # g = 0, a centred region, leaves no terms: its least is at the ends of its major axis
+    terms = [(g / norm, gap / norm) for g, gap in ((g0, 0.0), (g1, top - 1.0 / b)) if g]
+    nu = math.hypot(*[h for h, gap in terms if not gap])
+    least = nu + sum(h * (h / (nu + gap)) for h, gap in terms)
+    while (s2 := sum((h / (nu + gap)) ** 2 for h, gap in terms)) > 1.0:
+        s3 = sum((h / (nu + gap)) ** 2 / (nu + gap) for h, gap in terms)
+        step = nu + (math.sqrt(s2) - 1.0) * s2 / s3
+        if not (value := step + sum(h * (h / (step + gap)) for h, gap in terms)) < least:
+            break
+        nu, least = step, value
+    return rest - norm * least
+
+
+def _fan_area(dom: ConicOval, region: Polygon, depths) -> float:
+    """Busemann area of a polygon in a conic, the sum of a fan of hyperbolic triangles;
+    ``depths`` are the domain's at its vertices, all nonnegative.
 
     The Hilbert geometry of a conic is the Klein model of the hyperbolic plane, whose
     geodesics are straight: the polygon is the fan of triangles X Y Z on its first vertex
@@ -50,8 +118,7 @@ def _fan_area(dom: ConicOval, region: Polygon) -> float:
     (x0, x1), *rest = region._vertices
     offsets = [(v0 - c0, v1 - c1) for v0, v1 in region._vertices]
     forms = [(d0 * f00 + d1 * f01, d0 * f01 + d1 * f11) for d0, d1 in offsets]
-    # the square roots of the depths, as ConicOval._depth takes them
-    roots = [math.sqrt(1.0 - (p0 * d0 + p1 * d1)) for (p0, p1), (d0, d1) in zip(forms, offsets)]
+    roots = [math.sqrt(q) for q in depths]
 
     def polar(i, j):
         (p0, p1), (d0, d1) = forms[i], offsets[j]
@@ -131,11 +198,11 @@ def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
     return scale * series / (mean * math.sqrt(mean)) + 6.0 * total
 
 
-def _conic_area(dom: ConicOval, region: ConicOval) -> float:
-    """Busemann area of a conic region strictly inside a conic domain, in closed form.
+def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
+    """Busemann area of a conic region strictly inside a conic domain, in closed form,
+    from its normal form a (y0 - z0)^2 + b (y1 - z1)^2 <= 1, 1 < a <= b (``_normal_form``).
 
-    The domain is the Klein model of the hyperbolic plane.  Mapped onto the unit disk and
-    rotated to its axes, the region is a (y0 - z0)^2 + b (y1 - z1)^2 <= 1, 1 < a <= b.  The
+    The domain is the Klein model of the hyperbolic plane, here its unit disk.  The
     pencil E - kappa C of the two conics (C = diag(1, 1, -1)) has a self-polar triangle
     with one vertex inside, and the isometry taking that vertex to the centre gives the
     region the normal form p x^2 + q y^2 <= 1: with kappa = 1 + mu, the pencil's roots are
@@ -175,22 +242,7 @@ def _conic_area(dom: ConicOval, region: ConicOval) -> float:
     0.5 - 6 eps off the boundary and 480 eps at d = 1e-4, where an ulp of the inputs
     moves the area by 500 - 1400 eps.
     """
-    c0, c1 = dom._entries[3:]
-    g00, g01, g11, e0, e1 = region._entries
-    s0, s1, r0, r1 = _unit_frame(dom)
-    # the region's form and centre in the unit disk's frame
-    w00 = (r0 * g00 + r1 * g01) * r0 + (r0 * g01 + r1 * g11) * r1
-    w01 = (r0 * g00 + r1 * g01) * -r1 + (r0 * g01 + r1 * g11) * r0
-    w11 = (-r1 * g00 + r0 * g01) * -r1 + (-r1 * g01 + r0 * g11) * r0
-    d0, d1 = e0 - c0, e1 - c1
-    y0, y1 = s0 * (r0 * d0 + r1 * d1), s1 * (r0 * d1 - r1 * d0)
-    a, b, v0, v1 = _eigh2(w00 / s0 / s0, w01 / s0 / s1, w11 / s1 / s1)
-    if b == math.inf:
-        return 0.0  # narrower than the float range in the domain's units: below underflow
-    if not a > 1.0:
-        return math.inf
     big_a, big_b = a - 1.0, b - 1.0
-    z0, z1 = v0 * y0 + v1 * y1, v0 * y1 - v1 * y0
     alpha, beta = a * z0 * z0, b * z1 * z1
     mu = 0.0
     for _ in range(200):

@@ -1,12 +1,14 @@
 """Exception taxonomy shared by all projkit modules, and the few private
-helpers every layer needs: the frozen-record base and the readers of numbers
-and tolerances passed in by callers.
+helpers every layer needs: the frozen-record base, read-only arrays and the
+readers of numbers and tolerances passed in by callers.
 
 Every domain failure maps to a distinct exception class so that callers
 (and the CLI) can report a machine-readable error name.
 """
 
+import functools
 import math
+import struct
 
 
 class ProjKitError(Exception):
@@ -107,6 +109,20 @@ class _Record:
 def _set_fields(record, state) -> None:
     for name, value in zip(record._fields, state):
         object.__setattr__(record, name, value)
+
+
+@functools.cache
+def _freezer(n: int):
+    """The function taking n floats to a read-only float64 array, a view of their packed
+    bytes (immutable): faster than ``np.array`` and ``setflags``, and ``reshape`` keeps it."""
+    pack = struct.Struct(f"{n}d").pack
+
+    def frozen(values):
+        import numpy as np
+
+        return np.frombuffer(pack(*values))
+
+    return frozen
 
 
 def _check_tol(tol: float) -> None:

@@ -7,20 +7,11 @@ Hilbert distance is the half-log cross ratio of a chord.
 
 The area density is pi over the Euclidean area of the unit ball of the Finsler
 norm F(u) = (1/t+ + 1/t-) / 2 (Alvarez Paiva & Thompson, "Volumes on normed and
-Finsler spaces", 2004).  A polygon's ball, a triangle's too, is spanned by the rays
-to its vertices, F read from the chord kernel.  In a polygon with more than three
-sides, and for a conic region in a triangle, areas are integrated in polar
-coordinates, the density times the polar Jacobian: adaptive Gauss-Kronrod in the
-angle, Gauss-Legendre in the Hilbert distance along each ray, in which the integrand
-stays smooth up to the boundary.
-
-Every other area is in closed form, exact to rounding, and ``cellsize`` has no
-effect on it.  A polygon region in a triangle, and its truncation to a Hilbert ball
-(a hexagon with straight sides), is a sum of terms, one set per edge, of logarithms
-and the dilogarithm (Green's theorem, see ``_triangle_area``).  A conic domain is
-the Klein model of the hyperbolic plane: a polygon region in it is a fan of
-hyperbolic triangles, and a conic region has its area in Carlson's elliptic integrals
-or, when small, a positive series (``projkit._klein``, loaded on first use).
+Finsler spaces", 2004).  A polygon's ball is spanned by the rays to its vertices,
+F read from the chord kernel.  ``busemann_area`` integrates it in polar
+coordinates where no closed form applies: a polygon region in a triangle has one
+here (``_triangle_area``), and every region in a conic, the Klein model, has one in
+``projkit._klein``, loaded on first use.
 """
 
 import functools
@@ -31,6 +22,7 @@ from .errors import (
     NonFiniteResult,
     PointOutsideDomain,
     RegionNotContained,
+    _freezer,
     _Record,
 )
 
@@ -52,12 +44,14 @@ class ConvexDomain:
         """Interior test: each point's depth (``_depth``, per class) is positive.
 
         The depth is positive inside and 0 on the boundary, relative to the
-        domain's scale.  Returns a bool for a single point, a boolean array
-        for an (n, 2) batch.
+        domain's scale.  Returns a bool for a single point, shape (2,), and a
+        boolean array for an (n, 2) batch; any other shape raises ValueError.
         """
         import numpy as np
 
         pts = np.asarray(pts, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+            raise ValueError(f"contains needs shape (2,) or (n, 2), got {pts.shape}")
         # an overflowed slack keeps its sign; a non-finite coordinate gives a NaN depth
         with np.errstate(over="ignore", invalid="ignore"):
             inside = self._depth(*pts.reshape(-1, 2).T) > 0.0
@@ -110,13 +104,12 @@ def _sqrt(v):
     return np.sqrt(v)
 
 
-def _frozen(rows):
-    """A read-only float64 array of rows, floats or pairs of floats."""
-    import numpy as np
+# read-only arrays of a pair of floats, and of n pairs
+_array2 = _freezer(2)
 
-    array = np.array(rows, dtype=float)
-    array.setflags(write=False)
-    return array
+
+def _rows(pairs):
+    return _freezer(2 * len(pairs))(sum(pairs, ())).reshape(-1, 2)
 
 
 class Polygon(ConvexDomain):
@@ -151,9 +144,9 @@ class Polygon(ConvexDomain):
         self._edges = [
             (n0, n1, o, o - (n0 * m0 + n1 * m1)) for (n0, n1), o in zip(normals, offsets)]
 
-    vertices = property(lambda self: _frozen(self._vertices))
-    normals = property(lambda self: _frozen([edge[:2] for edge in self._edges]))
-    offsets = property(lambda self: _frozen([edge[2] for edge in self._edges]))
+    vertices = property(lambda self: _rows(self._vertices))
+    normals = property(lambda self: _rows([edge[:2] for edge in self._edges]))
+    offsets = property(lambda self: _freezer(len(self._edges))([e[2] for e in self._edges]))
 
     def _depth(self, x0, x1):
         # the least ratio slack_e(x) / slack_e(vertex mean): 1 there, 0 on the boundary and
@@ -233,8 +226,8 @@ class ConicOval(ConvexDomain):
             raise ValueError(f"conic's form A / -q_min is not finite: q_min = {qmin!r}")
         self._entries = (f00, f01, f11, cx, cy)
 
-    center = property(lambda self: _frozen(self._entries[3:]))
-    _form = property(lambda self: _frozen([self._entries[:2], self._entries[1:3]]))
+    center = property(lambda self: _array2(self._entries[3:]))
+    _form = property(lambda self: _rows([self._entries[:2], self._entries[1:3]]))
 
     @classmethod
     def disk(cls, center, radius: float) -> "ConicOval":
@@ -330,8 +323,8 @@ def chord(dom: ConvexDomain, x, y) -> Chord:
     (x0, x1), (u0, u1), _, t_fwd, t_bwd = _exits(dom, None, x, y)
     if not (u0 or u1):
         raise CoincidentPoints("chord endpoints coincide")
-    return Chord(p=_frozen([x0 - t_bwd * u0, x1 - t_bwd * u1]),
-                 q=_frozen([x0 + t_fwd * u0, x1 + t_fwd * u1]))
+    return Chord(p=_array2((x0 - t_bwd * u0, x1 - t_bwd * u1)),
+                 q=_array2((x0 + t_fwd * u0, x1 + t_fwd * u1)))
 
 
 def hilbert_distance(dom: ConvexDomain, x, y) -> float:
@@ -495,45 +488,28 @@ def _polar_area(dom, region, rtol: float) -> float:
     return total if math.isfinite(total) else math.inf
 
 
-def _least_depth(dom: ConvexDomain, region: ConvexDomain) -> float:
-    """The least depth of dom over the region, exact to rounding.
-
-    Depth is concave, so least at a polygon's vertex.  A conic region is c + L w,
-    |w| <= 1, L's columns its semi-axes: an edge's least slack is offset - n.c - |L^T n|, and
-    1 - depth in a conic, w^T B w + 2 g.w + k, peaks at the least lambda + k + sum
-    g_i^2 / (lambda - b_i) over lambda > max b (More & Sorensen 1983), each an upper bound.
-    All on Python floats, the 2 x 2 eigenproblems (L, B) by ``_eigh2``.
-    """
+def _depths(dom: ConvexDomain, region: ConvexDomain) -> list:
+    """Depths of the domain whose least is its least over the region, exact to rounding:
+    a polygon region's vertex depths (depth is concave), and for a conic region c + L w,
+    |w| <= 1, L's columns its semi-axes (``_eigh2``), in a polygon, each edge's least
+    slack offset - n.c - |L^T n| over its slack at the vertex mean."""
     if isinstance(region, Polygon):
-        return functools.reduce(_minimum, [dom._depth(*p) for p in region._vertices])
+        return [dom._depth(*p) for p in region._vertices]
     g00, g01, g11, e0, e1 = region._entries
     w_lo, w_hi, v0, v1 = _eigh2(g00, g01, g11)
     r_lo, r_hi = math.sqrt(w_lo), math.sqrt(w_hi)
-    (x0, x1), (y0, y1) = axes = ((v0 / r_lo, v1 / r_lo), (-v1 / r_hi, v0 / r_hi))
-    if isinstance(dom, Polygon):
-        least = math.inf
-        for n0, n1, offset, mean in dom._edges:
-            nx, ny = n0 * x0 + n1 * x1, n0 * y0 + n1 * y1
-            least = _minimum(least, (offset - (n0 * e0 + n1 * e1) - math.sqrt(nx * nx + ny * ny))
-                             / mean)
-        return least
-    f00, f01, f11, c0, c1 = dom._entries
-    # F L's columns, then B = L^T F L and g = L^T F (e - c) in B's eigenvectors
-    (fx0, fx1), (fy0, fy1) = fl = [(f00 * a0 + f01 * a1, f01 * a0 + f11 * a1) for a0, a1 in axes]
-    b_lo, b_hi, u0, u1 = _eigh2(x0 * fx0 + x1 * fx1, x0 * fy0 + x1 * fy1, y0 * fy0 + y1 * fy1)
-    d0, d1 = e0 - c0, e1 - c1
-    h0, h1 = (p0 * d0 + p1 * d1 for p0, p1 in fl)
-    g = [u0 * h0 + u1 * h1, u0 * h1 - u1 * h0]
-    # lambda = max b + |g| nu, nu in [0, 1]; a zero g_i (as in the "hard case") drops out,
-    # and with both zero lambda = max b
-    norm = math.hypot(*g)
-    terms = [(gi / norm, (b_hi - bi) / norm) for gi, bi in zip(g, (b_lo, b_hi)) if gi]
-    lo, nu = 0.0, 1.0
-    for _ in range(64 if terms else 0):
-        m = 0.5 * (lo + nu)
-        lo, nu = (m, nu) if sum((gi / (m + gap)) ** 2 for gi, gap in terms) > 1 else (lo, m)
-    excess = nu + sum(gi * (gi / (nu + gap)) for gi, gap in terms)
-    return dom._depth(e0, e1) - b_hi - norm * excess
+    x0, x1, y0, y1 = v0 / r_lo, v1 / r_lo, -v1 / r_hi, v0 / r_hi
+    reach = [(n0 * x0 + n1 * x1, n0 * y0 + n1 * y1) for n0, n1, _, _ in dom._edges]
+    return [(offset - (n0 * e0 + n1 * e1) - math.sqrt(nx * nx + ny * ny)) / mean
+            for (n0, n1, offset, mean), (nx, ny) in zip(dom._edges, reach)]
+
+
+def _contained(*depths) -> float:
+    """The least of the depths, once the region is accepted: depth is relative, 0 on the
+    boundary, and a tangent region may fall short of 0 by rounding, so -1e-9 refuses."""
+    if not (least := functools.reduce(_minimum, depths)) > -1e-9:
+        raise RegionNotContained("integration region is not contained in the domain")
+    return least
 
 
 def _eigh2(a, b, c):
@@ -725,37 +701,30 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     Three cases have their area in closed form, exact to rounding, and ``cellsize``
     has no effect on them: a polygon region in a triangle (``_triangle_area``: within
     1e-14 relative of a 60-digit reference on the tested cases), and any region in a
-    conic, the Klein model of the hyperbolic plane: a polygon as a fan of hyperbolic
-    triangles, a conic by Carlson's integrals (``projkit._klein``, whose ``_conic_area``
-    states its error bound).  In a polygon with more than three sides, and for a conic
-    region in a triangle, the exact density pi / EuclideanArea(unit Finsler ball) is
-    integrated over the region by polar quadrature about an interior point of the
-    region, and ``cellsize`` sets its accuracy: the relative tolerance is
-    ``cellsize**2``, the error a midpoint grid of that cell size has on a smooth
-    integrand.  The region may touch the domain boundary.  It has finite area when it
-    touches it only at points of a polygon's edges, or of a conic at a polygon's
-    vertices (ideal vertices).  ``math.inf`` means that it shares a boundary arc, that
-    a conic region touches a conic domain, that a vertex lies past a conic within the
-    containment margin, or that it has a vertex at a corner of a polygon domain: near
-    a corner the Hilbert geometry is a simplex's, a normed plane in log coordinates
-    (de la Harpe, "On Hilbert's metric for simplices", 1993), where a wedge at the
-    corner is an infinite half-strip.  A region that leaves the domain raises
-    RegionNotContained, and a conic domain whose stored form is singular to rounding
-    (``_klein._unit_frame``) raises NonFiniteResult.
+    conic, the Klein model of the hyperbolic plane, which ``projkit._klein._area``
+    takes: a polygon as a fan of hyperbolic triangles, a conic by Carlson's integrals
+    (``_conic_area`` states its error bound).  In a polygon with more than three sides,
+    and for a conic region in a triangle, the density is integrated by polar quadrature
+    (``_polar_area``) to the relative tolerance ``cellsize**2``, the error a midpoint
+    grid of that cell size has on a smooth integrand.  The region may touch the domain
+    boundary.  It has finite area when it touches it only at points of a polygon's
+    edges, or of a conic at a polygon's vertices (ideal vertices).  ``math.inf`` means
+    that it shares a boundary arc, that a conic region touches a conic domain, that a
+    vertex lies past a conic within the containment margin, or that it has a vertex at
+    a corner of a polygon domain: near a corner the Hilbert geometry is a simplex's, a
+    normed plane in log coordinates (de la Harpe, "On Hilbert's metric for simplices",
+    1993), where a wedge at the corner is an infinite half-strip.  A region that leaves
+    the domain raises RegionNotContained (``_contained``).  A conic domain whose form
+    is singular to rounding (``_klein._unit_frame``) raises NonFiniteResult, first for
+    a conic region.
     """
     if not 0.0 < cellsize < math.inf:
         raise ValueError(f"cellsize must be positive and finite, got {cellsize}")
-    # depth is relative, 0 on the boundary: a tangent region may fall short of 0 by rounding
-    if not (depth := _least_depth(dom, region)) > -1e-9:
-        raise RegionNotContained("integration region is not contained in the domain")
     if isinstance(dom, ConicOval):
-        from ._klein import _conic_area, _fan_area
+        from ._klein import _area
 
-        # a conic region touching the boundary, or a vertex past it within the margin,
-        # leaves an arc or a cusp of infinite area; a vertex on it is ideal
-        if isinstance(region, ConicOval):
-            return _conic_area(dom, region) if depth > 0.0 else math.inf
-        return _fan_area(dom, region) if depth >= 0.0 else math.inf
+        return _area(dom, region)
+    _contained(*_depths(dom, region))
     if isinstance(region, Polygon):
         if len(dom._vertices) == 3:
             return _triangle_area(_barycentric(dom._vertices, region._vertices))

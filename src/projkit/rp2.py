@@ -9,9 +9,8 @@ first so a single tolerance is meaningful for arbitrarily scaled input.
 
 import itertools
 import math
-import struct
 
-from .errors import _check_tol, _matrix_rows, _read_reals, _Record
+from .errors import _check_tol, _freezer, _matrix_rows, _read_reals, _Record
 
 # Tolerance used when checking transversality determinants of unit-normalized
 # representatives.  Callers may always pass their own.
@@ -96,15 +95,7 @@ def _as_vector(coords, what: str) -> tuple:
     return c
 
 
-_PACK3 = struct.Struct("3d").pack
-
-
-def _frozen(c):
-    """A read-only float64 array of the float 3-tuple c: a view of its packed
-    bytes, which are immutable, built faster than ``np.array`` and ``setflags``."""
-    import numpy as np
-
-    return np.frombuffer(_PACK3(*c))
+_array3 = _freezer(3)
 
 
 # ProjPoint and ProjLine use slots: without an instance dict, and with their float
@@ -128,7 +119,7 @@ class ProjPoint(_Record, eq=False):
 
     @property
     def v(self):
-        return _frozen(self._c)
+        return _array3(self._c)
 
     def __repr__(self):
         return f"ProjPoint({list(self._c)})"
@@ -190,15 +181,15 @@ class ProjLine(_Record, eq=False):
 
     @property
     def u(self):
-        return _frozen(self._u)
+        return _array3(self._u)
 
     @property
     def w(self):
-        return _frozen(self._w)
+        return _array3(self._w)
 
     @property
     def normal(self):
-        return _frozen(self._n)
+        return _array3(self._n)
 
     @classmethod
     def from_normal(cls, normal) -> "ProjLine":

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import projkit as pk
 from conftest import assert_refuses
+from projkit import _klein
 
 
 def unit_circle():
@@ -185,6 +186,18 @@ class TestDomains:
         assert not sq.contains([1.0, 0.0])  # boundary is not interior
         flags = sq.contains(np.array([[0.0, 0.0], [2.0, 2.0]]))
         assert list(flags) == [True, False]
+
+    @pytest.mark.parametrize("dom", [unit_square(), unit_circle()], ids=["square", "disk"])
+    @pytest.mark.parametrize("pts", [
+        [], [0.5], [0.5, 0.5, 9.0, 9.0], [[0.5, 0.5, 9.0, 9.0]], [[0.5], [0.5]], 0.5,
+        np.zeros((1, 2, 2)), np.zeros((0,)), np.zeros((3, 3))])
+    def test_contains_refuses_other_shapes(self, dom, pts):
+        """Only a point, shape (2,), or a batch, shape (n, 2), is read: [0.5, 0.5, 9, 9]
+        answered for its first two numbers, [[x, y, z, w]] was read as two points and []
+        raised IndexError."""
+        with pytest.raises(ValueError, match="shape"):
+            dom.contains(pts)
+        assert dom.contains(np.zeros((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("dom", [unit_square(), unit_circle()], ids=["square", "disk"])
     def test_contains_non_finite(self, dom):
@@ -1009,7 +1022,7 @@ class TestConicDomainAreas:
         assert [list(dom._entries), list(region._entries)] == row["entries"]
         area, ref = pk.busemann_area(dom, region, 0.01), float(row["area"])
         eps = sys.float_info.epsilon
-        depth = pk.hilbert._least_depth(dom, region)
+        depth = _klein._least_depth(*_klein._normal_form(dom, region))
         bound = 8.0 * eps * (1.0 + 2.0 * math.pi / ref) + eps / depth
         assert abs(area - ref) <= bound * ref
 
@@ -1256,6 +1269,45 @@ def test_containment_agrees_with_a_decimal_reference(kind, shape, axes, shift, c
         accepted = False
     if abs(ref + Decimal("1e-9")) > Decimal("1e-12"):
         assert accepted == (ref > Decimal("-1e-9")), float(ref)
+
+
+def _conic_pair(scale, shape, flat, shift, angle, dist, turn, size, thin):
+    """A domain, the unit disk under y -> scale R(shape) diag(1, flat) y + scale shift, and
+    the image under the same map of an ellipse of semi-axes size and size thin, turned by
+    turn, centred at dist (cos angle, sin angle)."""
+    m = scale * _rotation(shape) @ np.diag([1.0, flat])
+    centre = scale * np.asarray(shift) + m @ (dist * np.array([math.cos(angle), math.sin(angle)]))
+    region = m @ _rotation(turn) @ np.diag([size, size * thin])
+    return (affine_disk(m, scale * np.asarray(shift), (0.0, 0.0), 1.0),
+            affine_disk(region, centre, (0.0, 0.0), 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.builds(
+    _conic_pair, st.builds(lambda e: 10.0 ** e, st.floats(-100.0, 100.0)), st.floats(0.0, math.pi),
+    st.floats(0.5, 1.0), st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.2), st.floats(0.0, math.pi),
+    st.builds(lambda e: 10.0 ** e, st.floats(-6.0, 0.0)), st.floats(0.5, 1.0)))
+@example((unit_circle(), pk.ConicOval([2.0, 1.0, 5.0, 0.0, 0.0, -0.3])))  # centred: g = 0
+# the domain's centre on the region's minor axis, the hard case (g_0 = 0)
+@example((unit_circle(), pk.ConicOval([4.0, 0.0, 25.0, 0.0, -15.0, 1.25])))
+@example((unit_circle(), pk.ConicOval.disk((0.3, -0.2), 0.5)))  # a disk: both gaps 0
+@example((unit_circle(), pk.ConicOval.disk((0.3, -0.2), 1e-150)))
+# b = inf: 1e-156 of the domain across, its form past the float range in the unit disk
+@example((pk.ConicOval.disk((-3e99, 0.0), 1e100),
+          pk.ConicOval([4e-196, 0.0, 1e112, 0.0, 0.0, -1.0])))
+@example((unit_circle(), pk.ConicOval.disk((0.3, -0.2), 1.0 - math.hypot(0.3, 0.2) - 1e-12)))
+def test_conic_least_depth_against_a_decimal_reference(pair):
+    """_klein's least depth of a conic domain over a conic region, from the region's
+    normal form in the domain's unit disk, is a lower bound to rounding: never above the
+    50-digit reference by more than 8 eps, nor below it by more than 16 eps.  The domain
+    and region are each within an axis ratio of 2 of a disk; a more eccentric form loses
+    about eps times the square of its ratio in its eigenvalues."""
+    dom, region = pair
+    eps = Decimal(sys.float_info.epsilon)
+    gap = Decimal(_klein._least_depth(*_klein._normal_form(dom, region))) - _reference_least_depth(
+        dom, region)
+    assert -16 * eps <= gap <= 8 * eps, float(gap / eps)
 
 
 class TestTriangleExperiment:
