@@ -37,7 +37,10 @@ def _json_text(obj) -> str:
 def _finite(value) -> bool:
     """Whether a number, or every number in nested lists and tuples, is finite."""
     if isinstance(value, (list, tuple)):
-        return all(map(_finite, value))
+        try:  # a flat one, such as a sweep column, in one pass
+            return all(map(math.isfinite, value))
+        except TypeError:  # an element is a list or tuple
+            return all(map(_finite, value))
     return math.isfinite(value)
 
 

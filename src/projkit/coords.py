@@ -26,14 +26,9 @@ sigma2(C) = u + 3v (normalized so the base point is (u, v) = (0, 0)).
 import collections
 import math
 
-from .errors import (
-    ComplexEigenvalues,
-    InconsistentStratum,
-    NonFiniteResult,
-    NonPositiveParameter,
-    _Record,
-)
-from .isometry import HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, _exp, _shifted
+from .errors import (HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, ComplexEigenvalues,
+                     InconsistentStratum, NonFiniteResult, NonPositiveParameter, _exp, _Record,
+                     _shifted)
 
 _CODIMENSION = {HYPERBOLIC: 0, QUASI_HYPERBOLIC: 1, PARABOLIC: 2}
 
@@ -200,14 +195,14 @@ def _softplus(x: float) -> float:
 
 
 def _shears(log_lam, log_mu, log_s: float) -> tuple:
-    """(sigma1(B1..B3), sigma2(B1..B3)) as sums of the logs of lambda_i, mu_i and s."""
-    sigma1, sigma2 = [], []
-    for i in range(3):
-        prv, nxt = (i - 1) % 3, (i + 1) % 3
-        root = 0.5 * (log_lam[prv] + log_lam[nxt] - log_lam[i])
-        sigma1.append(log_s + log_mu[prv] + root)
-        sigma2.append(log_mu[nxt] - log_s + root)
-    return tuple(sigma1), tuple(sigma2)
+    """(sigma1(B1..B3), sigma2(B1..B3)) as sums of the logs of lambda_i, mu_i and s: with
+    r_i = (log lambda_{i-1} + log lambda_{i+1} - log lambda_i) / 2, sigma1(B_i) =
+    log s + log mu_{i-1} + r_i and sigma2(B_i) = log mu_{i+1} - log s + r_i."""
+    l1, l2, l3 = log_lam
+    m1, m2, m3 = log_mu
+    r1, r2, r3 = 0.5 * (l3 + l2 - l1), 0.5 * (l1 + l3 - l2), 0.5 * (l2 + l1 - l3)
+    return ((log_s + m3 + r1, log_s + m1 + r2, log_s + m2 + r3),
+            (m2 - log_s + r1, m3 - log_s + r2, m1 - log_s + r3))
 
 
 def _tau_core(sigma1, sigma2) -> float:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared by all projkit modules, and the few private
 helpers every layer needs: the frozen-record base, read-only arrays and the
-readers of numbers and tolerances passed in by callers.
+readers of numbers and tolerances passed in by callers; and what ``coords`` shares
+with ``isometry`` (the three boundary kinds, ``_exp``, ``_shifted``), so it loads alone.
 
 Every domain failure maps to a distinct exception class so that callers
 (and the CLI) can report a machine-readable error name.
@@ -9,6 +10,10 @@ Every domain failure maps to a distinct exception class so that callers
 import functools
 import math
 import struct
+
+
+# the kinds of a boundary curve, each also an isometry class
+HYPERBOLIC, QUASI_HYPERBOLIC, PARABOLIC = "hyperbolic", "quasi_hyperbolic", "parabolic"
 
 
 class ProjKitError(Exception):
@@ -123,6 +128,19 @@ def _freezer(n: int):
         return np.frombuffer(pack(*values))
 
     return frozen
+
+
+def _exp(x: float) -> float:
+    """e^x, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _shifted(s1: float, s2: float, v: float) -> tuple:
+    """(s1 - 3v, s2 + 3v), unchecked: the caller decides what a non-finite shear means."""
+    return (s1 - 3.0 * v, s2 + 3.0 * v)
 
 
 def _check_tol(tol: float) -> None:

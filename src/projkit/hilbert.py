@@ -198,16 +198,20 @@ class ConicOval(ConvexDomain):
     """
 
     def __init__(self, coeffs):
-        coeffs = [float(x) for x in coeffs]
+        given = [float(x) for x in coeffs]
         # a scale class: an exact power of two brings the largest of a, b, c into [1, 2)
-        scale = 1 - math.frexp(max(map(abs, coeffs[:3]), default=0.0))[1]
+        scale = 1 - math.frexp(max(map(abs, given[:3]), default=0.0))[1]
         try:
-            coeffs = [math.ldexp(x, scale) for x in coeffs]
+            coeffs = [math.ldexp(x, scale) for x in given]
         except OverflowError:  # d, e or f past the float range in units of a, b, c
             coeffs = []
         if len(coeffs) != 6 or not all(map(math.isfinite, coeffs)):
             raise ValueError("conic needs 6 coefficients, finite in units of max |a|, |b|, |c|")
         a, b, c, d, e, f = coeffs
+        # a or c flushed to 0 leaves b^2 - 4ac >= 0; a flushed b cannot change its sign
+        if (a == 0.0 != given[0]) or (c == 0.0 != given[2]):
+            raise ValueError("conic's a, b, c span more than the float range: a nonzero a or c "
+                             "is 0 in units of max |a|, |b|, |c|")
         if (disc := b * b - 4.0 * a * c) >= 0.0:
             raise ValueError("quadratic form does not cut out an oval (not an ellipse)")
         if a + c < 0.0:

@@ -9,8 +9,8 @@ the expected order, and positivity is checked at log time, never assumed.
 
 import math
 
-from .errors import NonGenericFlags, NonPositiveRatio, _Record
-from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _unit_rule, pairing13
+from .errors import NonGenericFlags, NonPositiveRatio, _check_tol, _Record
+from .rp2 import DEFAULT_GENERICITY_TOL, Flag, _vanishes, pairing13, triple_det
 
 
 class TripleRatio(_Record):
@@ -33,9 +33,9 @@ class DoubleRatios(_Record):
         setattr_(self, "d2", d2)
 
 
-def _denominator(value, what):
-    """A value checked by the unit-representative rule, or NonGenericFlags if it vanished."""
-    if value is None:
+def _denominator(value: float, scale: float, tol: float, what: str) -> float:
+    """A denominator that clears the unit-representative rule, or NonGenericFlags."""
+    if _vanishes(value, scale, tol):
         raise NonGenericFlags(f"vanishing {what}")
     return value
 
@@ -46,6 +46,20 @@ def _positive_log(value: float, i: int = 0) -> float:
         what = f"double ratio D{i}" if i else "triangle invariant"
         raise NonPositiveRatio(f"{what} is not positive: {value:g}")
     return math.log(value)
+
+
+def _triple_ratio(e: Flag, f: Flag, g: Flag, tol: float) -> float:
+    """T of :func:`triple_ratio` as a float, each denominator checked before the next factor."""
+    _check_tol(tol)
+    e1, f1, g1 = e.point, f.point, g.point
+    return (
+        pairing13(f1, e.line)
+        / _denominator(pairing13(f1, g.line), f1._size * g.line._size, tol, "pairing f1^g2")
+        * pairing13(e1, g.line)
+        / _denominator(pairing13(e1, f.line), e1._size * f.line._size, tol, "pairing e1^f2")
+        * pairing13(g1, f.line)
+        / _denominator(pairing13(g1, e.line), g1._size * e.line._size, tol, "pairing e2^g1")
+    )
 
 
 def triple_ratio(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> TripleRatio:
@@ -60,16 +74,7 @@ def triple_ratio(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL)
     Raises :class:`NonGenericFlags` if a denominator pairing vanishes within
     ``tol`` on unit-normalized representatives.
     """
-    pairing, _ = _unit_rule((e, f, g), tol)
-    value = (
-        pairing13(f.point, e.line)
-        / _denominator(pairing(1, 2), "pairing f1^g2")
-        * pairing13(e.point, g.line)
-        / _denominator(pairing(0, 1), "pairing e1^f2")
-        * pairing13(g.point, f.line)
-        / _denominator(pairing(2, 0), "pairing e2^g1")
-    )
-    return TripleRatio(value)
+    return TripleRatio(_triple_ratio(e, f, g, tol))
 
 
 def tau111(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> float:
@@ -78,7 +83,20 @@ def tau111(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> fl
     Raises :class:`NonPositiveRatio` when T <= 0, which signals flags that do
     not come from a convex structure in the given vertex order.
     """
-    return _positive_log(triple_ratio(e, f, g, tol=tol).value)
+    return _positive_log(_triple_ratio(e, f, g, tol))
+
+
+def _double_ratios(e: Flag, f: Flag, g: Flag, l: Flag, tol: float) -> tuple:
+    """(D1, D2) as floats, after all four denominators of :func:`double_ratios` are checked."""
+    _check_tol(tol)
+    e1, f1, g1, l1 = e.point, f.point, g.point, l.point
+    ef = e1._size * f1._size  # |e1| |f1| |l1| and |e1| |f1| |g1| are taken left to right
+    efl = _denominator(triple_det(e1, f1, l1), ef * l1._size, tol, "determinant e1^f1^l1")
+    efg = _denominator(triple_det(e1, f1, g1), ef * g1._size, tol, "determinant e1^f1^g1")
+    fg = _denominator(pairing13(g1, f.line), g1._size * f.line._size, tol, "pairing f2^g1")
+    el = _denominator(pairing13(l1, e.line), l1._size * e.line._size, tol, "pairing e2^l1")
+    return (-(efg / efl) * (pairing13(l1, f.line) / fg),
+            -(pairing13(g1, e.line) / el) * (efl / efg))
 
 
 def double_ratios(
@@ -91,14 +109,7 @@ def double_ratios(
 
     with the leading minus signs kept verbatim.
     """
-    pairing, triple = _unit_rule((e, f, g, l), tol)
-    efl = _denominator(triple(0, 1, 3), "determinant e1^f1^l1")
-    efg = _denominator(triple(0, 1, 2), "determinant e1^f1^g1")
-    fg = _denominator(pairing(2, 1), "pairing f2^g1")
-    el = _denominator(pairing(3, 0), "pairing e2^l1")
-    d1 = -(efg / efl) * (pairing13(l.point, f.line) / fg)
-    d2 = -(pairing13(g.point, e.line) / el) * (efl / efg)
-    return DoubleRatios(d1, d2)
+    return DoubleRatios(*_double_ratios(e, f, g, l, tol))
 
 
 def shear(
@@ -107,5 +118,4 @@ def shear(
     """i-th shear invariant log D_i along the oriented leaf (i is 1 or 2)."""
     if i not in (1, 2):
         raise ValueError("shear index must be 1 or 2")
-    d = double_ratios(e, f, g, l, tol=tol)
-    return _positive_log(d.d1 if i == 1 else d.d2, i)
+    return _positive_log(_double_ratios(e, f, g, l, tol)[i - 1], i)

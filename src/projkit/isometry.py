@@ -15,11 +15,9 @@ rejected, so arbitrary input can be inspected.
 import math
 import operator
 
-from .errors import NonFiniteResult, NotUnimodular, WrongClass, _check_tol, _matrix_rows, _Record
+from .errors import (HYPERBOLIC, PARABOLIC, QUASI_HYPERBOLIC, NonFiniteResult, NotUnimodular,
+                     WrongClass, _check_tol, _exp, _matrix_rows, _Record, _shifted)
 
-HYPERBOLIC = "hyperbolic"
-QUASI_HYPERBOLIC = "quasi_hyperbolic"
-PARABOLIC = "parabolic"
 OTHER = "other"
 
 # Relative tolerance for the det = 1 constraint.
@@ -352,14 +350,6 @@ def goldman_lengths(c: IsometryClass) -> GoldmanLengths:
     return GoldmanLengths(l1, l2, l1 + l2)
 
 
-def _exp(x: float) -> float:
-    """e^x, inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _bulge_entry(v: float, k: float, y: float = 1.0) -> float:
     """e^{kv} y, raising NonFiniteResult where it leaves the float range: where it
     overflows, or underflows to 0 from a nonzero y."""
@@ -397,11 +387,6 @@ def bulge_vertex(y: float, x: float, v: float):
     import numpy as np
 
     return np.array([1.0, _bulge_entry(v, 3.0, y), x])
-
-
-def _shifted(s1: float, s2: float, v: float) -> tuple:
-    """(s1 - 3v, s2 + 3v), unchecked: the caller decides what a non-finite shear means."""
-    return (s1 - 3.0 * v, s2 + 3.0 * v)
 
 
 def shear_shift(s1: float, s2: float, v: float) -> tuple:

@@ -293,39 +293,24 @@ class Flag(_Record, eq=False):
         return f"Flag({self.point!r}, {self.line!r})"
 
 
-def _unit_rule(flags, tol: float):
-    """The unit-representative rule for a tuple of flags, on the norms stored at construction.
-
-    Returns pairing(i, j) = pairing13(point i, line j) and triple(i, j, k) =
-    triple_det(points i, j, k), or None where that value is at most ``tol``
-    times the norms of its vectors (unit points, unit line bivectors); the
-    product, not the quotient, so norms whose product underflows to 0 clear
-    only a value of exactly 0.
-    """
-    _check_tol(tol)
-    points = [f.point for f in flags]
-    pn = [p._size for p in points]
-    ln = [f.line._size for f in flags]
-
-    def cleared(value, scale):
-        return None if abs(value) <= tol * scale else value
-
-    def pairing(i, j):
-        return cleared(pairing13(points[i], flags[j].line), pn[i] * ln[j])
-
-    def triple(i, j, k):
-        return cleared(triple_det(points[i], points[j], points[k]), pn[i] * pn[j] * pn[k])
-
-    return pairing, triple
+def _vanishes(value: float, scale: float, tol: float) -> bool:
+    """The unit-representative rule: whether a pairing or point-triple determinant
+    ``value`` is at most ``tol`` times ``scale``, the product of the norms of its vectors
+    (unit points, unit line bivectors) as stored at construction.  The product, not the
+    quotient, so norms whose product underflows to 0 clear only a value of exactly 0."""
+    return abs(value) <= tol * scale
 
 
 def _is_generic(flags, tol: float) -> bool:
     """No pairing of a point with another flag's line and no triple of points vanishes."""
-    pairing, triple = _unit_rule(flags, tol)
-    n = len(flags)
-    return all(
-        pairing(i, j) is not None for i, j in itertools.permutations(range(n), 2)
-    ) and all(triple(*c) is not None for c in itertools.combinations(range(n), 3))
+    _check_tol(tol)
+    for a, b in itertools.permutations(flags, 2):
+        if _vanishes(pairing13(a.point, b.line), a.point._size * b.line._size, tol):
+            return False
+    for a, b, c in itertools.combinations([f.point for f in flags], 3):
+        if _vanishes(triple_det(a, b, c), a._size * b._size * c._size, tol):
+            return False
+    return True
 
 
 def is_generic_triple(e: Flag, f: Flag, g: Flag, tol: float = DEFAULT_GENERICITY_TOL) -> bool:

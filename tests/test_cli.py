@@ -532,7 +532,7 @@ def test_scalar_commands_start_without_numpy():
     in an ellipse) leave numpy unloaded; chord, whose endpoints are arrays, loads it,
     which shows that the check can fail."""
     flags = json.dumps([f.to_json() for f in pk.bulging_configuration(1.0, 1.0)])
-    classify, coords = ["errors", "isometry"], ["coords", "errors", "isometry"]
+    classify, coords = ["errors", "isometry"], ["coords", "errors"]
     invariants, hilbert = ["errors", "invariants", "rp2"], ["errors", "hilbert"]
     cases = [(("convert", "--input", ALL_PARABOLIC), 0, coords),
              (("convert", "--input", TORUS), 0, coords),
@@ -611,18 +611,20 @@ def test_layer_attributes_load_one_layer():
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (("classify", "--input", "[1,1,0,0,1,1,0,0,1]"), {"projkit.isometry"}),
-    (("convert", "--input", ALL_PARABOLIC), {"projkit.coords", "projkit.isometry"}),
+    (("classify", "--input", "[1,1,0,0,1,1,0,0,1]"), {"cli", "errors", "isometry"}),
+    (("convert", "--input", ALL_PARABOLIC), {"cli", "coords", "errors"}),
 ], ids=["classify", "convert"])
 def test_importtime_lists_the_layers(argv, layers):
     """python -X importtime reports the layers a command loads through the package's
-    __getattr__; loaded by importlib.import_module, they were missing from its report."""
+    __getattr__, and no others; loaded by importlib.import_module, they were missing from
+    its report.  convert reads its boundary kinds from errors, without the classify layer."""
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "projkit", *argv],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     listed = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
               if line.startswith("import time:")}
-    assert layers <= listed
+    assert {name for name in listed if name.startswith("projkit.")} == {
+        f"projkit.{layer}" for layer in layers}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -817,6 +819,35 @@ class TestContract:
         code, out, err = run_main("sweep", "--input", record, "--steps", "4")
         assert (code, out) == (1, "")
         assert err == "error: NonFiniteResult: sigmaC1 is not finite\n"
+
+    @pytest.mark.parametrize("column, row, bad", [("tplus", 2, math.nan), ("tau", 4, math.inf),
+                                                  ("sigma1_B3", 0, -math.inf)])
+    def test_sweep_non_finite_column_writes_nothing(self, monkeypatch, column, row, bad):
+        """A NaN or infinity in any row of a column: the sweep writes no line."""
+        from projkit import coords
+
+        pinch = coords._pinch
+
+        def spoiled(*args):
+            start, columns, gluing = pinch(*args)
+            values = list(columns[column])
+            values[row] = bad
+            return start, {**columns, column: tuple(values)}, gluing
+
+        monkeypatch.setattr(coords, "_pinch", spoiled)
+        code, out, err = run_main("sweep", "--input", HYPERBOLIC_TORUS, "--steps", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: NonFiniteResult: {column} is not finite\n"
+
+    @pytest.mark.parametrize("value, finite", [
+        ([0.5, 1.0, -2.0], True), ((0.5, math.inf, 1.0), False), ([1.0, math.nan], False),
+        ([[0.0, 1.0], [2.0, 3.0]], True), ([[0.0, 1.0], [2.0, -math.inf]], False),
+        ([1.0, [2.0, math.nan]], False), ([1.0, (2.0, 3.0)], True), ([], True),
+    ])
+    def test_finite_reads_flat_and_nested_lists(self, value, finite):
+        """A flat list is checked in one pass; a list holding lists falls back to the
+        recursion, which finds a NaN or infinity at any depth."""
+        assert cli._finite(value) is finite
 
     @pytest.mark.parametrize("argv", [("convert",), ("sweep", "--steps", "4")])
     def test_overflowing_gluing_shears_exit_1(self, argv):

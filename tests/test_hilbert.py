@@ -147,6 +147,22 @@ class TestDomains:
         with pytest.raises(ValueError, match="finite"):
             pk.ConicOval([1e-300, 0.0, 1e-300, 1e10, 0.0, -1.0])
 
+    @pytest.mark.parametrize("coeffs", [[1e-300, 0.0, 1e300, 0.0, 0.0, -1.0],
+                                        [1e300, 1e-300, 5e-324, 0.0, 0.0, -1.0]])
+    def test_conic_axes_past_the_float_range_rejected(self, coeffs):
+        """Semi-axes 1e150 and 1e-150: scaling max |a|, |b|, |c| into [1, 2) flushed a
+        (or c) to 0, and the ellipse was refused as "not an ellipse"; still refused, now
+        for the coefficient range."""
+        with pytest.raises(ValueError, match="span more than the float range"):
+            pk.ConicOval(coeffs)
+
+    def test_conic_whose_b_flushes_to_zero_is_accepted(self):
+        """A b below the float range in units of a and c leaves the sign of b^2 - 4ac,
+        so the ellipse stays accepted, as the circle it rounds to."""
+        oval = pk.ConicOval([1e10, 5e-324, 1e10, 0.0, 0.0, -1e10])
+        assert pk.hilbert_distance(oval, [0, 0], [0.5, 0]) == pk.hilbert_distance(
+            unit_circle(), [0, 0], [0.5, 0])
+
     @pytest.mark.parametrize("center, radius", [
         ((0.0, 0.0), math.inf), ((math.nan, 0.0), 1.0), ((0.0, -math.inf), 1.0),
         ((0.0, 0.0), 1e160), ((0.0, 0.0), 1e-200), ((0.0, 0.0), 1e-155),

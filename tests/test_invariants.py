@@ -1,9 +1,13 @@
 """Triangle invariant and double ratios: worked values and invariance laws."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 import projkit as pk
 from conftest import (
@@ -140,3 +144,183 @@ class TestDoubleRatios:
         l = pk.Flag(pk.ProjPoint([1.0, 0.0, 2.0]), pk.ProjLine([1, 0, 2], [0, 1, 0]))
         with pytest.raises(pk.NonGenericFlags):
             pk.double_ratios(e, f, g, l)
+
+
+# ---- every invariant against a reference written from the pairings and the README's rule
+
+
+def _norm(v) -> float:
+    return math.hypot(*v.tolist())
+
+
+def _ref_pairing(p, flag):
+    """pairing13 of a point with a flag's line, and |p| |u x w|."""
+    return pk.pairing13(p, flag.line), _norm(p.v) * _norm(flag.line.normal)
+
+
+def _ref_triple(a, b, c):
+    """triple_det of three points, and |a| |b| |c|."""
+    return pk.triple_det(a, b, c), _norm(a.v) * _norm(b.v) * _norm(c.v)
+
+
+def _ref_vanishes(value, norms, tol) -> bool:
+    """The README's rule, |value| / norms <= tol, multiplied through: norms whose product
+    underflows to 0 clear only a value of exactly 0."""
+    return abs(value) <= tol * norms
+
+
+def _ref_denom(value_norms, tol, what):
+    if _ref_vanishes(*value_norms, tol):
+        raise pk.NonGenericFlags(f"vanishing {what}")
+    return value_norms[0]
+
+
+def _ref_triple_ratio(e, f, g, tol):
+    e1, f1, g1 = e.point, f.point, g.point
+    return (pk.pairing13(f1, e.line) / _ref_denom(_ref_pairing(f1, g), tol, "pairing f1^g2")
+            * pk.pairing13(e1, g.line) / _ref_denom(_ref_pairing(e1, f), tol, "pairing e1^f2")
+            * pk.pairing13(g1, f.line) / _ref_denom(_ref_pairing(g1, e), tol, "pairing e2^g1"))
+
+
+def _ref_double_ratios(e, f, g, l, tol):
+    e1, f1, g1, l1 = e.point, f.point, g.point, l.point
+    efl = _ref_denom(_ref_triple(e1, f1, l1), tol, "determinant e1^f1^l1")
+    efg = _ref_denom(_ref_triple(e1, f1, g1), tol, "determinant e1^f1^g1")
+    fg = _ref_denom(_ref_pairing(g1, f), tol, "pairing f2^g1")
+    el = _ref_denom(_ref_pairing(l1, e), tol, "pairing e2^l1")
+    return (-(efg / efl) * (pk.pairing13(l1, f.line) / fg),
+            -(pk.pairing13(g1, e.line) / el) * (efl / efg))
+
+
+def _ref_log(value, what):
+    if not value > 0.0:
+        raise pk.NonPositiveRatio(f"{what} is not positive: {value:g}")
+    return math.log(value)
+
+
+def _ref_generic(flags, tol) -> bool:
+    pairings = [_ref_pairing(a.point, b) for a, b in itertools.permutations(flags, 2)]
+    triples = [_ref_triple(*c) for c in itertools.combinations([f.point for f in flags], 3)]
+    return not any(_ref_vanishes(*vn, tol) for vn in pairings + triples)
+
+
+def _outcome(call) -> str:
+    """repr of the result, or the refusal's class and message."""
+    try:
+        return repr(call())
+    except pk.ProjKitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _flags(specs):
+    """Flags from (u, w, a, b) specs, each flag the point a u + b w on the line spanned
+    by u and w, or None where u, w are dependent or the point is 0."""
+    try:
+        return [pk.Flag(pk.ProjPoint([a * x + b * y for x, y in zip(u, w)]), pk.ProjLine(u, w))
+                for u, w, a, b in specs]
+    except ValueError:
+        return None
+
+
+def _boundary_tol(value, norms) -> float:
+    """The least float tol at which the rule refuses value: one ulp less clears it."""
+    tol = abs(value) / norms
+    while not _ref_vanishes(value, norms, tol):
+        tol = math.nextafter(tol, 1.0)
+    while _ref_vanishes(value, norms, math.nextafter(tol, 0.0)):
+        tol = math.nextafter(tol, 0.0)
+    return tol
+
+
+# integer configurations in which one denominator's unit value is in (1e-3, 0.3] and
+# every other denominator of its invariant is larger by half again
+_DENOMINATORS = {
+    "pairing f1^g2": ([[0, 1, 0], [-1, 1, 1], -1, -2], [[0, -2, 0], [1, -2, 2], 1, 0],
+                      [[1, 2, -2], [1, -2, -1], 2, -1], [[-2, -1, 1], [0, 2, 0], 2, 0]),
+    "pairing e1^f2": ([[-1, 2, 2], [2, 1, 0], 2, 2], [[0, -2, -1], [-1, 2, 1], 2, -1],
+                      [[-1, -1, -2], [1, -1, -1], -2, -1], [[-2, 0, -1], [1, -1, 2], -2, 1]),
+    "pairing e2^g1": ([[1, 1, -1], [2, 2, 0], 0, 1], [[0, 1, -2], [0, 0, 1], 0, -1],
+                      [[1, -2, -2], [2, 1, -1], 0, -2], [[-1, 1, -2], [1, 2, 2], 0, -1]),
+    "determinant e1^f1^l1": ([[-2, -1, 2], [0, 0, 1], 1, -1], [[-2, -2, 1], [0, -1, -1], 2, -1],
+                             [[1, -2, -1], [1, 0, -1], -2, 1], [[0, -1, 1], [2, -1, 2], 1, 1]),
+    "determinant e1^f1^g1": ([[2, 2, -1], [0, -2, 2], -1, 0], [[0, 2, -1], [-1, 0, 1], 1, -1],
+                             [[-1, -2, 0], [-2, 2, -2], -2, -2], [[2, 2, 1], [-1, 1, 1], 1, 0]),
+    "pairing f2^g1": ([[2, 1, 1], [-1, 2, 1], -1, -2], [[1, 0, -1], [-2, -2, -1], 0, -2],
+                      [[-2, 0, 2], [1, 1, 2], -2, -2], [[-1, -1, 1], [-2, 1, 2], -2, 0]),
+    "pairing e2^l1": ([[1, 2, -1], [-2, 0, -1], -2, 2], [[0, -2, -1], [-1, 1, -2], -2, 1],
+                      [[-2, 0, -1], [1, 1, -1], -2, 1], [[-1, -1, -1], [1, 1, -1], 1, -2]),
+}
+
+
+def _at_boundary(what):
+    """The configuration of ``what`` and the tol at its refusal boundary."""
+    specs = _DENOMINATORS[what]
+    e, f, g, l = _flags(specs)
+    value_norms = {
+        "pairing f1^g2": _ref_pairing(f.point, g), "pairing e1^f2": _ref_pairing(e.point, f),
+        "pairing e2^g1": _ref_pairing(g.point, e), "pairing f2^g1": _ref_pairing(g.point, f),
+        "pairing e2^l1": _ref_pairing(l.point, e),
+        "determinant e1^f1^l1": _ref_triple(e.point, f.point, l.point),
+        "determinant e1^f1^g1": _ref_triple(e.point, f.point, g.point)}[what]
+    return specs, _boundary_tol(*value_norms)
+
+
+_BOUNDARIES = {what: _at_boundary(what) for what in _DENOMINATORS}
+
+
+@pytest.mark.parametrize("what", sorted(_BOUNDARIES))
+def test_boundary_examples_sit_on_their_denominator(what):
+    """At its tol each pinned configuration is refused for its own denominator; one ulp
+    less, it is not."""
+    specs, tol = _BOUNDARIES[what]
+    flags = _flags(specs)
+    if what in ("pairing f1^g2", "pairing e1^f2", "pairing e2^g1"):
+        invariant, flags = pk.triple_ratio, flags[:3]
+    else:
+        invariant = pk.double_ratios
+    with pytest.raises(pk.NonGenericFlags, match=f"^{re.escape('vanishing ' + what)}$"):
+        invariant(*flags, tol=tol)
+    invariant(*flags, tol=math.nextafter(tol, 0.0))
+
+
+_coordinate = st.integers(-2, 2) | st.floats(-4.0, 4.0)
+_flag_spec = st.tuples(st.lists(_coordinate, min_size=3, max_size=3),
+                       st.lists(_coordinate, min_size=3, max_size=3), _coordinate, _coordinate)
+
+
+def _pin_boundaries(test):
+    """An @example at each denominator's refusal boundary, on both sides of it."""
+    for specs, tol in _BOUNDARIES.values():
+        test = example(specs, tol)(example(specs, math.nextafter(tol, 0.0))(test))
+    return test
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(*[_flag_spec] * 4), st.floats(1e-12, 0.3))
+@_pin_boundaries
+def test_invariants_match_the_unit_rule_reference(specs, tol):
+    """triple_ratio, tau111, double_ratios, shear(1), shear(2) and is_generic_* give what
+    a reference written from pairing13, triple_det and the README's rule gives: values by
+    repr, refusals by class and message.  Small integer coordinates make exact zeros, so
+    every refusal class is drawn."""
+    flags = _flags(specs)
+    assume(flags is not None)
+    e, f, g, l = flags
+    cases = [
+        (lambda: pk.triple_ratio(e, f, g, tol=tol),
+         lambda: pk.TripleRatio(_ref_triple_ratio(e, f, g, tol))),
+        (lambda: pk.tau111(e, f, g, tol=tol),
+         lambda: _ref_log(_ref_triple_ratio(e, f, g, tol), "triangle invariant")),
+        (lambda: pk.double_ratios(e, f, g, l, tol=tol),
+         lambda: pk.DoubleRatios(*_ref_double_ratios(e, f, g, l, tol))),
+        (lambda: pk.shear(e, f, g, l, 1, tol=tol),
+         lambda: _ref_log(_ref_double_ratios(e, f, g, l, tol)[0], "double ratio D1")),
+        (lambda: pk.shear(e, f, g, l, 2, tol=tol),
+         lambda: _ref_log(_ref_double_ratios(e, f, g, l, tol)[1], "double ratio D2")),
+        (lambda: pk.is_generic_triple(e, f, g, tol=tol), lambda: _ref_generic((e, f, g), tol)),
+        (lambda: pk.is_generic_quadruple(*flags, tol=tol), lambda: _ref_generic(flags, tol)),
+    ]
+    for call, reference in cases:
+        assert _outcome(call) == _outcome(reference)
+    for name, (call, _) in zip(("T", "D"), (cases[0], cases[2])):
+        event(f"{name}: {re.match(r'[A-Za-z]+', _outcome(call))[0]}")
