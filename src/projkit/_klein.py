@@ -2,8 +2,8 @@
 
 A conic's Hilbert geometry is the Klein model of the hyperbolic plane, so the Busemann
 area of a region in it is a hyperbolic area: a polygon region is a fan of hyperbolic
-triangles (``_fan_area``), and a conic region has its area in Carlson's elliptic
-integrals or, when small, in a series of positive terms (``_conic_area``).  ``_area``
+triangles (``_fan_area``), and a conic region has its area in Bulirsch's complete
+elliptic integral or, when small, in a series of positive terms (``_conic_area``).  ``_area``
 decides containment on what they reuse: a polygon's vertex depths, a conic's normal form.
 ``hilbert.busemann_area`` imports this module on its first area in a conic domain, so
 that importing projkit and the other queries do not load it.
@@ -136,66 +136,28 @@ def _fan_area(dom: ConicOval, region: Polygon, depths) -> float:
     return math.fsum(terms)
 
 
-# Carlson's duplication stops where the spread of its arguments is below (3 r)^(1/6) (R_F)
-# and (r / 4)^(1/6) (R_J) of their mean, r = 2^-53: the series it ends with then leaves out
-# terms below r (Carlson, "Numerical computation of real or complex elliptic integrals",
-# Numer. Algorithms 10, 1995)
-_RF_SPREAD = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
-_RJ_SPREAD = (2.0 ** -53 / 4.0) ** (-1.0 / 6.0)
+def _cel(kc: float, p: float, a: float, b: float) -> float:
+    """Bulirsch's general complete elliptic integral, for kc > 0 and p > 0,
 
+        cel(kc, p, a, b) = int_0^(pi/2) (a cos^2 t + b sin^2 t) dt
+                           / ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t))
+                         = a K + (b - a p) (Pi(1 - p, k) - K) / (1 - p),  k^2 = 1 - kc^2,
 
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t + x)(t + y)(t + z)) by duplication
-    (DLMF 19.36.1), for x, y, z >= 0, at most one of them 0."""
-    mean0 = mean = (x + y + z) / 3.0
-    dx, dy = mean0 - x, mean0 - y
-    spread = _RF_SPREAD * max(abs(dx), abs(dy), abs(mean0 - z))
-    scale = 1.0  # 4^-m
-    while spread * scale >= mean:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x, y, z, mean = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (mean + lam)
-        scale *= 0.25
-    X, Y = dx * scale / mean, dy * scale / mean
-    Z = -(X + Y)
-    e2, e3 = X * Y - Z * Z, X * Y * Z
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(mean)
-
-
-def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
-    """Carlson's R_J(x, y, z, p) = 3/2 int_0^inf dt / ((t + p) sqrt((t + x)(t + y)(t + z))) by
-    duplication (DLMF 19.36.2), for x, y, z >= 0, at most one of them 0, and p > 0.
-
-    Each step adds R_C(1, 1 + e) / d, d = (sqrt p + sqrt x)(sqrt p + sqrt y)(sqrt p + sqrt z)
-    and e = 4^(-3m) (p - x)(p - y)(p - z) / d^2, taken as atan(t) / t, t = sqrt(e) (atanh for
-    e < 0), which keeps its digits at small e where acos(sqrt(x / y)) / sqrt(y - x) does not.
+    by Gauss's transformation (R. Bulirsch, Numer. Math. 13, 1969), so that K(k) = cel(kc,
+    1, 1, 1) and E(k) = cel(kc, 1, 1, kc^2).  Each step is one of the arithmetic-geometric
+    mean of 1 and kc, whose relative gap |em - kc| / em falls to its square over 8: once
+    it is below sqrt(eps) = 2^-26, the step just taken leaves a gap below eps / 8.
     """
-    mean0 = mean = (x + y + z + 2.0 * p) / 5.0
-    dx, dy, dz = mean0 - x, mean0 - y, mean0 - z
-    spread = _RJ_SPREAD * max(abs(dx), abs(dy), abs(dz), abs(mean0 - p))
-    px, py, pz = p - x, p - y, p - z
-    scale, total = 1.0, 0.0
-    while spread * scale >= mean:
-        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
-        lam = sx * sy + sx * sz + sy * sz
-        d = (sp + sx) * (sp + sy) * (sp + sz)
-        # each factor over d first: (p - y)(p - z) / d^2 stays below 1
-        e = scale * scale * scale * px * (py / d) * (pz / d)
-        t = math.sqrt(abs(e))
-        rc = 1.0 if t == 0.0 else (math.atan(t) if e > 0.0 else math.atanh(t)) / t
-        total += scale * rc / d
-        x, y, z, p = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (p + lam)
-        mean = 0.25 * (mean + lam)
-        scale *= 0.25
-    X, Y, Z = dx * scale / mean, dy * scale / mean, dz * scale / mean
-    P = -0.5 * (X + Y + Z)
-    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
-    e3 = X * Y * Z + 2.0 * e2 * P + 4.0 * P * P * P
-    e4 = (2.0 * X * Y * Z + e2 * P + 3.0 * P * P * P) * P
-    e5 = X * Y * Z * P * P
-    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
-              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return scale * series / (mean * math.sqrt(mean)) + 6.0 * total
+    e, em = kc, 1.0
+    p = math.sqrt(p)
+    b /= p
+    while True:
+        a, b = a + b / p, 2.0 * (b + a * (e / p))
+        p, g, em = p + e / p, em, em + kc
+        if abs(g - kc) <= 2.0 ** -26 * g:
+            return 0.5 * math.pi * (b + a * em) / (em * (em + p))
+        kc = 2.0 * math.sqrt(e)
+        e = kc * em
 
 
 def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
@@ -220,12 +182,15 @@ def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
 
     The area is the integral round the region of cosh(rho) - 1 = 1 / sqrt(1 - R^2) - 1,
     R the Klein radius in direction theta.  With P = p cos^2 + q sin^2 = 1 / R^2,
-    m = min(p, q), M = max(p, q), y = M / m and z = (M - 1) / (m - 1) it is
+    m = min(p, q), M = max(p, q) and n = (m - 1) / (M - 1), the substitution tan theta =
+    sqrt(n) tan t takes it to
 
-        4 (m R_F(0, y, z) + (M - m) / 3 R_J(0, y, z, 1)) / sqrt(m (m - 1)) - 2 pi
+        4 cel(sqrt(M n / m), n, m, M n) / sqrt(m (M - 1)) - 2 pi
 
-    in Carlson's integrals (DLMF 19.16), both terms positive, for m < 4.  From m = 4 on the
-    subtraction would lose more than 3 bits to a small area, and the series
+    in Bulirsch's integral (``_cel``), of a positive integrand, for m < 4.  It is homogeneous
+    in m, M and M - 1, which are taken 1 + mu_0 times as large: 1 + mu_1, 1 + mu_2 and
+    mu_2 - mu_0.  From m = 4 on the subtraction would lose more than 3 bits to a small
+    area, and the series
 
         sum_k C(2k, k) 4^-k 2 pi (pq)^(-k/2) P_{k-1}((p + q) / (2 sqrt(pq)))
 
@@ -234,13 +199,14 @@ def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
     below 2^-55 of the first leaves out less than 2^-56 of the sum.
 
     Error bound: 8 eps (1 + 2 pi / area) + eps / d relative, d the least depth of the
-    domain over the region.  The first term is a few ulp of 2 pi + area in the Carlson
+    domain over the region.  The first term is a few ulp of 2 pi + area in the cel
     form (2 pi / area < 2 sqrt(pq): the area exceeds the series' first term) and a few
     ulp in the series.  The second is the area's own condition near tangency, where
     mu_0 and mu_1 close in: there one ulp of the region's form moves the area by up to
     ~eps / d.  Against the 50-digit references of tests/conic_areas.py the error is
-    0.5 - 6 eps off the boundary and 480 eps at d = 1e-4, where an ulp of the inputs
-    moves the area by 500 - 1400 eps.
+    0.3 - 4.7 eps off the boundary, 14 eps on an ellipse of axis ratio 10 and area 0.31
+    (2 pi / area = 21), and 480 eps at d = 1e-4, where an ulp of the inputs moves the
+    area by 500 - 1400 eps.
     """
     big_a, big_b = a - 1.0, b - 1.0
     alpha, beta = a * z0 * z0, b * z1 * z1
@@ -266,10 +232,9 @@ def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
     large = 0.5 * (total + math.sqrt(max(total * total - 4.0 * product, 0.0)))
     nu_s, nu_l = product / large * big_b, large * big_b
     if nu_s < 3.0 * den:
-        y, z = (den + nu_l) / (den + nu_s), nu_l / nu_s
-        carlson = (den + nu_s) * _carlson_rf(0.0, y, z) + (nu_l - nu_s) / 3.0 * _carlson_rj(
-            0.0, y, z, 1.0)
-        return 4.0 * carlson / math.sqrt((den + nu_s) * nu_s) - 2.0 * math.pi
+        m, n = den + nu_s, nu_s / nu_l
+        big = (den + nu_l) * n
+        return 4.0 * _cel(math.sqrt(big / m), n, m, big) / math.sqrt(m * nu_l) - 2.0 * math.pi
     # 1 / p and 1 / q; T_k = (pq)^(-k/2) P_{k-1}(z) runs T_{k+1} = ((2k - 1) h T_k -
     # (k - 1) g T_{k-1}) / k with h = (1/p + 1/q) / 2 and g = 1 / (pq)
     xs, xl = den / (den + nu_s), den / (den + nu_l)

@@ -276,7 +276,9 @@ def _pinch(g, boundary: int, steps: int) -> tuple:
              "tplus", "tminus"]
     # log(nu/mu) = rest log(nu0/mu0) keeps mu < nu until the last row, written from the
     # record's logs, so that row 0 is its conversion and nu/mu beyond the float range
-    # (tau ~ 1e160) stays finite; mu nu lambda = 1
+    # (tau ~ 1e160) stays finite; mu nu lambda = 1.  Row 0's tau is the record's, and
+    # nu = 1 / (lambda mu) is taken on mu 2^64: the same float wherever lambda mu is
+    # normal, and no subnormal product where it is not (tau ~ 1.8e308, lambda mu ~ 6e-309)
     rows = []
     for k in range(steps + 1):
         frac = k / steps
@@ -286,7 +288,8 @@ def _pinch(g, boundary: int, steps: int) -> tuple:
         log_mu[index] = rest * log_mu0 - 0.5 * (log_lam[index] - rest * log_lam0)
         mu = math.exp(log_mu[index])
         sigma1, sigma2, tplus, tminus = _convert(log_lam, log_mu, log_s, log_t)
-        rows.append((frac, lam, mu + 1.0 / (lam * mu), *sigma1, *sigma2, tplus, tminus))
+        tau = start.tau if k == 0 else mu + 2.0 ** 64 / (lam * (mu * 2.0 ** 64))
+        rows.append((frac, lam, tau, *sigma1, *sigma2, tplus, tminus))
     columns = dict(zip(names, zip(*rows)))
     return start, columns, dict(zip(("sigmaC1", "sigmaC2"), shears))
 

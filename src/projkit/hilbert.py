@@ -706,7 +706,7 @@ def busemann_area(dom: ConvexDomain, region: ConvexDomain, cellsize: float) -> f
     has no effect on them: a polygon region in a triangle (``_triangle_area``: within
     1e-14 relative of a 60-digit reference on the tested cases), and any region in a
     conic, the Klein model of the hyperbolic plane, which ``projkit._klein._area``
-    takes: a polygon as a fan of hyperbolic triangles, a conic by Carlson's integrals
+    takes: a polygon as a fan of hyperbolic triangles, a conic by Bulirsch's ``cel``
     (``_conic_area`` states its error bound).  In a polygon with more than three sides,
     and for a conic region in a triangle, the density is integrated by polar quadrature
     (``_polar_area``) to the relative tolerance ``cellsize**2``, the error a midpoint

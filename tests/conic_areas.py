@@ -38,6 +38,14 @@ CASES = [
     ("Hilbert size 1e-6", ELLIPSE,
      {"conic": [4e12, 1e12, 2e12, -5.2e12, -5.3e12, 4479999999999.0]}),
     ("1 - 1e-4 short of tangent", UNIT, {"disk": [[0.5, 0.0], 0.5 * (1.0 - 1e-4)]}),
+    # centred disks, of area 2 pi (1 / sqrt(1 - r^2) - 1): r = 0.6 has m = 2.78, and
+    # r = 0.5 (1 +- 1e-3) sit on either side of _conic_area's switch at m = 4
+    ("centred disk r = 0.6", UNIT, {"disk": [[0.0, 0.0], 0.6]}),
+    ("centred disk r = 0.5 (1 + 1e-3)", UNIT, {"disk": [[0.0, 0.0], 0.5 * (1.0 + 1e-3)]}),
+    ("centred disk r = 0.5 (1 - 1e-3)", UNIT, {"disk": [[0.0, 0.0], 0.5 * (1.0 - 1e-3)]}),
+    # semi-axes 0.765 and 0.0765 turned by 0.5, centred at (0.2, -0.1): m = 1.50
+    ("off-centre ellipse, axis ratio 10", UNIT,
+     {"conic": [40.591, -142.348, 131.992, -30.471, 54.868, 4.791]}),
 ]
 
 

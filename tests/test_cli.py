@@ -350,6 +350,23 @@ class TestSweepAreaBulge:
         taus = [float(row.split(",")[3]) for row in rows]
         assert taus[0] == pytest.approx(1e160, rel=1e-13) and taus[-1] == 2.0
 
+    def test_sweep_from_the_largest_tau(self):
+        """tau = 1.7976931348623157e308, the largest float, which convert accepts: row 0
+        prints the record's tau and every row is finite.  lambda mu is subnormal there
+        (~5.6e-309), and the sweep exited 1 ("tau is not finite") when 1 / (lambda mu)
+        overflowed."""
+        record = json.dumps({
+            "surface": "pants", "s": 1, "t": 1,
+            "boundaries": [{"kind": "hyperbolic", "lambda": 0.5, "tau": sys.float_info.max},
+                           {"kind": "parabolic"}, {"kind": "parabolic"}],
+        })
+        assert run_main("convert", "--input", record)[0] == 0
+        code, out, err = run_main("sweep", "--input", record, "--steps", "2")
+        assert (code, err) == (0, "")
+        taus = [row.split(",")[3] for row in out.splitlines()[2:]]
+        assert taus[0] == "1.7976931348623157e+308" and taus[-1] == "2"
+        assert all(math.isfinite(float(tau)) for tau in taus)
+
     def test_sweep_rejects_gluing_curve(self):
         result = run_cli("sweep", "--input", HYPERBOLIC_TORUS, "--boundary", "2")
         assert result.returncode == 2
