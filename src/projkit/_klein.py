@@ -189,24 +189,29 @@ def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
 
     in Bulirsch's integral (``_cel``), of a positive integrand, for m < 4.  It is homogeneous
     in m, M and M - 1, which are taken 1 + mu_0 times as large: 1 + mu_1, 1 + mu_2 and
-    mu_2 - mu_0.  From m = 4 on the subtraction would lose more than 3 bits to a small
-    area, and the series
+    mu_2 - mu_0.  The subtraction loses log2(1 + 2 pi / area) bits to a small area: 2.9 at
+    the centred disk with m = 4, of area 2 pi (2 / sqrt 3 - 1), and all of them on a thin
+    region (a needle, q >> p) at any m.  From m = 4 on, and where the cel form gives less
+    than that disk's area, the series
 
         sum_k C(2k, k) 4^-k 2 pi (pq)^(-k/2) P_{k-1}((p + q) / (2 sqrt(pq)))
 
     of the integrals of P^-k (P_n the Legendre polynomials, by their recurrence) takes
-    over: its terms are positive and fall by a factor 1/m at least, so stopping at a term
-    below 2^-55 of the first leaves out less than 2^-56 of the sum.
+    over.  Its terms are positive and fall by a factor 1/m at least, so stopping at a term
+    below 2^-56 min(2, m - 1) of the first leaves out less than 2^-56 of the sum, after at
+    most (38.8 + log(1 / (m - 1))) / log m terms: 27 at m = 4, 22,500 (12 ms) at m = 1.002.
+    Past 50,000 (m - 1 below ~9e-4, a thin region near the boundary) the cel form is kept,
+    or refused (NonFiniteResult) where its bound below reaches 1 and it keeps no digit.
 
     Error bound: 8 eps (1 + 2 pi / area) + eps / d relative, d the least depth of the
-    domain over the region.  The first term is a few ulp of 2 pi + area in the cel
-    form (2 pi / area < 2 sqrt(pq): the area exceeds the series' first term) and a few
-    ulp in the series.  The second is the area's own condition near tangency, where
-    mu_0 and mu_1 close in: there one ulp of the region's form moves the area by up to
-    ~eps / d.  Against the 50-digit references of tests/conic_areas.py the error is
-    0.3 - 4.7 eps off the boundary, 14 eps on an ellipse of axis ratio 10 and area 0.31
-    (2 pi / area = 21), and 480 eps at d = 1e-4, where an ulp of the inputs moves the
-    area by 500 - 1400 eps.
+    domain over the region; at most 60 eps + eps / d (2 pi / area < 6.5) within budget.
+    The first term is a few ulp of 2 pi + area in the cel form, and of the series.  The
+    second is the area's own condition near tangency, where mu_0 and mu_1 close in: one
+    ulp of the region's form moves the area by up to ~eps / d.  Against the 50-digit
+    references of tests/conic_areas.py the error is 0 - 4.7 eps off the boundary, 16 eps
+    on an ellipse of axis ratio 10 (0.4 eps of its rounded normal form's), 2 eps on a
+    needle of area 1.4e-99, and 480 eps at d = 1e-4, where an ulp of the inputs moves
+    the area by 500 - 1400 eps.
     """
     big_a, big_b = a - 1.0, b - 1.0
     alpha, beta = a * z0 * z0, b * z1 * z1
@@ -234,16 +239,25 @@ def _conic_area(a: float, b: float, z0: float, z1: float) -> float:
     if nu_s < 3.0 * den:
         m, n = den + nu_s, nu_s / nu_l
         big = (den + nu_l) * n
-        return 4.0 * _cel(math.sqrt(big / m), n, m, big) / math.sqrt(m * nu_l) - 2.0 * math.pi
+        area = 4.0 * _cel(math.sqrt(big / m), n, m, big) / math.sqrt(m * nu_l) - 2.0 * math.pi
+        # no more than the 2.9 bits of the centred disk at m = 4, of area 2 pi (2 / sqrt 3 - 1)
+        if 2.0 * math.pi * (2.0 / math.sqrt(3.0) - 1.0) < area < math.inf:
+            return area
+        # past 50,000 terms of the series, the cel form while 8 eps (1 + 2 pi / area) < 1
+        if (38.8 + math.log(den / nu_s)) / math.log1p(nu_s / den) > 5e4:
+            if 16.0 * math.pi * 2.0 ** -52 < area < math.inf:
+                return area
+            raise NonFiniteResult(f"the area of the region keeps no digit: {area!r}")
     # 1 / p and 1 / q; T_k = (pq)^(-k/2) P_{k-1}(z) runs T_{k+1} = ((2k - 1) h T_k -
     # (k - 1) g T_{k-1}) / k with h = (1/p + 1/q) / 2 and g = 1 / (pq)
     xs, xl = den / (den + nu_s), den / (den + nu_l)
     h, g = 0.5 * (xs + xl), xs * xl
     before, t = 0.0, math.sqrt(xs) * math.sqrt(xl)
     coeff, k, terms = 0.5, 1, []
+    stop = 2.0 ** -56 * min(2.0, nu_s / den)
     while True:
         terms.append(coeff * t)
-        if terms[-1] <= 2.0 ** -55 * terms[0]:
+        if terms[-1] <= stop * terms[0]:
             break
         before, t = t, ((2 * k - 1) * h * t - (k - 1) * g * before) / k
         coeff *= (2 * k + 1) / (2 * k + 2)

@@ -16,15 +16,13 @@ from .errors import _check_tol, _freezer, _matrix_rows, _read_reals, _Record
 # representatives.  Callers may always pass their own.
 DEFAULT_GENERICITY_TOL = 1e-12
 
-# Tolerance for the incidence residual of a flag, relative to the product of
-# the norms of its representatives.
+# Tolerance for a flag's incidence residual det(p, u, w), relative to the magnitudes of its
+# six terms, which diagonal maps scale as they do it, plus |p| |u x w|, a general map's rounding.
 DEFAULT_INCIDENCE_TOL = 1e-9
 
-
 # Range of the largest cross-product term |u_i w_j| + |u_j w_i| in which a line's
-# normal is u x w as given: no term overflows, and a normal that passes either
-# independence test lies far above the subnormal range.  Outside it, u and w are
-# first scaled by powers of two.
+# normal is u x w as given: no term overflows, and the largest lies far above the
+# subnormal range.  Outside it, u and w are first scaled by powers of two.
 _TERM_RANGE = (2.0**-900, 2.0**900)
 
 # Range of the largest |component| of a normal that ``ProjLine.from_normal`` uses as
@@ -40,12 +38,12 @@ def _cross(a, b) -> tuple:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def _largest_term(a, b) -> float:
-    """The largest |a_i b_j| + |a_j b_i| over the components of a x b."""
+def _terms(a, b) -> tuple:
+    """|a_i b_j| + |a_j b_i| for each component of a x b: the size its rounding is relative to."""
     a0, a1, a2 = a
     b0, b1, b2 = b
-    return max(abs(a1 * b2) + abs(a2 * b1), abs(a2 * b0) + abs(a0 * b2),
-               abs(a0 * b1) + abs(a1 * b0))
+    return (abs(a1 * b2) + abs(a2 * b1), abs(a2 * b0) + abs(a0 * b2),
+            abs(a0 * b1) + abs(a1 * b0))
 
 
 def _dot(a, b) -> float:
@@ -137,47 +135,31 @@ class ProjLine(_Record, eq=False):
     them, built on access.
     """
 
-    # _size is |_n|, _span is |u| |w| of the pair whose cross product is _n
-    __slots__ = _fields = ("_u", "_w", "_n", "_size", "_span")
+    # _size is |_n|; _terms are the |u_i w_j| + |u_j w_i| of the pair whose cross product is _n
+    __slots__ = _fields = ("_u", "_w", "_n", "_size", "_terms")
 
     def __init__(self, u, w):
-        self._store(u, w, image=False)
-
-    @classmethod
-    def _mapped(cls, u, w) -> "ProjLine":
-        """The image of a line under an invertible map, spanned by the images u, w."""
-        line = object.__new__(cls)
-        line._store(u, w, image=True)
-        return line
-
-    def _store(self, u, w, image: bool) -> None:
-        """Store the line spanned by u and w, or raise ValueError if they are dependent.
-
-        A pair given by the caller is dependent when ``|u x w| <= 1e-12 |u| |w|``:
-        they are parallel to within 1e-12.  An image under ``Flag.transform`` is a
-        line whatever that angle (a diagonal map such as a bulging matrix scales
-        its spanning vectors apart), so it is refused only when ``u x w`` cancels
-        to within 1e-12 of its largest term ``|u_i w_j| + |u_j w_i|``, the size
-        its rounding is relative to: when the map was singular.
-        """
+        """The line spanned by u and w; ValueError if each component of ``u x w`` cancels
+        to within 1e-12 of its terms ``|u_i w_j| + |u_j w_i|``, the size its rounding is
+        relative to.  Diagonal maps and permutations scale a component and its terms alike,
+        so they keep a line however near parallel they bring u and w (bulging does)."""
         u = _as_vector(u, "line spanning vector")
         w = _as_vector(w, "line spanning vector")
         pair = (u, w)
-        term = _largest_term(u, w)
-        if not _TERM_RANGE[0] <= term <= _TERM_RANGE[1]:
+        terms = _terms(u, w)
+        if not _TERM_RANGE[0] <= max(terms) <= _TERM_RANGE[1]:
             pair = (_unit_scaled(u), _unit_scaled(w))
-            term = _largest_term(*pair)
-        normal = _cross(*pair)
-        size = _norm(normal)
-        span = _norm(pair[0]) * _norm(pair[1])
-        if size <= 1e-12 * (term if image else span):
+            terms = _terms(*pair)
+        normal = (n0, n1, n2) = _cross(*pair)
+        t0, t1, t2 = terms
+        if not (abs(n0) > 1e-12 * t0 or abs(n1) > 1e-12 * t1 or abs(n2) > 1e-12 * t2):
             raise ValueError("line spanning vectors must be linearly independent")
         setattr_ = object.__setattr__  # frozen
         setattr_(self, "_u", u)
         setattr_(self, "_w", w)
         setattr_(self, "_n", normal)
-        setattr_(self, "_size", size)
-        setattr_(self, "_span", span)
+        setattr_(self, "_size", _norm(normal))
+        setattr_(self, "_terms", terms)
 
     @property
     def u(self):
@@ -248,11 +230,10 @@ class Flag(_Record, eq=False):
         if not isinstance(line, ProjLine):
             line = ProjLine(*line)
         residual = pairing13(point, line)
-        bound = DEFAULT_INCIDENCE_TOL * (point._size * line._span)
-        if abs(residual) > bound:
-            raise ValueError(
-                f"flag point does not lie on its line (residual {residual:g})"
-            )
+        (p0, p1, p2), (t0, t1, t2) = point._c, line._terms
+        scale = abs(p0) * t0 + abs(p1) * t1 + abs(p2) * t2 + point._size * line._size
+        if not _vanishes(residual, scale, DEFAULT_INCIDENCE_TOL):
+            raise ValueError(f"flag point does not lie on its line (residual {residual:g})")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "line", line)
 
@@ -270,7 +251,7 @@ class Flag(_Record, eq=False):
         line = self.line
         return Flag._incident(
             ProjPoint(_matvec(rows, self.point._c)),
-            ProjLine._mapped(_matvec(rows, line._u), _matvec(rows, line._w)))
+            ProjLine(_matvec(rows, line._u), _matvec(rows, line._w)))
 
     def rescaled(self, cp: float, cu: float, cw: float) -> "Flag":
         """Same flag with representatives rescaled by nonzero scalars."""
@@ -294,10 +275,11 @@ class Flag(_Record, eq=False):
 
 
 def _vanishes(value: float, scale: float, tol: float) -> bool:
-    """The unit-representative rule: whether a pairing or point-triple determinant
-    ``value`` is at most ``tol`` times ``scale``, the product of the norms of its vectors
-    (unit points, unit line bivectors) as stored at construction.  The product, not the
-    quotient, so norms whose product underflows to 0 clear only a value of exactly 0."""
+    """Whether a determinant ``value`` is at most ``tol`` times ``scale``: for the
+    genericity rule the product of the stored norms of its vectors, for flag incidence
+    the sum of the magnitudes of the six terms of det(p, u, w) plus |p| |u x w|.  The
+    product, not the quotient, so a scale that underflows to 0 clears only a value of
+    exactly 0; a NaN value never vanishes."""
     return abs(value) <= tol * scale
 
 

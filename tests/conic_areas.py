@@ -14,9 +14,10 @@ after an isometry.  Its area is then the integral over theta of
 
     1 / sqrt(1 - 1/P) - 1 = 1 / ((P - 1) + sqrt(P (P - 1))),  P = p cos^2 + q sin^2,
 
-taken by the periodic midpoint rule, doubled until two rules agree to 1e-45.  On a
-region off the boundary the integrand is analytic in a strip about the real axis, so
-the rule converges geometrically.
+in t with tan theta = sqrt(p / q) tan t, taken by the periodic midpoint rule, doubled
+until two rules agree to 1e-45.  On a region off the boundary the integrand is analytic
+in a strip about the real axis whose width does not shrink with p / q, so the rule
+converges geometrically, on a needle (q >> p) too.
 """
 
 import json
@@ -46,6 +47,11 @@ CASES = [
     # semi-axes 0.765 and 0.0765 turned by 0.5, centred at (0.2, -0.1): m = 1.50
     ("off-centre ellipse, axis ratio 10", UNIT,
      {"conic": [40.591, -142.348, 131.992, -30.471, 54.868, 4.791]}),
+    # needles x^2 / r^2 + y^2 / w^2 <= 1 of half-width w = 1e-100 or 1e-154, of area
+    # ~w: the cel form's 2 pi + area keeps none of their digits
+    ("needle r = 0.999, w = 1e-100", UNIT, {"conic": [1 / 0.999**2, 0.0, 1e200, 0.0, 0.0, -1.0]}),
+    ("needle r = 0.999, w = 1e-154", UNIT, {"conic": [1 / 0.999**2, 0.0, 1e308, 0.0, 0.0, -1.0]}),
+    ("needle r = 0.9, w = 1e-100", UNIT, {"conic": [1 / 0.9**2, 0.0, 1e200, 0.0, 0.0, -1.0]}),
 ]
 
 
@@ -62,7 +68,7 @@ def _pi():
     """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239)."""
     def atan_inv(n):
         total, power, k, n2 = Decimal(0), Decimal(1) / n, 0, n * n
-        while power:
+        while power > Decimal(10) ** -(DIGITS + 20):  # past that, no term moves the sum
             total += (-1) ** k * power / (2 * k + 1)
             power /= n2
             k += 1
@@ -119,15 +125,17 @@ def normal_form(domain_entries, region_entries):
     def poly(k):
         return ((k - trace) * k + minors) * k - det
 
-    # the critical points separate the three real roots; bisect each bracket
-    root = (trace * trace - 3 * minors).sqrt()
+    # the critical points separate the three real roots; bisect each bracket to the last
+    # digit.  The one nearer 0 is taken from their product, minors / 3, so that a
+    # needle's, ~1 beside a trace ~1e308, does not cancel away
+    far = (trace + (trace * trace - 3 * minors).sqrt().copy_sign(trace)) / 3
+    near = minors / 3 / far
+    low, high = min(near, far), max(near, far)
     bound = 1 + max(abs(trace), abs(minors), abs(det))
     roots = []
-    for lo, hi in ((-bound, (trace - root) / 3), ((trace - root) / 3, (trace + root) / 3),
-                   ((trace + root) / 3, bound)):
+    for lo, hi in ((-bound, low), (low, high), (high, bound)):
         rising = poly(hi) > poly(lo)
-        for _ in range(400):
-            mid = (lo + hi) / 2
+        while lo < (mid := (lo + hi) / 2) < hi:
             if (poly(mid) > 0) == rising:
                 hi = mid
             else:
@@ -143,25 +151,29 @@ def normal_form(domain_entries, region_entries):
         v = max(crosses, key=lambda w: sum(x * x for x in w))
         if sum(v[i] * c[i][j] * v[j] for i in range(3) for j in range(3)) < 0:
             inside = k
-    p, q = (k / inside for k in roots if k != inside)
+    p, q = sorted(k / inside for k in roots if k != inside)
     return p, q
 
 
 def area(domain_entries, region_entries):
-    """The region's Busemann area: the midpoint rule round the normal form's boundary."""
+    """The region's Busemann area: the midpoint rule round the normal form's boundary, in
+    t with tan theta = sqrt(p / q) tan t, p <= q, so that a needle's peak of width
+    sqrt(p / q) about theta = 0 spreads over the whole period."""
     with localcontext() as ctx:
         ctx.prec = DIGITS + 10
         pi = _pi()
         p, q = normal_form(domain_entries, region_entries)
-        half_sum, half_diff = (p + q) / 2, (p - q) / 2
+        # P = p / D, D = cos^2 t + (p / q) sin^2 t, and d theta = sqrt(p / q) dt / D
+        ratio = p / q
+        half_sum, half_diff = (1 + ratio) / 2, (1 - ratio) / 2
 
         def rule(n):
-            # 4n nodes at 2 theta = (j + 1/2) pi / n, by the integrand's symmetries
+            # 4n nodes at 2 t = (j + 1/2) pi / n, by the integrand's symmetries
             total = Decimal(0)
             for j in range(n):
-                big_p = half_sum + half_diff * _cos((2 * j + 1) * pi / (2 * n), pi)
-                total += 1 / ((big_p - 1) + (big_p * (big_p - 1)).sqrt())
-            return 2 * pi / n * total
+                gap = p - (half_sum + half_diff * _cos((2 * j + 1) * pi / (2 * n), pi))
+                total += 1 / (gap + (p * gap).sqrt())
+            return 2 * pi / n * ratio.sqrt() * total
 
         n, value = 8, rule(8)
         while True:

@@ -810,6 +810,22 @@ class TestContract:
             assert code == 0
             assert out.splitlines()[-2:] == [f"delta_sigma1 = {-3 * v}", f"delta_sigma2 = {3 * v}"]
 
+    @pytest.mark.parametrize("v", [10, 100, 300])
+    def test_bulged_flags_read_back(self, v):
+        """The quadruple whose fourth flag is bulged by v, as Flag.to_json writes it,
+        exited 2 from v = 10 on (MalformedInput: "linearly independent"): invariants read
+        its own output as malformed.  The genericity rule refuses it (exit 1) at the
+        default tolerance, and a tolerance below its unit pairing gives (-3v, 3v)."""
+        flags = list(pk.bulging_configuration())
+        flags[3] = flags[3].transform(pk.bulging_matrix(v))
+        record = json.dumps([f.to_json() for f in flags])
+        code, out, err = run_main("invariants", "--input", record)
+        assert (code, out) == (1, "") and err.startswith("error: NonGenericFlags: ")
+        if v < 300:  # at v = 300 the unit pairing underflows to 0
+            code, out, err = run_main("invariants", "--input", record, "--tol", "1e-300")
+            assert code == 0
+            assert out.splitlines()[-2:] == [f"sigma1 = {-3 * v}", f"sigma2 = {3 * v}"]
+
     def test_non_finite_result_exit_1(self):
         """sigma1 - 3v and sigma2 + 3v overflow: shear_shift refuses them, and nothing is
         printed (it printed -inf and inf)."""

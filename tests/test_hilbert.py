@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import sys
+import time
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -38,6 +39,11 @@ TRIANGLE_AREAS = {row["case"]: row for row in json.loads(
 
 def reference_area(case):
     return float(TRIANGLE_AREAS[case]["area"])
+
+
+# the untruncated inscribed triangles toward the corner, alpha from 1e-2 to 1e-300
+_DIVERGENCE = [case for case in TRIANGLE_AREAS
+               if case.endswith(" untruncated") and case != "alpha=0.5 untruncated"]
 
 
 # 50-digit areas of conic regions in conic domains, from tests/conic_areas.py
@@ -1043,6 +1049,41 @@ class TestConicDomainAreas:
         bound = 8.0 * eps * (1.0 + 2.0 * math.pi / ref) + eps / depth
         assert abs(area - ref) <= bound * ref
 
+    @pytest.mark.parametrize("case", [case for case in CONIC_AREAS if case.startswith("needle")])
+    def test_needles(self, case):
+        """A needle of half-width 1e-100 (area ~1e-99) gave -8.9e-16 or 1.8e-15, and one
+        of half-width 1e-154 gave inf: 2 pi + area in the cel form keeps none of their
+        digits.  The series takes every region whose cel form falls below the area of the
+        centred disk at m = 4, and each needle's area is positive and within the stated
+        60 eps + eps / d of the reference."""
+        import conic_areas
+
+        row = CONIC_AREAS[case]
+        dom, region = (conic_areas.build(row[key]) for key in ("domain", "region"))
+        area, ref = pk.busemann_area(dom, region, 0.01), float(row["area"])
+        depth = _klein._least_depth(*_klein._normal_form(dom, region))
+        eps = sys.float_info.epsilon
+        assert 0.0 < area < math.inf
+        assert abs(area - ref) <= (60.0 * eps + eps / depth) * ref
+
+    def test_thin_regions_at_the_margin_return_at_once(self):
+        """The series needs about 1 / d terms for a thin region at depth d (1.7e7, 9 s, at
+        d = 2e-6), and near the containment margin it would not end.  Past 50,000 terms the
+        cel form is kept where it keeps a digit, and refused where it keeps none: at d =
+        2e-12 both answers come at once.  An area kept grows with the region: the needle of
+        half-width 1e-2 reaching to d = 2e-12 holds the ones reaching to 2e-9 and 2e-3."""
+        dom = pk.ConicOval.unit_circle()
+
+        def needle(d, width):
+            return pk.ConicOval([1.0 / (1.0 - d / 2.0) ** 2, 0.0, width**-2, 0.0, 0.0, -1.0])
+
+        start = time.perf_counter()
+        areas = [pk.busemann_area(dom, needle(d, 1e-2), 0.01) for d in (2e-3, 2e-9, 2e-12)]
+        assert_refuses(lambda: pk.busemann_area(dom, needle(2e-12, 1e-100), 0.01),
+                       pk.NonFiniteResult, "the area of the region keeps no digit")
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < areas[0] < areas[1] < areas[2] < math.inf
+
     def test_reference_matches_its_generator(self):
         """The committed reference is what tests/conic_areas.py writes, shown on the
         cheapest case."""
@@ -1442,6 +1483,30 @@ class TestTriangleExperiment:
         else:
             area = pk.triangle_area_experiment(row["region"][1][0], row["truncation"], 0.002)
         assert area == pytest.approx(reference_area(case), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", _DIVERGENCE)
+    def test_divergence_law(self, case):
+        """The untruncated triangle (0, 1/2), (alpha, 0), (1/2, 1/2), alpha from 1e-2 to
+        1e-300, to 1e-14 of its reference.  Its 60-digit area from tests/triangle_areas.py
+        meets area = (pi/24)(L^2 + pi^2) - (pi/12) alpha L + r, L = log(1 / alpha), a law
+        measured, not derived: r / (alpha^2 L) is -0.103, -0.117 and -0.124 at alpha =
+        1e-2, 1e-4 and 1e-8, so |r| <= (pi/24) alpha^2 L, up to the generator's rounding,
+        1e-55 of the area.  That checks both terms down to alpha = 1e-30, where the second
+        is 1.8e-29; at 1e-300 it is 1.8e-298, below 60 digits, and the leading term alone
+        is checked there."""
+        import triangle_areas
+
+        row = TRIANGLE_AREAS[case]
+        area = pk.busemann_area(standard_triangle(), pk.Polygon(row["region"]), 1e-3)
+        assert area == pytest.approx(reference_area(case), rel=1e-14, abs=0.0)
+        with localcontext() as ctx:
+            ctx.prec = triangle_areas.DIGITS
+            pi, area = triangle_areas._pi(), triangle_areas.area(row["region"], None)
+            alpha = Decimal(row["region"][1][0])
+            log = (1 / alpha).ln()
+            r = area - pi / 24 * (log * log + pi * pi) + pi / 12 * alpha * log
+            rounding = Decimal(10) ** -(triangle_areas.DIGITS - 5) * area
+            assert abs(r) <= pi / 24 * alpha * alpha * log + rounding
 
     def test_reference_matches_its_generator(self):
         """The committed reference is what tests/triangle_areas.py writes, shown on the

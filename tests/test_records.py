@@ -33,7 +33,7 @@ def _torus(v=0.2):
 RECORDS = {
     "ProjPoint": (lambda: pk.ProjPoint([1.0, 2.0, 3.0]), None, ("_c", "_size")),
     "ProjLine": (lambda: pk.ProjLine([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), None,
-                 ("_u", "_w", "_n", "_size", "_span")),
+                 ("_u", "_w", "_n", "_size", "_terms")),
     "Flag": (lambda: pk.bulging_configuration()[3], None, ("point", "line")),
     "TripleRatio": (lambda: pk.TripleRatio(1.5), lambda: pk.TripleRatio(2.5), ("value",)),
     "DoubleRatios": (lambda: pk.DoubleRatios(1.0, 2.0), lambda: pk.DoubleRatios(1.0, -2.0),

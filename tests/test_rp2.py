@@ -1,6 +1,7 @@
 """Projective primitives: pairings, genericity tests, flag validation."""
 
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -147,27 +148,30 @@ class TestConstruction:
             assert (l.u.tobytes(), l.w.tobytes()) == (u.tobytes(), np.cross(n, u).tobytes())
 
     def test_independence_of_given_pairs_and_of_images(self):
-        """A given pair is dependent when |u x w| <= 1e-12 |u||w|.  An image under
-        transform is refused only when u x w cancels to within 1e-12 of its largest
-        term |u_i w_j| + |u_j w_i|, as it does under a singular map: a diagonal map
-        that brings the spanning vectors to within 1e-14 of parallel keeps a line."""
+        """A pair is dependent when each component of u x w cancels to within 1e-12 of its
+        terms |u_i w_j| + |u_j w_i|, whether the caller gives it or transform builds it; no
+        angle enters.  A diagonal map that brings the spanning vectors to within 1e-14 of
+        parallel keeps a line, the same line as the plain constructor's on that pair; a
+        singular map does not."""
         rng = np.random.default_rng(9)
         for _ in range(2000):
             u, r = rng.normal(size=(2, 3))
             w = u + 10.0 ** rng.uniform(-14, -9) * r
-            ratio = np.linalg.norm(np.cross(u, w)) / (np.linalg.norm(u) * np.linalg.norm(w))
+            ratio = max(abs(n) / (abs(u[j] * w[k]) + abs(u[k] * w[j]))
+                        for n, (j, k) in zip(np.cross(u, w), ((1, 2), (2, 0), (0, 1))))
             if ratio > 2e-12:
                 line(u, w)
             elif ratio < 0.5e-12:
                 with pytest.raises(ValueError, match="linearly independent"):
                     line(u, w)
+        # parallel to within 1e-13, and u x w = (0, 0, 1e-13) has no cancellation
+        assert line([1, 0, 0], [1, 1e-13, 0]).normal.tolist() == [0.0, 0.0, 1e-13]
         flag = pk.Flag(point(0.0, 1.0, 2.0), line([0.0, 1.0, 2.0], [1.0, 2.0, -1.0]))
         image = flag.transform(np.diag([1e-5, 1e10, 1e-5]))
         u, w = image.line.u, image.line.w
         assert np.linalg.norm(np.cross(u, w)) < 1e-14 * np.linalg.norm(u) * np.linalg.norm(w)
         assert image.line.normal / 1e5 == pytest.approx([-5.0, 2e-15, -1.0], rel=1e-15)
-        with pytest.raises(ValueError, match="linearly independent"):
-            line(u, w)
+        assert line(u, w).normal.tobytes() == image.line.normal.tobytes()
         with pytest.raises(ValueError, match="linearly independent"):
             flag.transform(np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
 
@@ -186,6 +190,17 @@ class TestConstruction:
         assert_refuses(lambda: pk.Flag([0, 0, 1], ([1, 0, 0], [0, 1, 0])), ValueError,
                        "flag point does not lie on its line")
 
+    def test_incidence_bound_covers_the_rounding_of_a_sheared_pair(self):
+        """The pair (u, w + k u) spans the line of (u, w), and its cross product carries
+        rounding of ~eps k |u|^2: a bound of |p| |u x w| alone refused 184 of 300 points
+        s u + t w at k = 1e8.  The terms of det(p, u, w) cover it: every one is taken."""
+        rng = np.random.default_rng(12)
+        for k in (1e4, 1e8, 1e10):
+            for _ in range(300):
+                u, w = rng.normal(size=(2, 3))
+                s, t = rng.normal(size=2)
+                pk.Flag(point(*(s * u + t * w)), line(u, w + k * u))
+
     def test_incidence_residual_is_own_pairing(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -203,6 +218,111 @@ class TestConstruction:
         again = pk.Flag.from_json(flag.to_json())
         assert np.array_equal(again.point.v, flag.point.v)
         assert np.array_equal(again.line.u, flag.line.u)
+
+
+def _accepts(p, u, w) -> bool:
+    """Whether Flag takes the point p on the line spanned by u and w."""
+    try:
+        pk.Flag(point(*p), line(u, w))
+    except ValueError as exc:
+        assert "does not lie on its line" in str(exc)
+        return False
+    return True
+
+
+# 0 or a magnitude from 1e-3 to 1, so that no product of the rule underflows
+_UNIT = st.just(0.0) | st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)
+
+
+@st.composite
+def _incidence_cases(draw):
+    """(u, w, p, on): a spanning pair that cancels by less than 1e-2 of its largest term,
+    and p = s u + t w, on the line, or that point moved 1e-6 |p| along the unit normal."""
+    u, w = (draw(st.tuples(_UNIT, _UNIT, _UNIT)) for _ in range(2))
+    n = np.cross(u, w)
+    terms = [abs(u[j] * w[k]) + abs(u[k] * w[j]) for j, k in ((1, 2), (2, 0), (0, 1))]
+    assume(np.linalg.norm(n) > 1e-2 * max(terms))
+    s, t = draw(_UNIT), draw(_UNIT)
+    p = s * np.array(u) + t * np.array(w)
+    assume(np.linalg.norm(p) > 1e-3 * (abs(s) * np.linalg.norm(u) + abs(t) * np.linalg.norm(w)))
+    on = draw(st.booleans())
+    if not on:
+        p = p + 1e-6 * np.linalg.norm(p) * n / np.linalg.norm(n)
+    return u, w, tuple(p.tolist()), on
+
+
+_BULGED = pk.bulging_configuration()[3].transform(pk.bulging_matrix(150.0)).line
+
+
+def _normwise(p, u, w) -> float:
+    """|p . (u x w)| / (|p| |u x w|): the sine of the angle between p and the line's plane."""
+    n = np.cross(u, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # nan where a product overflows
+        return abs(np.dot(p, n)) / (np.linalg.norm(p) * np.linalg.norm(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_incidence_cases(), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+# bulging_configuration()'s fourth line bulged by v = 150, where |p| |u| |w| took (0, 0, 1)
+@example((tuple(_BULGED._u), tuple(_BULGED._w), (0.0, 0.0, 1.0), False), 0.0, 0.0)
+# a point on the line whose pairing overflows to inf - inf: the NaN residual is refused
+@example(((0.0, 0.0, 1e100), (1e100, 1e100, 0.0), (1e200, 1e200, 0.0), False), 1.0, -1.0)
+def test_incidence_under_diagonal_maps(case, a, b):
+    """Flag incidence is judged against the six terms of det(p, u, w), which a diagonal map
+    D = diag(e^a, e^b, 1) scales by det D as it does the determinant, plus |p| |u x w|.  A
+    point on the line is taken before D and after, however near parallel D brings the
+    spanning vectors, and the image written by to_json reads back and rescales.  A point
+    1e-6 off the line is refused before D; after D it is refused while it stays 2e-9 off
+    in angle, and taken where D brings it within 0.5e-9 of the line's plane, which the
+    rounding of a general map could do to a point on it."""
+    u, w, p, on = case
+    d = (math.exp(a), math.exp(b), 1.0)
+    assert _accepts(p, u, w) == on
+    image = [tuple(x * y for x, y in zip(d, v)) for v in (p, u, w)]
+    if on:
+        assert _accepts(*image)
+        flag = pk.Flag(point(*p), line(u, w)).transform(np.diag(d))
+        again = pk.Flag.from_json(json.loads(json.dumps(flag.to_json())))
+        assert again.line.normal.tobytes() == flag.line.normal.tobytes()
+        again.rescaled(-3.0, 1e-5, 7.0)
+    elif math.isfinite(angle := _normwise(*image)):
+        event("off point taken after D" if angle < 0.5e-9 else "off point refused after D")
+        if angle > 2e-9:
+            assert not _accepts(*image)
+        elif angle < 0.5e-9:
+            assert _accepts(*image)
+
+
+@st.composite
+def _rotations(draw):
+    """An orthogonal matrix, from a unit quaternion (a, b, c, d)."""
+    a, b, c, d = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    size = math.sqrt(a * a + b * b + c * c + d * d)
+    assume(size > 0.1)
+    a, b, c, d = a / size, b / size, c / size, d / size
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_incidence_cases(), _rotations())
+# (1, 1, 0) on z = 0, turned and turned back: each of the point and the spanning vectors
+# comes back with its own ~eps third coordinate, which the terms alone refused
+@example(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), True),
+         np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0])
+def test_incidence_under_orthogonal_maps(case, r):
+    """A flag's image under an orthogonal map R, and its image under R and then R^T, read
+    back from to_json: flags drawn at or near coordinate position, with points that are
+    not a spanning vector.  The rounding of a general map is ~eps |p| |u x w|, not ~eps
+    of each term, and the |p| |u x w| in the incidence scale covers it."""
+    u, w, p, on = case
+    assume(on)
+    flag = pk.Flag(point(*p), line(u, w))
+    for image in (flag.transform(r), flag.transform(r).transform(r.T)):
+        pk.Flag.from_json(json.loads(json.dumps(image.to_json()))).rescaled(-3.0, 1e-5, 7.0)
 
 
 class TestGenericity:

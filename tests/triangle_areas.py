@@ -26,6 +26,8 @@ DIGITS = 60
 # the cases: (name, the region's vertices in the standard triangle, the truncation
 # radius about the region's vertex mean or None)
 ALPHAS = (0.5, 0.25, 0.1, 0.05, 0.01)  # projkit area's defaults, at its truncation 5
+# the untruncated triangle toward the corner, where its area diverges like log^2(1 / alpha)
+DIVERGENCE_ALPHAS = (1e-2, 1e-4, 1e-8, 1e-30, 1e-300)
 
 
 def _inscribed(alpha):
@@ -37,14 +39,14 @@ CASES = [(f"alpha={a!r} truncation=5", _inscribed(a), 5.0) for a in ALPHAS] + [
     ("near corner", [(1e-7, 1e-7), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)], None),
     ("interior", [(0.125, 0.25), (0.5, 0.125), (0.25, 0.5)], None),
     ("alpha=5e-324 truncation=1e308", _inscribed(5e-324), 1e308),
-]
+] + [(f"alpha={a!r} untruncated", _inscribed(a), None) for a in DIVERGENCE_ALPHAS]
 
 
 def _pi():
     """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239)."""
     def atan_inv(n):
         total, power, k, n2 = Decimal(0), Decimal(1) / n, 0, n * n
-        while power:
+        while power > Decimal(10) ** -(DIGITS + 20):  # past that, no term moves the sum
             total += (-1) ** k * power / (2 * k + 1)
             power /= n2
             k += 1
